@@ -8,11 +8,12 @@ all findings they forecast.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
-from .dataset import Dataset, surveys_for, trades_for
+# trades_for stays bound here: code that reads or patches aggregate.trades_for relies on it
+from .dataset import Dataset, closed_trades, surveys_for, trades_for, write_csv  # noqa: F401
 from .errors import AllWeightsZero, EmptyMarket, NoSurveyResponses
 
 METHOD_MARKET = "market_final_price"
@@ -41,13 +42,11 @@ class ForecasterWeight:
 
 def market_final_price(ds: Dataset, finding_id: str) -> AggregateForecast:
     """Last post-trade price at or before market close."""
-    finding = ds.finding(finding_id)
-    trades = trades_for(ds, finding_id)
-    in_window = [t for t in trades if t.timestamp <= finding.market_close]
+    in_window = closed_trades(ds, ds.finding(finding_id))
     if not in_window:
         raise EmptyMarket(f"no trades at or before close for {finding_id!r}")
     return AggregateForecast(finding_id, METHOD_MARKET,
-                             in_window[-1].post_trade_price, len(trades))
+                             in_window[-1].post_trade_price, len(in_window))
 
 
 def _beliefs(ds: Dataset, finding_id: str) -> list[float]:
@@ -122,35 +121,27 @@ def aggregate_all(ds: Dataset, methods=ALL_METHODS,
                   threshold: float = 0.5) -> list[AggregateForecast]:
     """One forecast per (finding, method), skipping findings a method cannot
     aggregate (empty market / no responses / all-zero weights)."""
-    weights = None
+    rules = {
+        METHOD_MARKET: market_final_price,
+        METHOD_MEAN: survey_mean,
+        METHOD_MEDIAN: survey_median,
+        METHOD_VOTING: partial(survey_voting, threshold=threshold),
+    }
     if METHOD_VAR_WEIGHTED in methods:
         weights = {w.forecaster_id: w.weight for w in forecaster_weights(ds)}
+        rules[METHOD_VAR_WEIGHTED] = partial(survey_var_weighted, weights=weights)
+    if not set(methods) <= rules.keys():
+        raise ValueError(f"unknown methods {sorted(set(methods) - rules.keys())}")
     out: list[AggregateForecast] = []
     for finding in ds.findings:
-        fid = finding.finding_id
         for method in methods:
             try:
-                if method == METHOD_MARKET:
-                    out.append(market_final_price(ds, fid))
-                elif method == METHOD_MEAN:
-                    out.append(survey_mean(ds, fid))
-                elif method == METHOD_MEDIAN:
-                    out.append(survey_median(ds, fid))
-                elif method == METHOD_VOTING:
-                    out.append(survey_voting(ds, fid, threshold))
-                elif method == METHOD_VAR_WEIGHTED:
-                    out.append(survey_var_weighted(ds, fid, weights))
-                else:
-                    raise ValueError(f"unknown method {method!r}")
+                out.append(rules[method](ds, finding.finding_id))
             except (EmptyMarket, NoSurveyResponses, AllWeightsZero):
                 continue
     return out
 
 
-def write_aggregates(forecasts: list[AggregateForecast], path: str | Path,
-                     delimiter: str = ",") -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, delimiter=delimiter)
-        w.writerow(["finding_id", "method", "value", "n_inputs"])
-        for f in forecasts:
-            w.writerow([f.finding_id, f.method, repr(f.value), f.n_inputs])
+def write_aggregates(forecasts: list[AggregateForecast], path: str | Path) -> None:
+    write_csv(path, ["finding_id", "method", "value", "n_inputs"],
+              ([f.finding_id, f.method, f.value, f.n_inputs] for f in forecasts))

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import aggregate, dynamics, evaluate, lmsr, reference, synth
-from .dataset import load_dataset, load_mapping, trades_for, validate
+from .dataset import (DEFAULT_P_THRESHOLD, load_dataset, load_mapping, trades_for,
+                      validate, write_csv)
 from .errors import (
     DegenerateInput,
     DegenerateTable,
@@ -35,6 +36,23 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trades", help="trades CSV path")
     p.add_argument("--mapping", help="column mapping JSON path")
     p.add_argument("--out", default="out", help="output directory (default: out)")
+
+
+def _add_forecast_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--threshold", type=float, default=0.5,
+                   help="binarization threshold (default 0.5)")
+    p.add_argument("--yates", action="store_true",
+                   help="apply continuity correction to chi-square tests")
+
+
+def _add_pvalue_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--pvalue-threshold", type=float, default=DEFAULT_P_THRESHOLD,
+                   help="recategorize findings with a numeric p-value at this cut")
+
+
+def _add_loess_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--loess-span", type=float, default=0.75)
+    p.add_argument("--loess-degree", type=int, choices=(1, 2), default=2)
 
 
 def _resolve_path(explicit: str | None, default_name: str) -> Path:
@@ -55,7 +73,7 @@ def _load(args):
         _resolve_path(args.surveys, "surveys.csv"),
         _resolve_path(args.trades, "trades.csv"),
         mapping=mapping,
-        p_threshold=getattr(args, "pvalue_threshold", 0.005),
+        p_threshold=getattr(args, "pvalue_threshold", DEFAULT_P_THRESHOLD),
     )
 
 
@@ -76,24 +94,23 @@ def _test_dict(result) -> dict:
             "p_value": result.p_value, "kind": result.kind}
 
 
+def _test_or_null(undefined, fn, *args, **kwargs) -> dict | None:
+    """fn's test result as a dict, or None when the data leave it undefined."""
+    try:
+        return _test_dict(fn(*args, **kwargs))
+    except undefined:
+        return None
+
+
 # ----------------------------------------------------------------------
-# pipeline assembly
+# pipeline assembly: two stages that each subcommand slices
 # ----------------------------------------------------------------------
 
-def run_pipeline(ds, threshold: float = 0.5, p_threshold: float = 0.005,
-                 yates: bool = False,
-                 loess_cfg: dynamics.LoessConfig | None = None) -> dict:
-    """Compute everything the structured report carries.
-
-    Returns {"report": ..., "scores": ..., "forecasts": ..., "curves": ...}.
-    Pieces that are undefined on the given data (degenerate fixtures) are
-    reported as null rather than failing the whole run.
-    """
-    loess_cfg = loess_cfg or dynamics.LoessConfig()
+def forecast_stage(ds, threshold: float = 0.5, yates: bool = False) -> tuple:
+    """(forecasts, score rows, evaluation); the evaluation holds the tests
+    (null where the data leave them undefined), quadrants and correlations."""
     forecasts = aggregate.aggregate_all(ds, threshold=threshold)
     scores = evaluate.score(forecasts, ds, threshold=threshold)
-    table1 = evaluate.build_table1(ds, scores)
-    table2 = evaluate.build_table2(ds.findings, p_threshold)
 
     tests: dict[str, dict | None] = {}
     try:
@@ -102,17 +119,11 @@ def run_pipeline(ds, threshold: float = 0.5, p_threshold: float = 0.005,
         tests["overestimation_market"] = _test_dict(over[aggregate.METHOD_MARKET])
     except DegenerateInput:
         tests["overestimation_survey"] = tests["overestimation_market"] = None
-    for name, fn in (("error_difference", evaluate.error_difference_test),
-                     ("extremeness", evaluate.extremeness_test)):
-        try:
-            tests[name] = _test_dict(fn(scores))
-        except DegenerateInput:
-            tests[name] = None
-    try:
-        tests["accuracy_chi_square"] = _test_dict(
-            evaluate.accuracy_comparison_test(scores, yates=yates))
-    except DegenerateTable:
-        tests["accuracy_chi_square"] = None
+    tests["error_difference"] = _test_or_null(
+        DegenerateInput, evaluate.error_difference_test, scores)
+    tests["extremeness"] = _test_or_null(DegenerateInput, evaluate.extremeness_test, scores)
+    tests["accuracy_chi_square"] = _test_or_null(
+        DegenerateTable, evaluate.accuracy_comparison_test, scores, yates=yates)
 
     quadrants = {}
     try:
@@ -130,6 +141,52 @@ def run_pipeline(ds, threshold: float = 0.5, p_threshold: float = 0.005,
     except DegenerateTable:
         tests["asymmetry_market"] = tests["asymmetry_survey"] = None
 
+    return forecasts, scores, {"tests": tests, "quadrants": quadrants,
+                               "correlations": evaluate.forecast_correlations(scores)}
+
+
+def dynamics_stage(ds, loess_cfg: dynamics.LoessConfig, fractions,
+                   cutoff_hours: float) -> tuple[dict, dict]:
+    """({axis label: (raw, smoothed) curve}, dynamics): the dynamics hold the
+    milestone of each fraction on each axis and late-trade smoothing."""
+    curves = {}
+    dyn: dict[str, object] = {}
+    for axis, label in ((dynamics.AXIS_TRADES, "trades"),
+                        (dynamics.AXIS_HOURS, "hours")):
+        raw = dynamics.mean_error_curve(ds, axis)
+        try:
+            smoothed = dynamics.loess_fit(raw, loess_cfg)
+        except InsufficientPoints:
+            smoothed = raw  # grid too small to smooth
+        curves[label] = (raw, smoothed)
+        for fraction in fractions:
+            key = f"milestone_{label}_{int(fraction * 100)}"
+            try:
+                dyn[key] = dynamics.reduction_milestone(smoothed, fraction).x_at_fraction
+            except NoReduction:
+                dyn[key] = None
+    dyn["late_smoothing"] = _test_or_null(
+        DegenerateInput, dynamics.late_trade_smoothing, ds, cutoff_hours)
+    return curves, dyn
+
+
+def run_pipeline(ds, threshold: float = 0.5, p_threshold: float = 0.005,
+                 yates: bool = False,
+                 loess_cfg: dynamics.LoessConfig | None = None) -> dict:
+    """Both stages plus the report-only parts: Tables 1 and 2, aggregator
+    summaries, market sizes and the first-hour reduction.
+
+    Returns {"report": ..., "scores": ..., "forecasts": ..., "curves": ...}.
+    Pieces that are undefined on the given data (degenerate fixtures) are
+    reported as null rather than failing the whole run.
+    """
+    loess_cfg = loess_cfg or dynamics.LoessConfig()
+    forecasts, scores, evaluation = forecast_stage(ds, threshold=threshold, yates=yates)
+    try:
+        table2 = evaluate.build_table2(ds.findings, p_threshold)
+    except DegenerateInput:
+        table2 = None
+
     aggregators = {}
     for method in aggregate.SURVEY_METHODS:
         values = [s.forecast for s in scores if s.method == method]
@@ -143,26 +200,14 @@ def run_pipeline(ds, threshold: float = 0.5, p_threshold: float = 0.005,
                                "mae": sum(errors) / n, "n": n}
 
     trade_counts = [len(trades_for(ds, fid)) for fid in ds.finding_ids()]
-    dyn: dict[str, object] = {
+    curves, convergence = dynamics_stage(ds, loess_cfg, (0.9,), cutoff_hours=168.0)
+    dyn = {
         "trades_per_market_min": min(trade_counts) if trade_counts else None,
         "trades_per_market_max": max(trade_counts) if trade_counts else None,
         "trades_per_market_mean": (sum(trade_counts) / len(trade_counts)
                                    if trade_counts else None),
+        **convergence,
     }
-    curves = {}
-    for axis, label in ((dynamics.AXIS_TRADES, "trades"),
-                        (dynamics.AXIS_HOURS, "hours")):
-        raw = dynamics.mean_error_curve(ds, axis)
-        try:
-            smoothed = dynamics.loess_fit(raw, loess_cfg)
-        except InsufficientPoints:
-            smoothed = raw  # grid too small to smooth
-        curves[label] = (raw, smoothed)
-        try:
-            dyn[f"milestone_{label}_90"] = dynamics.reduction_milestone(
-                smoothed, 0.9).x_at_fraction
-        except NoReduction:
-            dyn[f"milestone_{label}_90"] = None
     hours_smoothed = curves["hours"][1]
     y = hours_smoothed.mean_abs_error
     total = float(y[0] - np.min(y))
@@ -171,10 +216,6 @@ def run_pipeline(ds, threshold: float = 0.5, p_threshold: float = 0.005,
         dyn["first_hour_reduction_fraction"] = float(y[0] - at_one) / total
     else:
         dyn["first_hour_reduction_fraction"] = None
-    try:
-        dyn["late_smoothing"] = _test_dict(dynamics.late_trade_smoothing(ds))
-    except DegenerateInput:
-        dyn["late_smoothing"] = None
 
     report = {
         "counts": {"findings": len(ds.findings), "trades": len(ds.trades),
@@ -182,11 +223,9 @@ def run_pipeline(ds, threshold: float = 0.5, p_threshold: float = 0.005,
         "config": {"threshold": threshold, "p_threshold": p_threshold,
                    "yates": yates, "loess_span": loess_cfg.span,
                    "loess_degree": loess_cfg.degree},
-        "table1": table1,
+        "table1": evaluate.build_table1(ds, scores),
         "table2": table2,
-        "tests": tests,
-        "quadrants": quadrants,
-        "correlations": evaluate.forecast_correlations(scores),
+        **evaluation,
         "aggregators": aggregators,
         "dynamics": dyn,
     }
@@ -219,17 +258,13 @@ def cmd_validate(args) -> int:
 def cmd_replay(args) -> int:
     ds = _load(args)
     fids = [args.finding] if args.finding else ds.finding_ids()
-    out = _out_dir(args)
-    path = out / "replay.csv"
-    import csv as _csv
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["finding_id", "trade_index", "price"])
-        for fid in fids:
-            prices = lmsr.replay(ds, fid, mode=args.mode,
-                                 liquidity_b=args.liquidity_b)
-            for i, p in enumerate(prices, start=1):
-                w.writerow([fid, i, repr(p)])
+    # every market is replayed first so that a failure leaves no partial file
+    rows = []
+    for fid in fids:
+        prices = lmsr.replay(ds, fid, mode=args.mode, liquidity_b=args.liquidity_b)
+        rows += ([fid, i, p] for i, p in enumerate(prices, start=1))
+    path = _out_dir(args) / "replay.csv"
+    write_csv(path, ["finding_id", "trade_index", "price"], rows)
     print(f"replayed {len(fids)} markets ({args.mode}) -> {path}")
     return 0
 
@@ -248,15 +283,12 @@ def cmd_aggregate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     ds = _load(args)
-    result = run_pipeline(ds, threshold=args.threshold,
-                          p_threshold=args.pvalue_threshold, yates=args.yates)
+    _, scores, evaluation = forecast_stage(ds, threshold=args.threshold,
+                                           yates=args.yates)
     out = _out_dir(args)
-    evaluate.write_scores(result["scores"], out / "scores.csv")
-    _write_json({"tests": result["report"]["tests"],
-                 "quadrants": result["report"]["quadrants"],
-                 "correlations": result["report"]["correlations"]},
-                out / "evaluation.json")
-    print(f"{len(result['scores'])} score rows -> {out / 'scores.csv'}")
+    evaluate.write_scores(scores, out / "scores.csv")
+    _write_json(evaluation, out / "evaluation.json")
+    print(f"{len(scores)} score rows -> {out / 'scores.csv'}")
     print(f"tests -> {out / 'evaluation.json'}")
     return 0
 
@@ -264,27 +296,10 @@ def cmd_evaluate(args) -> int:
 def cmd_dynamics(args) -> int:
     ds = _load(args)
     cfg = dynamics.LoessConfig(span=args.loess_span, degree=args.loess_degree)
+    curves, dyn = dynamics_stage(ds, cfg, (0.65, 0.9), args.cutoff_hours)
     out = _out_dir(args)
-    dyn = {}
-    for axis, label, fname in ((dynamics.AXIS_TRADES, "trades", "curve_trades.csv"),
-                               (dynamics.AXIS_HOURS, "hours", "curve_hours.csv")):
-        raw = dynamics.mean_error_curve(ds, axis)
-        try:
-            smoothed = dynamics.loess_fit(raw, cfg)
-        except InsufficientPoints:
-            smoothed = raw
-        dynamics.write_curves(raw, smoothed, out / fname)
-        for fraction in (0.65, 0.9):
-            key = f"milestone_{label}_{int(fraction * 100)}"
-            try:
-                dyn[key] = dynamics.reduction_milestone(smoothed, fraction).x_at_fraction
-            except NoReduction:
-                dyn[key] = None
-    try:
-        dyn["late_smoothing"] = _test_dict(
-            dynamics.late_trade_smoothing(ds, args.cutoff_hours))
-    except DegenerateInput:
-        dyn["late_smoothing"] = None
+    for label, curve in curves.items():
+        dynamics.write_curves(*curve, out / f"curve_{label}.csv")
     _write_json(dyn, out / "dynamics.json")
     print(f"curves -> {out / 'curve_trades.csv'}, {out / 'curve_hours.csv'}")
     print(f"milestones -> {out / 'dynamics.json'}")
@@ -308,30 +323,21 @@ def cmd_report(args) -> int:
     result = run_pipeline(ds, threshold=args.threshold,
                           p_threshold=args.pvalue_threshold,
                           yates=args.yates, loess_cfg=cfg)
+    report = result["report"]
     out = _out_dir(args)
     aggregate.write_aggregates(result["forecasts"], out / "aggregates.csv")
     evaluate.write_scores(result["scores"], out / "scores.csv")
-    evaluate.write_table1_csv(result["report"]["table1"], out / "table1.csv")
-    _write_json(result["report"]["table1"], out / "table1.json")
-    evaluate.write_table2_csv(result["report"]["table2"], out / "table2.csv")
-    _write_json(result["report"]["table2"], out / "table2.json")
-    for label, fname in (("trades", "curve_trades.csv"), ("hours", "curve_hours.csv")):
-        raw, smoothed = result["curves"][label]
-        dynamics.write_curves(raw, smoothed, out / fname)
-    _write_json(result["report"], out / "report.json")
-    rows = reference.build_discrepancies(result["report"])
-    import csv as _csv
-    with open(out / "discrepancies.csv", "w", newline="", encoding="utf-8") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["metric", "computed", "published", "delta", "note"])
-        for r in rows:
-            w.writerow([r["metric"],
-                        "" if r["computed"] is None else r["computed"],
-                        "" if r["published"] is None else r["published"],
-                        "" if r["delta"] is None else repr(r["delta"]),
-                        r["note"]])
-    pooled = [r for r in result["report"]["table1"]["rows"]
-              if r["project"] == "Pooled"]
+    evaluate.write_table1_csv(report["table1"], out / "table1.csv")
+    _write_json(report["table1"], out / "table1.json")
+    evaluate.write_table2_csv(report["table2"], out / "table2.csv")
+    _write_json(report["table2"], out / "table2.json")
+    for label, curve in result["curves"].items():
+        dynamics.write_curves(*curve, out / f"curve_{label}.csv")
+    _write_json(report, out / "report.json")
+    header = ["metric", "computed", "published", "delta", "note"]
+    write_csv(out / "discrepancies.csv", header,
+              ([r[k] for k in header] for r in reference.build_discrepancies(report)))
+    pooled = [r for r in report["table1"]["rows"] if r["project"] == "Pooled"]
     if pooled:
         p = pooled[0]
         print(f"pooled: {p['n_findings']} findings, {p['n_replicated']} replicated")
@@ -382,32 +388,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="score forecasts and run the tests")
     _add_data_args(p)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--pvalue-threshold", type=float, default=0.005)
-    p.add_argument("--yates", action="store_true",
-                   help="apply continuity correction to chi-square tests")
+    _add_forecast_args(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("dynamics", help="error-reduction curves and milestones")
     _add_data_args(p)
-    p.add_argument("--loess-span", type=float, default=0.75)
-    p.add_argument("--loess-degree", type=int, choices=(1, 2), default=2)
+    _add_loess_args(p)
     p.add_argument("--cutoff-hours", type=float, default=168.0,
                    help="late-trade smoothing cutoff (default one week)")
     p.set_defaults(func=cmd_dynamics)
 
     p = sub.add_parser("pvalue", help="p-value-category regression")
     _add_data_args(p)
-    p.add_argument("--pvalue-threshold", type=float, default=0.005)
+    _add_pvalue_arg(p)
     p.set_defaults(func=cmd_pvalue)
 
     p = sub.add_parser("report", help="full pipeline with discrepancy notes")
     _add_data_args(p)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--pvalue-threshold", type=float, default=0.005)
-    p.add_argument("--yates", action="store_true")
-    p.add_argument("--loess-span", type=float, default=0.75)
-    p.add_argument("--loess-degree", type=int, choices=(1, 2), default=2)
+    _add_forecast_args(p)
+    _add_pvalue_arg(p)
+    _add_loess_args(p)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("synth", help="generate a synthetic fixture dataset")

@@ -192,6 +192,11 @@ def _parse_category(text: str) -> str | None:
     return _CATEGORY_ALIASES.get(text.strip().lower().replace(" ", "_"))
 
 
+def _category_at(p_value: float, p_threshold: float) -> str:
+    """The p-value category of a numeric p-value at the given threshold."""
+    return CATEGORY_AT_OR_BELOW if p_value <= p_threshold else CATEGORY_ABOVE
+
+
 def _read_rows(path: str | Path, table: str, fields: tuple[str, ...],
                mapping: dict | None, delimiter: str) -> tuple[list[dict], dict[str, bool]]:
     """Read raw rows keyed by canonical field name.
@@ -292,16 +297,24 @@ def load_dataset(outcomes_path: str | Path, surveys_path: str | Path,
                 reject("outcomes", row, "p_value_category", "invalid_value",
                        "no p-value category and no numeric p-value to derive one")
                 continue
-            category = CATEGORY_AT_OR_BELOW if p_value <= p_threshold else CATEGORY_ABOVE
+            category = _category_at(p_value, p_threshold)
             warn("outcomes", row, "p_value_category", "derived_value",
                  f"category derived from original_p_value={p_value}")
-        if p_value is not None:
-            derived = CATEGORY_AT_OR_BELOW if p_value <= p_threshold else CATEGORY_ABOVE
-            if derived != category:
+        elif p_value is not None:
+            # stated labels (and their aliases) are named for the default cut
+            if _category_at(p_value, DEFAULT_P_THRESHOLD) != category:
                 reject("outcomes", row, "p_value_category", "invalid_value",
                        f"category {category!r} inconsistent with p-value {p_value} "
-                       f"at threshold {p_threshold}")
+                       f"at threshold {DEFAULT_P_THRESHOLD}")
                 continue
+            if _category_at(p_value, p_threshold) != category:
+                category = _category_at(p_value, p_threshold)
+                warn("outcomes", row, "p_value_category", "recategorized",
+                     f"p-value {p_value} is {category!r} at threshold {p_threshold}")
+        elif p_threshold != DEFAULT_P_THRESHOLD:
+            warn("outcomes", row, "p_value_category", "not_recategorized",
+                 f"no numeric p-value: category {category!r} stays as stated "
+                 f"at threshold {DEFAULT_P_THRESHOLD}")
 
         try:
             market_open = parse_timestamp(r["market_open"])
@@ -457,9 +470,7 @@ def validate(ds: Dataset) -> ValidationReport:
             err(Violation("outcomes", f.source_row, "p_value_category", "invalid_value",
                           f"unknown category {f.p_value_category!r}"))
         elif f.original_p_value is not None:
-            derived = (CATEGORY_AT_OR_BELOW if f.original_p_value <= DEFAULT_P_THRESHOLD
-                       else CATEGORY_ABOVE)
-            if derived != f.p_value_category:
+            if _category_at(f.original_p_value, DEFAULT_P_THRESHOLD) != f.p_value_category:
                 err(Violation("outcomes", f.source_row, "p_value_category",
                               "invalid_value",
                               f"category {f.p_value_category!r} inconsistent with "
@@ -528,6 +539,13 @@ def trades_for(ds: Dataset, finding_id: str) -> list[Trade]:
     return rows
 
 
+def closed_trades(ds: Dataset, finding: Finding) -> list[Trade]:
+    """The trades of one market at or before its close, in trade order: the
+    window its final price and its error curve are taken from."""
+    return [t for t in trades_for(ds, finding.finding_id)
+            if t.timestamp <= finding.market_close]
+
+
 def surveys_for(ds: Dataset, finding_id: str) -> list[SurveyResponse]:
     """All survey responses for one finding, in load order."""
     if not ds.has_finding(finding_id):
@@ -535,32 +553,28 @@ def surveys_for(ds: Dataset, finding_id: str) -> list[SurveyResponse]:
     return [s for s in ds.surveys if s.finding_id == finding_id]
 
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else repr(x)
+def write_csv(path: str | Path, header, rows) -> None:
+    """Write a header row and the data rows. csv writes None as an empty field
+    and floats by repr (convert numpy scalars first: their repr names the type)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def write_dataset(ds: Dataset, outcomes_path: str | Path, surveys_path: str | Path,
-                  trades_path: str | Path, delimiter: str = ",") -> None:
+                  trades_path: str | Path) -> None:
     """Write the three tables with canonical headers.
 
     Floats are rendered with full round-trip precision so that
     load(write(ds)) reproduces ds exactly.
     """
-    with open(outcomes_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, delimiter=delimiter)
-        w.writerow(OUTCOME_FIELDS)
-        for f in ds.findings:
-            w.writerow([f.finding_id, f.project, f.outcome, f.p_value_category,
-                        _fmt(f.original_p_value), format_timestamp(f.market_open),
-                        format_timestamp(f.market_close)])
-    with open(surveys_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, delimiter=delimiter)
-        w.writerow(SURVEY_FIELDS)
-        for s in ds.surveys:
-            w.writerow([s.finding_id, s.forecaster_id, _fmt(s.belief)])
-    with open(trades_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, delimiter=delimiter)
-        w.writerow(TRADE_FIELDS)
-        for t in ds.trades:
-            w.writerow([t.finding_id, t.trader_id, format_timestamp(t.timestamp),
-                        t.side, _fmt(t.quantity), _fmt(t.post_trade_price)])
+    write_csv(outcomes_path, OUTCOME_FIELDS,
+              ([f.finding_id, f.project, f.outcome, f.p_value_category,
+                f.original_p_value, format_timestamp(f.market_open),
+                format_timestamp(f.market_close)] for f in ds.findings))
+    write_csv(surveys_path, SURVEY_FIELDS,
+              ([s.finding_id, s.forecaster_id, s.belief] for s in ds.surveys))
+    write_csv(trades_path, TRADE_FIELDS,
+              ([t.finding_id, t.trader_id, format_timestamp(t.timestamp),
+                t.side, t.quantity, t.post_trade_price] for t in ds.trades))

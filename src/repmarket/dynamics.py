@@ -9,14 +9,13 @@ improves on the final price.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, MS_PER_HOUR, trades_for
+from .dataset import Dataset, MS_PER_HOUR, closed_trades, write_csv
 from .errors import EmptyMarket, InsufficientPoints, NoReduction
 from . import stats
 
@@ -65,10 +64,11 @@ class Milestone:
 
 def error_series(ds: Dataset, finding_id: str, axis: str = AXIS_TRADES,
                  ) -> list[tuple[float, float]]:
-    """(x, |outcome - price|) after each trade of one market."""
+    """(x, |outcome - price|) after each trade of one market up to its close,
+    the window `aggregate.market_final_price` takes the final price from."""
     outcome = ds.finding(finding_id).outcome
     open_ms = ds.finding(finding_id).market_open
-    trades = trades_for(ds, finding_id)
+    trades = closed_trades(ds, ds.finding(finding_id))
     if not trades:
         raise EmptyMarket(finding_id)
     series = []
@@ -211,8 +211,7 @@ def late_trade_forecasts(ds: Dataset, cutoff_hours: float = 168.0,
     """
     out = {}
     for f in ds.findings:
-        trades = [t for t in trades_for(ds, f.finding_id)
-                  if t.timestamp <= f.market_close]
+        trades = closed_trades(ds, f)
         if not trades:
             continue
         final_price = trades[-1].post_trade_price
@@ -253,15 +252,10 @@ def late_trade_smoothing(ds: Dataset, cutoff_hours: float = 168.0,
     return stats.paired_t(final_errors, smoothed_errors)
 
 
-def write_curves(raw: ErrorCurve, smoothed: ErrorCurve, path: str | Path,
-                 delimiter: str = ",") -> None:
+def write_curves(raw: ErrorCurve, smoothed: ErrorCurve, path: str | Path) -> None:
     """Emit (x, raw mean error, smoothed, contributing markets) rows."""
     if raw.axis != smoothed.axis or len(raw.x) != len(smoothed.x):
         raise ValueError("raw and smoothed curves must share a grid")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, delimiter=delimiter)
-        w.writerow(["x", "mean_abs_error", "smoothed", "n_contributing"])
-        for i in range(len(raw.x)):
-            w.writerow([repr(float(raw.x[i])), repr(float(raw.mean_abs_error[i])),
-                        repr(float(smoothed.mean_abs_error[i])),
-                        int(raw.n_contributing[i])])
+    write_csv(path, ["x", "mean_abs_error", "smoothed", "n_contributing"],
+              zip(raw.x.tolist(), raw.mean_abs_error.tolist(),
+                  smoothed.mean_abs_error.tolist(), raw.n_contributing.tolist()))

@@ -22,6 +22,10 @@ class EmptyMarket(RepmarketError):
     """A market with no usable trades."""
 
 
+class ReplayUnavailable(RepmarketError, ValueError):
+    """Simulated replay lacks an input it needs (liquidity or recorded quantities)."""
+
+
 class NonPositiveLiquidity(RepmarketError):
     """Liquidity parameter must be strictly positive."""
 

@@ -7,7 +7,6 @@ quadrants, and the p-value-category regression.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,7 +15,8 @@ from .aggregate import (
     METHOD_MARKET,
     METHOD_MEAN,
 )
-from .dataset import CATEGORY_ABOVE, CATEGORY_AT_OR_BELOW, Dataset, Finding, PROJECTS
+from .dataset import (CATEGORY_ABOVE, CATEGORY_AT_OR_BELOW, Dataset, Finding, PROJECTS,
+                      write_csv)
 from .errors import DegenerateInput, MissingOutcome
 from . import stats
 
@@ -99,9 +99,10 @@ def _scores_by_finding(scores, method: str) -> dict[str, ScoreRow]:
     return {s.finding_id: s for s in scores if s.method == method}
 
 
-def _safe_spearman(x, y) -> float | None:
+def _safe_correlation(fn, x, y) -> float | None:
+    """fn(x, y), or None when the data leave the correlation undefined."""
     try:
-        return stats.spearman(x, y)
+        return fn(x, y)
     except DegenerateInput:
         return None
 
@@ -135,14 +136,14 @@ def summarize(scores: list[ScoreRow], findings,
             summary.mean_belief[method] = sum(r.forecast for r in rows) / len(rows)
             summary.n_correct[method] = sum(r.correct for r in rows)
             summary.mae[method] = sum(r.abs_error for r in rows) / len(rows)
-            summary.spearman_outcome[method] = _safe_spearman(
-                [r.outcome for r in rows], [r.forecast for r in rows])
+            summary.spearman_outcome[method] = _safe_correlation(
+                stats.spearman, [r.outcome for r in rows], [r.forecast for r in rows])
         market = _scores_by_finding(scores, METHOD_MARKET)
         survey = _scores_by_finding(scores, METHOD_MEAN)
         both = sorted(ids & market.keys() & survey.keys())
         if len(both) >= 3:
-            summary.spearman_market_survey = _safe_spearman(
-                [market[i].forecast for i in both],
+            summary.spearman_market_survey = _safe_correlation(
+                stats.spearman, [market[i].forecast for i in both],
                 [survey[i].forecast for i in both])
         summaries.append(summary)
     return summaries
@@ -235,24 +236,18 @@ def forecast_correlations(scores: list[ScoreRow]) -> dict[str, float | None]:
     market = _scores_by_finding(scores, METHOD_MARKET)
     survey = _scores_by_finding(scores, METHOD_MEAN)
 
-    def safe_pearson(x, y):
-        try:
-            return stats.pearson(x, y)
-        except DegenerateInput:
-            return None
-
     out: dict[str, float | None] = {}
     m_ids = sorted(market)
     s_ids = sorted(survey)
-    out["pearson_outcome_market"] = safe_pearson(
-        [market[i].outcome for i in m_ids], [market[i].forecast for i in m_ids])
-    out["pearson_outcome_survey"] = safe_pearson(
-        [survey[i].outcome for i in s_ids], [survey[i].forecast for i in s_ids])
+    out["pearson_outcome_market"] = _safe_correlation(
+        stats.pearson, [market[i].outcome for i in m_ids], [market[i].forecast for i in m_ids])
+    out["pearson_outcome_survey"] = _safe_correlation(
+        stats.pearson, [survey[i].outcome for i in s_ids], [survey[i].forecast for i in s_ids])
     both = sorted(market.keys() & survey.keys())
-    out["pearson_market_survey"] = safe_pearson(
-        [market[i].forecast for i in both], [survey[i].forecast for i in both])
-    out["spearman_market_survey"] = _safe_spearman(
-        [market[i].forecast for i in both], [survey[i].forecast for i in both])
+    out["pearson_market_survey"] = _safe_correlation(
+        stats.pearson, [market[i].forecast for i in both], [survey[i].forecast for i in both])
+    out["spearman_market_survey"] = _safe_correlation(
+        stats.spearman, [market[i].forecast for i in both], [survey[i].forecast for i in both])
     return out
 
 
@@ -331,37 +326,26 @@ def build_table2(findings, p_threshold: float = 0.005) -> dict:
     }
 
 
-def write_scores(scores: list[ScoreRow], path: str | Path,
-                 delimiter: str = ",") -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, delimiter=delimiter)
-        w.writerow(["finding_id", "method", "forecast", "outcome", "predicted",
-                    "correct", "abs_error", "extremeness"])
-        for s in scores:
-            w.writerow([s.finding_id, s.method, repr(s.forecast), s.outcome,
-                        s.predicted, int(s.correct), repr(s.abs_error),
-                        repr(s.extremeness)])
+def write_scores(scores: list[ScoreRow], path: str | Path) -> None:
+    write_csv(path, ["finding_id", "method", "forecast", "outcome", "predicted",
+                     "correct", "abs_error", "extremeness"],
+              ([s.finding_id, s.method, s.forecast, s.outcome, s.predicted,
+                int(s.correct), s.abs_error, s.extremeness] for s in scores))
 
 
-def write_table1_csv(table1: dict, path: str | Path, delimiter: str = ",") -> None:
+def write_table1_csv(table1: dict, path: str | Path) -> None:
     rows = table1["rows"]
-    if not rows:
+    if rows:
+        write_csv(path, list(rows[0]), ([row[c] for c in rows[0]] for row in rows))
+
+
+def write_table2_csv(table2: dict | None, path: str | Path) -> None:
+    """Write the regression terms; no file when Table 2 is undefined (None)."""
+    if table2 is None:
         return
-    cols = list(rows[0])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, delimiter=delimiter)
-        w.writerow(cols)
-        for row in rows:
-            w.writerow(["" if row[c] is None else row[c] for c in cols])
-
-
-def write_table2_csv(table2: dict, path: str | Path, delimiter: str = ",") -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, delimiter=delimiter)
-        w.writerow(["term", "estimate", "se", "p_value"])
-        w.writerow(["intercept", table2["intercept"], table2["se_intercept"],
-                    table2["p_intercept"]])
-        w.writerow(["significant_category", table2["slope"], table2["se_slope"],
-                    table2["p_slope"]])
-        w.writerow(["r_squared", table2["r_squared"], "", ""])
-        w.writerow(["n", table2["n"], "", ""])
+    write_csv(path, ["term", "estimate", "se", "p_value"], [
+        ["intercept", table2["intercept"], table2["se_intercept"], table2["p_intercept"]],
+        ["significant_category", table2["slope"], table2["se_slope"], table2["p_slope"]],
+        ["r_squared", table2["r_squared"], "", ""],
+        ["n", table2["n"], "", ""],
+    ])

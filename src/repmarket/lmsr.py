@@ -21,6 +21,7 @@ from .errors import (
     InsufficientTokens,
     MarketSettled,
     NonPositiveLiquidity,
+    ReplayUnavailable,
     UnknownTrader,
 )
 
@@ -218,10 +219,10 @@ def replay(ds: Dataset, finding_id: str, mode: str = PRICE_TAKING,
     if mode != SIMULATED:
         raise ValueError(f"unknown replay mode {mode!r}")
     if liquidity_b is None:
-        raise ValueError("simulated replay requires liquidity_b")
+        raise ReplayUnavailable("simulated replay requires liquidity_b")
     missing = [t for t in trades if t.quantity is None]
     if missing:
-        raise ValueError(
+        raise ReplayUnavailable(
             f"simulated replay needs recorded quantities; market {finding_id!r} "
             f"has {len(missing)} trades without them")
     ms = new_market(liquidity_b, endowment=math.inf,

@@ -166,7 +166,7 @@ def build_discrepancies(report: dict) -> list[dict]:
         for key, pub_val in published.items():
             rows.append(_row(f"aggregators.{method}.{key}", computed.get(key), pub_val))
 
-    table2 = report.get("table2", {})
+    table2 = report.get("table2") or {}
     for key, pub_val in TABLE2.items():
         rows.append(_row(f"table2.{key}", table2.get(key), pub_val))
     cat_rates = table2.get("category_rates", {})

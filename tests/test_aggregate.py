@@ -33,6 +33,17 @@ def test_market_final_price_ignores_post_close_trades():
     assert aggregate.market_final_price(ds, "F1").value == 0.7
 
 
+def test_market_final_price_counts_only_trades_before_close():
+    f = make_finding("F1")
+    trades = [
+        make_trade("F1", ts=BASE_MS + HOUR_MS, price=0.6, seq=0),
+        make_trade("F1", ts=BASE_MS + 2 * HOUR_MS, price=0.7, seq=1),
+        make_trade("F1", ts=f.market_close + DAY_MS, price=0.99, seq=2),
+    ]
+    fc = aggregate.market_final_price(make_dataset([f], trades=trades), "F1")
+    assert (fc.value, fc.n_inputs) == (0.7, 2)
+
+
 def test_market_final_price_empty_market():
     ds = make_dataset([make_finding("F1")])
     with pytest.raises(EmptyMarket):

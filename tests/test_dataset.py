@@ -120,6 +120,25 @@ def test_category_p_value_mismatch_rejected(tmp_path):
                for v in ds.load_report.errors)
 
 
+def test_pvalue_threshold_recategorizes_and_drops_nothing(tmp_path):
+    outcomes = OUTCOMES_CSV + ("F003,ML2,1,above,0.008,"
+                               "2020-01-06T00:00:00.000Z,2020-01-20T00:00:00.000Z\n"
+                               "F004,ML2,0,above,,"
+                               "2020-01-06T00:00:00.000Z,2020-01-20T00:00:00.000Z\n")
+    paths = write_fixture_files(tmp_path, outcomes=outcomes)
+    default = load_dataset(paths["outcomes"], paths["surveys"], paths["trades"])
+    moved = load_dataset(paths["outcomes"], paths["surveys"], paths["trades"],
+                         p_threshold=0.01)
+    assert len(moved.findings) == len(default.findings) == 4
+    assert default.finding("F003").p_value_category == CATEGORY_ABOVE
+    assert moved.finding("F003").p_value_category == CATEGORY_AT_OR_BELOW
+    # no p-value to re-derive F004's label from: kept, and flagged as such
+    assert moved.finding("F004").p_value_category == CATEGORY_ABOVE
+    assert [(v.row, v.kind) for v in moved.load_report.warnings
+            if v.table == "outcomes"] == [(3, "recategorized"), (4, "not_recategorized")]
+    assert not default.load_report.warnings
+
+
 def test_counts_match_lines_minus_rejected(tmp_path):
     surveys = SURVEYS_CSV + "F001,dave,2.0\nF999,erin,0.5\n"
     paths = write_fixture_files(tmp_path, surveys=surveys)

@@ -85,6 +85,18 @@ def test_mean_error_curve_final_matches_market_mae(synth_ds):
     assert abs(curve.mean_abs_error[-1] - mae) <= 1e-12
 
 
+def test_mean_error_curve_ignores_trades_after_close():
+    f1, t1 = priced_market("F1", [0.7, 0.9], outcome=1)
+    late = make_trade("F1", ts=f1.market_close + HOUR_MS, price=0.2, seq=2)
+    f2, t2 = priced_market("F2", [0.4], outcome=0)
+    ds = make_dataset([f1, f2], trades=t1 + [late] + t2)
+    scores = evaluate.score(aggregate_all(ds, methods=(METHOD_MARKET,)), ds)
+    mae = sum(s.abs_error for s in scores) / len(scores)
+    for axis in (dynamics.AXIS_TRADES, dynamics.AXIS_HOURS):
+        curve = dynamics.mean_error_curve(ds, axis)
+        assert curve.mean_abs_error[-1] == pytest.approx(mae)
+
+
 def _oracle_loess(x, y, span, degree):
     """Independent check: normal equations solved point by point."""
     n = len(x)

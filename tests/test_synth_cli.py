@@ -1,12 +1,18 @@
+import dataclasses
 import json
 
 import pytest
 
-from repmarket.cli import main
-from repmarket.dataset import load_dataset, validate
+from repmarket.cli import build_parser, main
+from repmarket.dataset import Dataset, load_dataset, validate
 from repmarket.synth import synthetic_dataset, write_fixture
 
-from conftest import SURVEYS_CSV, write_fixture_files
+from conftest import SURVEYS_CSV, TRADES_CSV, write_fixture_files
+
+# the trades table of a price-only export: no side or quantity columns
+PRICE_ONLY_TRADES = "".join(
+    ",".join(c for i, c in enumerate(line.split(",")) if i not in (3, 4)) + "\n"
+    for line in TRADES_CSV.splitlines())
 
 
 def _read_all(directory):
@@ -145,3 +151,46 @@ def test_cli_error_reports_structured(tmp_path, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "UnknownFinding" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trades, extra", [
+    (TRADES_CSV, []),
+    (PRICE_ONLY_TRADES, ["--liquidity-b", "100"]),
+], ids=["no_liquidity", "price_only"])
+def test_cli_simulated_replay_errors_exit_cleanly(tmp_path, capsys, trades, extra):
+    paths = write_fixture_files(tmp_path / "data", trades=trades)
+    rc = main(["replay", *_data_args(paths), "--mode", "simulated", *extra,
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ReplayUnavailable: ") and err.count("\n") == 1
+    assert not (tmp_path / "out" / "replay.csv").exists()
+
+
+def test_report_nulls_table2_when_category_separates_outcomes(tmp_path, capsys):
+    ds = synthetic_dataset(seed=12, n_markets=10)
+    assert {f.outcome for f in ds.findings} == {0, 1}
+    findings = [dataclasses.replace(
+        f, original_p_value=None,
+        p_value_category="at_or_below" if f.outcome else "above") for f in ds.findings]
+    paths = write_fixture(Dataset(findings, ds.surveys, ds.trades), tmp_path / "data")
+    out = tmp_path / "out"
+    assert main(["report", *_data_args(paths), "--out", str(out)]) == 0
+    assert json.loads((out / "table2.json").read_text()) is None
+    assert json.loads((out / "report.json").read_text())["table2"] is None
+    assert not (out / "table2.csv").exists()
+    table2_rows = [line.split(",") for line in
+                   (out / "discrepancies.csv").read_text().splitlines()
+                   if line.startswith("table2.")]
+    assert table2_rows and all(row[1] == "" for row in table2_rows)
+    # the pvalue command has nothing else to report, so it still fails
+    assert main(["pvalue", *_data_args(paths), "--out", str(tmp_path / "pv")]) == 2
+    assert "DegenerateInput" in capsys.readouterr().err
+
+
+def test_pvalue_threshold_only_on_commands_that_read_categories():
+    parser = build_parser()
+    for cmd in ("report", "pvalue"):
+        assert parser.parse_args([cmd, "--pvalue-threshold", "0.01"]).pvalue_threshold == 0.01
+    with pytest.raises(SystemExit):
+        parser.parse_args(["evaluate", "--pvalue-threshold", "0.01"])
