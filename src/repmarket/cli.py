@@ -130,14 +130,7 @@ def forecast_stage(ds, threshold: float = 0.5, yates: bool = False) -> tuple:
         for method, (quad, result) in evaluate.asymmetry_tests(scores, yates=yates).items():
             short = "market" if method == aggregate.METHOD_MARKET else "survey"
             tests[f"asymmetry_{short}"] = _test_dict(result)
-            quadrants[short] = {
-                "predicted_fail": quad.predicted_fail_replicated
-                + quad.predicted_fail_not_replicated,
-                "fail_but_replicated": quad.predicted_fail_replicated,
-                "predicted_replicate": quad.predicted_replicate_replicated
-                + quad.predicted_replicate_not_replicated,
-                "replicate_but_failed": quad.predicted_replicate_not_replicated,
-            }
+            quadrants[short] = quad.to_dict()
     except DegenerateTable:
         tests["asymmetry_market"] = tests["asymmetry_survey"] = None
 
@@ -170,7 +163,7 @@ def dynamics_stage(ds, loess_cfg: dynamics.LoessConfig, fractions,
     return curves, dyn
 
 
-def run_pipeline(ds, threshold: float = 0.5, p_threshold: float = 0.005,
+def run_pipeline(ds, threshold: float = 0.5, p_threshold: float = DEFAULT_P_THRESHOLD,
                  yates: bool = False,
                  loess_cfg: dynamics.LoessConfig | None = None) -> dict:
     """Both stages plus the report-only parts: Tables 1 and 2, aggregator

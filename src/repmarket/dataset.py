@@ -156,23 +156,32 @@ class ValidationReport:
 
 @dataclass
 class Dataset:
+    """The three tables. Trades and survey responses are grouped by finding when
+    the object is built (records of unknown findings join no group), so a changed
+    dataset must be rebuilt with `dataclasses.replace`, not mutated in place."""
     findings: list[Finding]
     surveys: list[SurveyResponse]
     trades: list[Trade]
     column_mapping: dict | None = None
     load_report: ValidationReport | None = field(default=None, compare=False)
+    p_threshold: float = DEFAULT_P_THRESHOLD  # the cut the categories were taken at
 
     def __post_init__(self):
         self._by_id = {f.finding_id: f for f in self.findings}
+        self._trades = {fid: [] for fid in self._by_id}
+        self._surveys = {fid: [] for fid in self._by_id}
+        for t in self.trades:
+            self._trades.get(t.finding_id, []).append(t)
+        for s in self.surveys:
+            self._surveys.get(s.finding_id, []).append(s)
+        for group in self._trades.values():
+            group.sort(key=lambda t: (t.timestamp, t.seq))
 
     def finding(self, finding_id: str) -> Finding:
         try:
             return self._by_id[finding_id]
         except KeyError:
             raise UnknownFinding(finding_id) from None
-
-    def has_finding(self, finding_id: str) -> bool:
-        return finding_id in self._by_id
 
     def finding_ids(self) -> list[str]:
         return [f.finding_id for f in self.findings]
@@ -423,7 +432,8 @@ def load_dataset(outcomes_path: str | Path, surveys_path: str | Path,
     report.counts["trades"] = {"lines": n_lines, "accepted": len(trades),
                                "rejected": n_lines - len(trades)}
 
-    ds = Dataset(findings, surveys, trades, column_mapping=mapping, load_report=report)
+    ds = Dataset(findings, surveys, trades, column_mapping=mapping, load_report=report,
+                 p_threshold=p_threshold)
     _check_forecasters_traded(ds, report)
     return ds
 
@@ -470,7 +480,7 @@ def validate(ds: Dataset) -> ValidationReport:
             err(Violation("outcomes", f.source_row, "p_value_category", "invalid_value",
                           f"unknown category {f.p_value_category!r}"))
         elif f.original_p_value is not None:
-            if _category_at(f.original_p_value, DEFAULT_P_THRESHOLD) != f.p_value_category:
+            if _category_at(f.original_p_value, ds.p_threshold) != f.p_value_category:
                 err(Violation("outcomes", f.source_row, "p_value_category",
                               "invalid_value",
                               f"category {f.p_value_category!r} inconsistent with "
@@ -532,11 +542,9 @@ def validate(ds: Dataset) -> ValidationReport:
 
 def trades_for(ds: Dataset, finding_id: str) -> list[Trade]:
     """All trades of one market, sorted by (timestamp, load sequence)."""
-    if not ds.has_finding(finding_id):
+    if finding_id not in ds._trades:
         raise UnknownFinding(finding_id)
-    rows = [t for t in ds.trades if t.finding_id == finding_id]
-    rows.sort(key=lambda t: (t.timestamp, t.seq))
-    return rows
+    return list(ds._trades[finding_id])
 
 
 def closed_trades(ds: Dataset, finding: Finding) -> list[Trade]:
@@ -548,9 +556,9 @@ def closed_trades(ds: Dataset, finding: Finding) -> list[Trade]:
 
 def surveys_for(ds: Dataset, finding_id: str) -> list[SurveyResponse]:
     """All survey responses for one finding, in load order."""
-    if not ds.has_finding(finding_id):
+    if finding_id not in ds._surveys:
         raise UnknownFinding(finding_id)
-    return [s for s in ds.surveys if s.finding_id == finding_id]
+    return list(ds._surveys[finding_id])
 
 
 def write_csv(path: str | Path, header, rows) -> None:

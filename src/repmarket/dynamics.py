@@ -66,9 +66,8 @@ def error_series(ds: Dataset, finding_id: str, axis: str = AXIS_TRADES,
                  ) -> list[tuple[float, float]]:
     """(x, |outcome - price|) after each trade of one market up to its close,
     the window `aggregate.market_final_price` takes the final price from."""
-    outcome = ds.finding(finding_id).outcome
-    open_ms = ds.finding(finding_id).market_open
-    trades = closed_trades(ds, ds.finding(finding_id))
+    finding = ds.finding(finding_id)
+    trades = closed_trades(ds, finding)
     if not trades:
         raise EmptyMarket(finding_id)
     series = []
@@ -76,10 +75,10 @@ def error_series(ds: Dataset, finding_id: str, axis: str = AXIS_TRADES,
         if axis == AXIS_TRADES:
             x = float(k)
         elif axis == AXIS_HOURS:
-            x = (t.timestamp - open_ms) / MS_PER_HOUR
+            x = (t.timestamp - finding.market_open) / MS_PER_HOUR
         else:
             raise ValueError(f"unknown axis {axis!r}")
-        series.append((x, abs(outcome - t.post_trade_price)))
+        series.append((x, abs(finding.outcome - t.post_trade_price)))
     return series
 
 
@@ -110,25 +109,19 @@ def mean_error_curve(ds: Dataset, axis: str = AXIS_TRADES,
             top = max(durations) if durations else 0.0
             grid = np.arange(0.0, math.ceil(top) + 1.0)
     grid = np.asarray(sorted(grid), dtype=float)
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing")
 
-    mean_err = np.empty(len(grid))
+    # one column per market; each grid row is summed in market order
+    values = np.full((len(grid), len(per_market)), PRE_MARKET_ERROR)
     n_contrib = np.zeros(len(grid), dtype=int)
-    values = np.full(len(per_market), PRE_MARKET_ERROR)
-    cursors = [0] * len(per_market)
-    for gi, g in enumerate(grid):
-        contributing = 0
-        for mi, series in enumerate(per_market):
-            c = cursors[mi]
-            while c < len(series) and series[c][0] <= g:
-                values[mi] = series[c][1]
-                c += 1
-            cursors[mi] = c
-            if c > 0:
-                contributing += 1
-        mean_err[gi] = values.mean() if len(values) else 0.0
-        n_contrib[gi] = contributing
+    for mi, series in enumerate(per_market):
+        if not series:
+            continue
+        xs, errs = np.array(series).T
+        n_traded = np.searchsorted(xs, grid, side="right")
+        traded = n_traded > 0
+        values[traded, mi] = errs[n_traded[traded] - 1]
+        n_contrib += traded
+    mean_err = values.mean(axis=1) if per_market else np.zeros(len(grid))
     return ErrorCurve(axis, grid, mean_err, n_contrib)
 
 
@@ -242,13 +235,10 @@ def late_trade_smoothing(ds: Dataset, cutoff_hours: float = 168.0,
     forecasts = late_trade_forecasts(ds, cutoff_hours)
     final_errors = []
     smoothed_errors = []
-    for f in ds.findings:
-        pair = forecasts.get(f.finding_id)
-        if pair is None:
-            continue
-        final_price, alt = pair
-        final_errors.append(abs(f.outcome - final_price))
-        smoothed_errors.append(abs(f.outcome - alt))
+    for fid, (final_price, alt) in forecasts.items():
+        outcome = ds.finding(fid).outcome
+        final_errors.append(abs(outcome - final_price))
+        smoothed_errors.append(abs(outcome - alt))
     return stats.paired_t(final_errors, smoothed_errors)
 
 

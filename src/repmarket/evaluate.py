@@ -7,6 +7,7 @@ quadrants, and the p-value-category regression.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -15,8 +16,8 @@ from .aggregate import (
     METHOD_MARKET,
     METHOD_MEAN,
 )
-from .dataset import (CATEGORY_ABOVE, CATEGORY_AT_OR_BELOW, Dataset, Finding, PROJECTS,
-                      write_csv)
+from .dataset import (CATEGORY_ABOVE, CATEGORY_AT_OR_BELOW, DEFAULT_P_THRESHOLD, Dataset,
+                      Finding, PROJECTS, write_csv)
 from .errors import DegenerateInput, MissingOutcome
 from . import stats
 
@@ -61,6 +62,17 @@ class ConfusionQuadrants:
         return (self.predicted_fail_replicated + self.predicted_fail_not_replicated
                 + self.predicted_replicate_replicated
                 + self.predicted_replicate_not_replicated)
+
+    def to_dict(self) -> dict:
+        """Each predicted class with the count it got wrong: the report shape."""
+        return {
+            "predicted_fail": self.predicted_fail_replicated
+            + self.predicted_fail_not_replicated,
+            "fail_but_replicated": self.predicted_fail_replicated,
+            "predicted_replicate": self.predicted_replicate_replicated
+            + self.predicted_replicate_not_replicated,
+            "replicate_but_failed": self.predicted_replicate_not_replicated,
+        }
 
 
 def _findings_by_id(findings) -> dict[str, Finding]:
@@ -156,17 +168,13 @@ def asymmetry_tests(scores: list[ScoreRow],
     replications? Chi-square on the (predicted class x correctness) table."""
     out = {}
     for method in methods:
-        rows = [s for s in scores if s.method == method]
+        cells = Counter((s.predicted, s.outcome) for s in scores if s.method == method)
         quad = ConfusionQuadrants(
             method=method,
-            predicted_fail_replicated=sum(
-                1 for s in rows if s.predicted == 0 and s.outcome == 1),
-            predicted_fail_not_replicated=sum(
-                1 for s in rows if s.predicted == 0 and s.outcome == 0),
-            predicted_replicate_replicated=sum(
-                1 for s in rows if s.predicted == 1 and s.outcome == 1),
-            predicted_replicate_not_replicated=sum(
-                1 for s in rows if s.predicted == 1 and s.outcome == 0),
+            predicted_fail_replicated=cells[0, 1],
+            predicted_fail_not_replicated=cells[0, 0],
+            predicted_replicate_replicated=cells[1, 1],
+            predicted_replicate_not_replicated=cells[1, 0],
         )
         table = [
             [quad.predicted_fail_not_replicated, quad.predicted_fail_replicated],
@@ -251,7 +259,7 @@ def forecast_correlations(scores: list[ScoreRow]) -> dict[str, float | None]:
     return out
 
 
-def pvalue_regression(findings, p_threshold: float = 0.005,
+def pvalue_regression(findings, p_threshold: float = DEFAULT_P_THRESHOLD,
                       ) -> tuple[stats.OLSFit, dict[str, dict]]:
     """OLS of outcome on the significant-evidence indicator, plus rates.
 
@@ -307,7 +315,7 @@ def build_table1(ds: Dataset, scores: list[ScoreRow]) -> dict:
     return {"rows": rows}
 
 
-def build_table2(findings, p_threshold: float = 0.005) -> dict:
+def build_table2(findings, p_threshold: float = DEFAULT_P_THRESHOLD) -> dict:
     """P-value-category regression in a structured, JSON-friendly form."""
     fit, rates = pvalue_regression(findings, p_threshold)
     slope_test = stats.ols_coef_test(fit.slope, fit.se_slope, fit.n)

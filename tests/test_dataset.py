@@ -1,11 +1,15 @@
+import dataclasses
+
 import pytest
 
 from repmarket.dataset import (
     CATEGORY_ABOVE,
     CATEGORY_AT_OR_BELOW,
+    DEFAULT_P_THRESHOLD,
     format_timestamp,
     load_dataset,
     parse_timestamp,
+    surveys_for,
     trades_for,
     validate,
     write_dataset,
@@ -232,3 +236,38 @@ def test_synth_dataset_is_valid(synth_ds):
     report = validate(synth_ds)
     assert report.ok()
     assert report.warnings == []
+
+
+def test_validate_checks_categories_at_the_load_threshold(tmp_path):
+    outcomes = OUTCOMES_CSV + ("F003,ML2,1,above,0.008,"
+                               "2020-01-06T00:00:00.000Z,2020-01-20T00:00:00.000Z\n")
+    paths = write_fixture_files(tmp_path, outcomes=outcomes)
+    moved = load_dataset(paths["outcomes"], paths["surveys"], paths["trades"],
+                         p_threshold=0.01)
+    assert moved.finding("F003").p_value_category == CATEGORY_AT_OR_BELOW
+    assert validate(moved).errors == []
+    assert moved.p_threshold == 0.01
+    # the same records, said to be cut at the default, are inconsistent
+    stale = dataclasses.replace(moved, p_threshold=DEFAULT_P_THRESHOLD)
+    [err] = validate(stale).errors
+    assert (err.row, err.column, err.kind) == (3, "p_value_category", "invalid_value")
+    default = load_dataset(paths["outcomes"], paths["surveys"], paths["trades"])
+    assert default.p_threshold == DEFAULT_P_THRESHOLD
+    assert validate(default).errors == []
+
+
+def test_in_memory_dangling_records_build_and_are_reported():
+    known = make_trade("F1", trader="a", seq=0)
+    response = survey("F1", "a", 0.4)
+    ds = make_dataset([make_finding("F1")],
+                      surveys=[survey("F9", "a", 0.6), response],
+                      trades=[make_trade("F9", trader="a", seq=1), known])
+    report = validate(ds)
+    assert [(v.table, v.kind) for v in report.errors] == [
+        ("surveys", "dangling_reference"), ("trades", "dangling_reference")]
+    assert trades_for(ds, "F1") == [known]
+    assert surveys_for(ds, "F1") == [response]
+    with pytest.raises(UnknownFinding):
+        trades_for(ds, "F9")
+    with pytest.raises(UnknownFinding):
+        surveys_for(ds, "F9")
