@@ -8,8 +8,8 @@ The canonical schema is three delimited text files:
 * trades:   one market transaction per row, ordered within each market
 
 Raw exports with different headers are adapted through a column mapping
-(canonical field -> source column name); values are validated row by row and
-rows that cannot be interpreted are excluded but fully reported.
+(canonical field -> source column name). The loader keeps the records that
+pass the same record rules `validate` audits, and reports each row it rejects.
 """
 
 from __future__ import annotations
@@ -162,7 +162,6 @@ class Dataset:
     findings: list[Finding]
     surveys: list[SurveyResponse]
     trades: list[Trade]
-    column_mapping: dict | None = None
     load_report: ValidationReport | None = field(default=None, compare=False)
     p_threshold: float = DEFAULT_P_THRESHOLD  # the cut the categories were taken at
 
@@ -197,243 +196,236 @@ def load_mapping(path: str | Path) -> dict:
     return mapping
 
 
-def _parse_category(text: str) -> str | None:
-    return _CATEGORY_ALIASES.get(text.strip().lower().replace(" ", "_"))
-
-
 def _category_at(p_value: float, p_threshold: float) -> str:
     """The p-value category of a numeric p-value at the given threshold."""
     return CATEGORY_AT_OR_BELOW if p_value <= p_threshold else CATEGORY_ABOVE
 
 
-def _read_rows(path: str | Path, table: str, fields: tuple[str, ...],
-               mapping: dict | None, delimiter: str) -> tuple[list[dict], dict[str, bool]]:
-    """Read raw rows keyed by canonical field name.
+class _Rejected(Exception):
+    """A row whose text makes no record; args are (column, kind, message)."""
 
-    Returns (rows, present) where present[field] is False for optional fields
-    whose source column does not exist.
+
+def _parse(convert, text: str, column: str, name: str | None = None):
+    """convert(text), or a rejection of the row that says "cannot parse <name>
+    <text>" or, without a name, what the converter said."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise _Rejected(column, "invalid_value",
+                        f"cannot parse {name} {text!r}" if name else str(exc)) from None
+
+
+def _require_ids(finding_id: str, other_id: str, other_column: str) -> None:
+    if not finding_id or not other_id:
+        raise _Rejected(f"finding_id/{other_column}", "invalid_value", "empty identifier")
+
+
+def _category(stated: str, p_value: float | None, p_threshold: float, warn) -> str:
+    """The category of an outcomes row: the stated label (an alias of one, or
+    the text as read, for the finding rule to reject), derived from the
+    p-value when none is stated, and moved to p_threshold when the p-value is
+    on the other side of it."""
+    if not stated:
+        if p_value is None:
+            raise _Rejected("p_value_category", "invalid_value",
+                            "no p-value category and no numeric p-value to derive one")
+        warn(("p_value_category", "derived_value",
+              f"category derived from original_p_value={p_value}"))
+        return _category_at(p_value, p_threshold)
+    category = _CATEGORY_ALIASES.get(stated.lower().replace(" ", "_"), stated)
+    if category not in CATEGORIES:
+        return category
+    if p_value is None:
+        if p_threshold != DEFAULT_P_THRESHOLD:
+            warn(("p_value_category", "not_recategorized",
+                  f"no numeric p-value: category {category!r} stays as stated "
+                  f"at threshold {DEFAULT_P_THRESHOLD}"))
+        return category
+    # stated labels (and their aliases) are named for the default cut
+    if _category_at(p_value, DEFAULT_P_THRESHOLD) != category:
+        raise _Rejected("p_value_category", "invalid_value",
+                        f"category {category!r} inconsistent with p-value {p_value} "
+                        f"at threshold {DEFAULT_P_THRESHOLD}")
+    if _category_at(p_value, p_threshold) != category:
+        category = _category_at(p_value, p_threshold)
+        warn(("p_value_category", "recategorized",
+              f"p-value {p_value} is {category!r} at threshold {p_threshold}"))
+    return category
+
+
+def _finding_from(values: list[str], row: int, p_threshold: float, warn) -> Finding:
+    """The finding an outcomes row states. A project, outcome or category that
+    is not one of the known values is kept as read (the project upper-cased)
+    for the finding rule to reject."""
+    fid, project, outcome, stated, p_text, market_open, market_close = values
+    if not fid:
+        raise _Rejected("finding_id", "invalid_value", "empty finding_id")
+    p_value = None
+    if p_text:
+        try:
+            p_value = float(p_text)
+        except ValueError:
+            warn(("original_p_value", "unparsed_value",
+                  f"cannot parse {p_text!r} as a number; stored as missing"))
+    return Finding(fid, project.upper(), int(outcome) if outcome in ("0", "1") else outcome,
+                   _category(stated, p_value, p_threshold, warn), p_value,
+                   _parse(parse_timestamp, market_open, "market_open/market_close"),
+                   _parse(parse_timestamp, market_close, "market_open/market_close"),
+                   source_row=row)
+
+
+def _survey_from(values: list[str], row: int) -> SurveyResponse:
+    fid, forecaster, belief = values
+    _require_ids(fid, forecaster, "forecaster_id")
+    return SurveyResponse(fid, forecaster, _parse(float, belief, "belief", "belief"),
+                          source_row=row)
+
+
+def _trade_from(values: list[str], row: int, seq: int) -> Trade:
+    """The trade a trades row states; a row without a side buys YES."""
+    fid, trader, timestamp, side, quantity, price = values
+    _require_ids(fid, trader, "trader_id")
+    return Trade(fid, trader, _parse(parse_timestamp, timestamp, "timestamp"),
+                 side.upper() or "YES",
+                 _parse(float, quantity, "quantity", "quantity") if quantity else None,
+                 _parse(float, price, "post_trade_price", "price"),
+                 seq=seq, source_row=row)
+
+
+# The record rules, one function per table: the (column, kind, message) faults
+# of one record, given the records before it. A clean record gets the empty
+# tuple, so checking it allocates nothing.
+
+def _unknown_finding(finding_id: str) -> tuple:
+    return (("finding_id", "dangling_reference", f"unknown finding_id {finding_id!r}"),)
+
+
+def _finding_faults(f: Finding, seen_ids, p_threshold: float) -> tuple:
+    if f.finding_id in seen_ids:
+        return (("finding_id", "duplicate_key", f"duplicate finding_id {f.finding_id!r}"),)
+    faults = ()
+    if f.project not in PROJECTS:
+        faults += (("project", "invalid_value", f"unknown project {f.project!r}"),)
+    if f.outcome not in (0, 1):
+        faults += (("outcome", "invalid_value",
+                    f"outcome must be 0 or 1, got {f.outcome!r}"),)
+    p_value = f.original_p_value
+    if p_value is not None and p_value < 0:
+        faults += (("original_p_value", "invalid_value", f"negative p-value {p_value}"),)
+    if f.p_value_category not in CATEGORIES:
+        faults += (("p_value_category", "invalid_value",
+                    f"unknown category {f.p_value_category!r}"),)
+    elif p_value is not None and _category_at(p_value, p_threshold) != f.p_value_category:
+        faults += (("p_value_category", "invalid_value",
+                    f"category {f.p_value_category!r} inconsistent with p-value {p_value}"),)
+    if not f.market_open < f.market_close:
+        faults += (("market_open", "invalid_value", "market_open must precede market_close"),)
+    return faults
+
+
+def _survey_faults(s: SurveyResponse, finding_ids, seen_pairs) -> tuple:
+    if s.finding_id not in finding_ids:
+        return _unknown_finding(s.finding_id)
+    faults = ()
+    key = (s.finding_id, s.forecaster_id)
+    if key in seen_pairs:
+        faults += (("forecaster_id", "duplicate_key", f"duplicate response {key!r}"),)
+    if not 0.0 <= s.belief <= 1.0:
+        faults += (("belief", "invalid_value", f"belief {s.belief} outside [0, 1]"),)
+    return faults
+
+
+def _trade_faults(t: Trade, finding_ids) -> tuple:
+    if t.finding_id not in finding_ids:
+        return _unknown_finding(t.finding_id)
+    faults = ()
+    if t.side not in SIDES:
+        faults += (("side", "invalid_value", f"side must be YES or NO, got {t.side!r}"),)
+    if t.quantity is not None and not t.quantity > 0:
+        faults += (("quantity", "invalid_value",
+                    f"quantity must be positive, got {t.quantity}"),)
+    if not 0.0 < t.post_trade_price < 1.0:
+        faults += (("post_trade_price", "invalid_value",
+                    f"price {t.post_trade_price} outside (0, 1)"),)
+    return faults
+
+
+def _read_rows(path: str | Path, table: str, fields: tuple[str, ...], mapping: dict | None):
+    """Yield (row number, stripped value of each field) for each data row.
+
+    Read as csv.DictReader reads: blank lines are skipped and get no number,
+    a short row reads its missing fields as empty, and of repeated column
+    names the last one is read. An optional field without a column reads as
+    empty; a required one raises MissingColumn.
     """
-    table_map = (mapping or {}).get(table, {})
+    names = (mapping or {}).get(table, {})
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
-        header = reader.fieldnames or []
-        source = {}
-        present = {}
+        reader = csv.reader(fh)
+        position = {name: i for i, name in enumerate(next(reader, []))}
+        columns = []
         for fld in fields:
-            col = table_map.get(fld, fld)
-            if col in header:
-                source[fld] = col
-                present[fld] = True
-            elif fld in OPTIONAL_FIELDS:
-                present[fld] = False
-            else:
+            col = names.get(fld, fld)
+            if col not in position and fld not in OPTIONAL_FIELDS:
                 raise MissingColumn(table, col)
-        rows = []
-        for i, raw in enumerate(reader, start=1):
-            rows.append({
-                "_row": i,
-                **{fld: (raw.get(source[fld]) or "").strip() if present[fld] else ""
-                   for fld in fields},
-            })
-    return rows, present
+            columns.append(position.get(col))
+        for row, raw in enumerate(filter(None, reader), start=1):
+            yield row, [raw[i].strip() if i is not None and i < len(raw) else ""
+                        for i in columns]
 
 
 def load_dataset(outcomes_path: str | Path, surveys_path: str | Path,
                  trades_path: str | Path, mapping: dict | None = None,
-                 delimiter: str = ",",
                  p_threshold: float = DEFAULT_P_THRESHOLD) -> Dataset:
-    """Load and validate the three tables.
+    """Load the three tables, keeping the records that pass the record rules.
 
-    Rows that cannot be interpreted (bad values, dangling references,
-    duplicates) are excluded from the returned Dataset and reported in
-    ``Dataset.load_report``. A mapping column missing from a file header
-    raises :class:`MissingColumn` for required fields; optional fields
-    (``original_p_value``, ``side``, ``quantity``) may be absent.
+    The loader and :func:`validate` share one set of record rules. Only the
+    loader faults a row on its text: an empty id, a number or timestamp that
+    does not parse, or a stated category that disagrees with the p-value at
+    0.005, the cut the labels are named for. A rejected row is left out and
+    gets exactly one error in ``Dataset.load_report`` (its first text fault,
+    else its first rule fault) and no warnings. Trades outside their market's
+    window are kept: ``outside_window`` is reported by :func:`validate` only.
+    Categories are taken at ``p_threshold``. A mapping column missing from a
+    file header raises :class:`MissingColumn` for required fields; optional
+    fields (``original_p_value``, ``side``, ``quantity``) may be absent.
     """
     report = ValidationReport()
-
-    def reject(table, row, column, kind, message):
-        report.errors.append(Violation(table, row, column, kind, message))
-
-    def warn(table, row, column, kind, message):
-        report.warnings.append(Violation(table, row, column, kind, message))
-
+    notes: list[tuple[str, str, str]] = []  # the warnings of the row being read
+    ids: set[str] = set()
+    pairs: set[tuple[str, str]] = set()
     findings: list[Finding] = []
-    raw, _ = _read_rows(outcomes_path, "outcomes", OUTCOME_FIELDS, mapping, delimiter)
-    seen_ids: set[str] = set()
-    n_lines = len(raw)
-    for r in raw:
-        row = r["_row"]
-        fid = r["finding_id"]
-        if not fid:
-            reject("outcomes", row, "finding_id", "invalid_value", "empty finding_id")
-            continue
-        if fid in seen_ids:
-            reject("outcomes", row, "finding_id", "duplicate_key",
-                   f"duplicate finding_id {fid!r}")
-            continue
-        project = r["project"].upper()
-        if project not in PROJECTS:
-            reject("outcomes", row, "project", "invalid_value",
-                   f"unknown project {r['project']!r}")
-            continue
-        if r["outcome"] not in ("0", "1"):
-            reject("outcomes", row, "outcome", "invalid_value",
-                   f"outcome must be 0 or 1, got {r['outcome']!r}")
-            continue
-        outcome = int(r["outcome"])
-
-        p_value: float | None = None
-        if r["original_p_value"]:
-            try:
-                p_value = float(r["original_p_value"])
-            except ValueError:
-                warn("outcomes", row, "original_p_value", "unparsed_value",
-                     f"cannot parse {r['original_p_value']!r} as a number; stored as missing")
-            else:
-                if p_value < 0:
-                    reject("outcomes", row, "original_p_value", "invalid_value",
-                           f"negative p-value {p_value}")
-                    continue
-
-        category = _parse_category(r["p_value_category"]) if r["p_value_category"] else None
-        if category is None:
-            if r["p_value_category"]:
-                reject("outcomes", row, "p_value_category", "invalid_value",
-                       f"unknown category {r['p_value_category']!r}")
-                continue
-            if p_value is None:
-                reject("outcomes", row, "p_value_category", "invalid_value",
-                       "no p-value category and no numeric p-value to derive one")
-                continue
-            category = _category_at(p_value, p_threshold)
-            warn("outcomes", row, "p_value_category", "derived_value",
-                 f"category derived from original_p_value={p_value}")
-        elif p_value is not None:
-            # stated labels (and their aliases) are named for the default cut
-            if _category_at(p_value, DEFAULT_P_THRESHOLD) != category:
-                reject("outcomes", row, "p_value_category", "invalid_value",
-                       f"category {category!r} inconsistent with p-value {p_value} "
-                       f"at threshold {DEFAULT_P_THRESHOLD}")
-                continue
-            if _category_at(p_value, p_threshold) != category:
-                category = _category_at(p_value, p_threshold)
-                warn("outcomes", row, "p_value_category", "recategorized",
-                     f"p-value {p_value} is {category!r} at threshold {p_threshold}")
-        elif p_threshold != DEFAULT_P_THRESHOLD:
-            warn("outcomes", row, "p_value_category", "not_recategorized",
-                 f"no numeric p-value: category {category!r} stays as stated "
-                 f"at threshold {DEFAULT_P_THRESHOLD}")
-
-        try:
-            market_open = parse_timestamp(r["market_open"])
-            market_close = parse_timestamp(r["market_close"])
-        except ValueError as exc:
-            reject("outcomes", row, "market_open/market_close", "invalid_value", str(exc))
-            continue
-        if not market_open < market_close:
-            reject("outcomes", row, "market_open", "invalid_value",
-                   "market_open must precede market_close")
-            continue
-
-        seen_ids.add(fid)
-        findings.append(Finding(fid, project, outcome, category, p_value,
-                                market_open, market_close, source_row=row))
-    report.counts["outcomes"] = {"lines": n_lines, "accepted": len(findings),
-                                 "rejected": n_lines - len(findings)}
-
     surveys: list[SurveyResponse] = []
-    raw, _ = _read_rows(surveys_path, "surveys", SURVEY_FIELDS, mapping, delimiter)
-    n_lines = len(raw)
-    seen_pairs: set[tuple[str, str]] = set()
-    for r in raw:
-        row = r["_row"]
-        fid, forecaster = r["finding_id"], r["forecaster_id"]
-        if not fid or not forecaster:
-            reject("surveys", row, "finding_id/forecaster_id", "invalid_value",
-                   "empty identifier")
-            continue
-        if fid not in seen_ids:
-            reject("surveys", row, "finding_id", "dangling_reference",
-                   f"unknown finding_id {fid!r}")
-            continue
-        if (fid, forecaster) in seen_pairs:
-            reject("surveys", row, "forecaster_id", "duplicate_key",
-                   f"duplicate response ({fid!r}, {forecaster!r})")
-            continue
-        try:
-            belief = float(r["belief"])
-        except ValueError:
-            reject("surveys", row, "belief", "invalid_value",
-                   f"cannot parse belief {r['belief']!r}")
-            continue
-        if not 0.0 <= belief <= 1.0:
-            reject("surveys", row, "belief", "invalid_value",
-                   f"belief {belief} outside [0, 1]")
-            continue
-        seen_pairs.add((fid, forecaster))
-        surveys.append(SurveyResponse(fid, forecaster, belief, source_row=row))
-    report.counts["surveys"] = {"lines": n_lines, "accepted": len(surveys),
-                                "rejected": n_lines - len(surveys)}
-
     trades: list[Trade] = []
-    raw, present = _read_rows(trades_path, "trades", TRADE_FIELDS, mapping, delimiter)
-    n_lines = len(raw)
-    for r in raw:
-        row = r["_row"]
-        fid, trader = r["finding_id"], r["trader_id"]
-        if not fid or not trader:
-            reject("trades", row, "finding_id/trader_id", "invalid_value",
-                   "empty identifier")
-            continue
-        if fid not in seen_ids:
-            reject("trades", row, "finding_id", "dangling_reference",
-                   f"unknown finding_id {fid!r}")
-            continue
-        try:
-            ts = parse_timestamp(r["timestamp"])
-        except ValueError as exc:
-            reject("trades", row, "timestamp", "invalid_value", str(exc))
-            continue
-
-        side = "YES"
-        if present["side"] and r["side"]:
-            side = r["side"].upper()
-            if side not in SIDES:
-                reject("trades", row, "side", "invalid_value",
-                       f"side must be YES or NO, got {r['side']!r}")
-                continue
-
-        quantity: float | None = None
-        if present["quantity"] and r["quantity"]:
+    tables = (
+        ("outcomes", outcomes_path, OUTCOME_FIELDS, findings,
+         lambda values, row: _finding_from(values, row, p_threshold, notes.append),
+         lambda f: _finding_faults(f, ids, p_threshold), lambda f: ids.add(f.finding_id)),
+        ("surveys", surveys_path, SURVEY_FIELDS, surveys, _survey_from,
+         lambda s: _survey_faults(s, ids, pairs),
+         lambda s: pairs.add((s.finding_id, s.forecaster_id))),
+        ("trades", trades_path, TRADE_FIELDS, trades,
+         lambda values, row: _trade_from(values, row, seq=len(trades)),
+         lambda t: _trade_faults(t, ids), lambda t: None),
+    )
+    for table, path, fields, records, build, rules, keep in tables:
+        row = 0
+        for row, values in _read_rows(path, table, fields, mapping):
+            notes.clear()
             try:
-                quantity = float(r["quantity"])
-            except ValueError:
-                reject("trades", row, "quantity", "invalid_value",
-                       f"cannot parse quantity {r['quantity']!r}")
+                record = build(values, row)
+                faults = rules(record)
+            except _Rejected as rejected:
+                faults = (rejected.args,)
+            if faults:
+                report.errors.append(Violation(table, row, *faults[0]))
                 continue
-            if not quantity > 0:
-                reject("trades", row, "quantity", "invalid_value",
-                       f"quantity must be positive, got {quantity}")
-                continue
+            report.warnings += [Violation(table, row, *note) for note in notes]
+            records.append(record)
+            keep(record)
+        report.counts[table] = {"lines": row, "accepted": len(records),
+                                "rejected": row - len(records)}
 
-        try:
-            price = float(r["post_trade_price"])
-        except ValueError:
-            reject("trades", row, "post_trade_price", "invalid_value",
-                   f"cannot parse price {r['post_trade_price']!r}")
-            continue
-        if not 0.0 < price < 1.0:
-            reject("trades", row, "post_trade_price", "invalid_value",
-                   f"price {price} outside (0, 1)")
-            continue
-        trades.append(Trade(fid, trader, ts, side, quantity, price,
-                            seq=len(trades), source_row=row))
-    report.counts["trades"] = {"lines": n_lines, "accepted": len(trades),
-                               "rejected": n_lines - len(trades)}
-
-    ds = Dataset(findings, surveys, trades, column_mapping=mapping, load_report=report,
-                 p_threshold=p_threshold)
+    ds = Dataset(findings, surveys, trades, load_report=report, p_threshold=p_threshold)
     _check_forecasters_traded(ds, report)
     return ds
 
@@ -454,76 +446,37 @@ def _check_forecasters_traded(ds: Dataset, report: ValidationReport) -> None:
 
 
 def validate(ds: Dataset) -> ValidationReport:
-    """Audit every invariant of an in-memory Dataset.
+    """Audit an in-memory Dataset: every fault the record rules of
+    :func:`load_dataset` find in each record, and every trade outside its
+    market's window.
 
     Pure: the same Dataset always yields an identical report. Violations are
     reported with row provenance where the records carry it; nothing is
     modified or excluded.
     """
     report = ValidationReport()
-    err = report.errors.append
+
+    def audit(table, record, faults):
+        for fault in faults:
+            report.errors.append(Violation(table, record.source_row, *fault))
 
     by_id: dict[str, Finding] = {}
     for f in ds.findings:
-        if f.finding_id in by_id:
-            err(Violation("outcomes", f.source_row, "finding_id", "duplicate_key",
-                          f"duplicate finding_id {f.finding_id!r}"))
-            continue
-        by_id[f.finding_id] = f
-        if f.project not in PROJECTS:
-            err(Violation("outcomes", f.source_row, "project", "invalid_value",
-                          f"unknown project {f.project!r}"))
-        if f.outcome not in (0, 1):
-            err(Violation("outcomes", f.source_row, "outcome", "invalid_value",
-                          f"outcome must be 0 or 1, got {f.outcome!r}"))
-        if f.p_value_category not in CATEGORIES:
-            err(Violation("outcomes", f.source_row, "p_value_category", "invalid_value",
-                          f"unknown category {f.p_value_category!r}"))
-        elif f.original_p_value is not None:
-            if _category_at(f.original_p_value, ds.p_threshold) != f.p_value_category:
-                err(Violation("outcomes", f.source_row, "p_value_category",
-                              "invalid_value",
-                              f"category {f.p_value_category!r} inconsistent with "
-                              f"p-value {f.original_p_value}"))
-        if not f.market_open < f.market_close:
-            err(Violation("outcomes", f.source_row, "market_open", "invalid_value",
-                          "market_open must precede market_close"))
-
-    seen_pairs: set[tuple[str, str]] = set()
+        audit("outcomes", f, _finding_faults(f, by_id, ds.p_threshold))
+        by_id.setdefault(f.finding_id, f)
+    pairs: set[tuple[str, str]] = set()
     for s in ds.surveys:
-        if s.finding_id not in by_id:
-            err(Violation("surveys", s.source_row, "finding_id", "dangling_reference",
-                          f"unknown finding_id {s.finding_id!r}"))
-            continue
-        key = (s.finding_id, s.forecaster_id)
-        if key in seen_pairs:
-            err(Violation("surveys", s.source_row, "forecaster_id", "duplicate_key",
-                          f"duplicate response {key!r}"))
-        seen_pairs.add(key)
-        if not 0.0 <= s.belief <= 1.0:
-            err(Violation("surveys", s.source_row, "belief", "invalid_value",
-                          f"belief {s.belief} outside [0, 1]"))
-
+        audit("surveys", s, _survey_faults(s, by_id, pairs))
+        pairs.add((s.finding_id, s.forecaster_id))
     for t in ds.trades:
+        audit("trades", t, _trade_faults(t, by_id))
         finding = by_id.get(t.finding_id)
-        if finding is None:
-            err(Violation("trades", t.source_row, "finding_id", "dangling_reference",
-                          f"unknown finding_id {t.finding_id!r}"))
-            continue
-        if t.side not in SIDES:
-            err(Violation("trades", t.source_row, "side", "invalid_value",
-                          f"side must be YES or NO, got {t.side!r}"))
-        if t.quantity is not None and not t.quantity > 0:
-            err(Violation("trades", t.source_row, "quantity", "invalid_value",
-                          f"quantity must be positive, got {t.quantity}"))
-        if not 0.0 < t.post_trade_price < 1.0:
-            err(Violation("trades", t.source_row, "post_trade_price", "invalid_value",
-                          f"price {t.post_trade_price} outside (0, 1)"))
-        if not finding.market_open <= t.timestamp <= finding.market_close:
-            err(Violation("trades", t.source_row, "timestamp", "outside_window",
-                          f"trade at {format_timestamp(t.timestamp)} outside "
-                          f"[{format_timestamp(finding.market_open)}, "
-                          f"{format_timestamp(finding.market_close)}]"))
+        if finding is not None and not finding.market_open <= t.timestamp <= finding.market_close:
+            report.errors.append(Violation(
+                "trades", t.source_row, "timestamp", "outside_window",
+                f"trade at {format_timestamp(t.timestamp)} outside "
+                f"[{format_timestamp(finding.market_open)}, "
+                f"{format_timestamp(finding.market_close)}]"))
 
     report.counts = {
         "outcomes": {"records": len(ds.findings)},

@@ -62,10 +62,16 @@ class Milestone:
     x_at_fraction: float
 
 
+def _check_axis(axis: str) -> None:
+    if axis not in (AXIS_TRADES, AXIS_HOURS):
+        raise ValueError(f"unknown axis {axis!r}")
+
+
 def error_series(ds: Dataset, finding_id: str, axis: str = AXIS_TRADES,
                  ) -> list[tuple[float, float]]:
     """(x, |outcome - price|) after each trade of one market up to its close,
     the window `aggregate.market_final_price` takes the final price from."""
+    _check_axis(axis)
     finding = ds.finding(finding_id)
     trades = closed_trades(ds, finding)
     if not trades:
@@ -74,10 +80,8 @@ def error_series(ds: Dataset, finding_id: str, axis: str = AXIS_TRADES,
     for k, t in enumerate(trades, start=1):
         if axis == AXIS_TRADES:
             x = float(k)
-        elif axis == AXIS_HOURS:
-            x = (t.timestamp - finding.market_open) / MS_PER_HOUR
         else:
-            raise ValueError(f"unknown axis {axis!r}")
+            x = (t.timestamp - finding.market_open) / MS_PER_HOUR
         series.append((x, abs(finding.outcome - t.post_trade_price)))
     return series
 
@@ -91,6 +95,7 @@ def mean_error_curve(ds: Dataset, axis: str = AXIS_TRADES,
     exhausted before x carry their final error. n_contributing counts the
     markets whose value comes from an actual trade.
     """
+    _check_axis(axis)
     per_market = []
     for fid in ds.finding_ids():
         try:

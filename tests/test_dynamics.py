@@ -260,3 +260,9 @@ def test_write_curves(tmp_path, synth_ds):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x,mean_abs_error,smoothed,n_contributing"
     assert len(lines) == len(raw.x) + 1
+
+
+def test_mean_error_curve_rejects_an_unknown_axis_without_trades():
+    untraded = make_dataset([make_finding("F1"), make_finding("F2")])
+    with pytest.raises(ValueError, match="unknown axis 'bogus'"):
+        dynamics.mean_error_curve(untraded, "bogus")

@@ -82,3 +82,38 @@ def test_load_and_validate_reports_of_the_malformed_fixture(p_threshold):
 
 def test_validate_report_of_an_in_memory_dataset():
     assert validate(in_memory_dataset()).to_dict() == RECORDED["in_memory"]
+
+
+def test_validate_flags_a_negative_p_value():
+    finding = Finding("F1", "RPP", 1, "at_or_below", -0.3, BASE_MS, BASE_MS + DAY_MS)
+    [error] = validate(make_dataset([finding])).errors
+    assert (error.column, error.kind, error.message) == (
+        "original_p_value", "invalid_value", "negative p-value -0.3")
+
+
+def test_a_rejected_row_gets_its_first_text_fault_and_no_warnings(tmp_path):
+    head = ("finding_id,project,outcome,p_value_category,original_p_value,"
+            "market_open,market_close\n")
+    times = "2020-01-06T00:00:00.000Z,2020-01-20T00:00:00.000Z"
+    (tmp_path / "o.csv").write_text(
+        head + f"F1,RPP,1,above,0.2,{times}\n"
+        # duplicate id, unknown project, and a timestamp that does not parse
+        "F1,XXX,1,above,0.2,noon,2020-01-20T00:00:00.000Z\n"
+        # derived category (a warning) and a market that closes as it opens
+        "F2,RPP,1,,0.2,2020-01-06T00:00:00.000Z,2020-01-06T00:00:00.000Z\n"
+        # unparsed p-value (a warning), then an unknown project and outcome
+        f"F3,XXX,7,above,n/a,{times}\n", encoding="utf-8")
+    (tmp_path / "s.csv").write_text("finding_id,forecaster_id,belief\n", encoding="utf-8")
+    (tmp_path / "t.csv").write_text(
+        "finding_id,trader_id,timestamp,side,quantity,post_trade_price\n"
+        # unknown finding, bad side, and a price that does not parse
+        "F9,a,2020-01-07T00:00:00.000Z,BUY,1,cheap\n", encoding="utf-8")
+    report = load_dataset(tmp_path / "o.csv", tmp_path / "s.csv",
+                          tmp_path / "t.csv").load_report
+    assert [(v.table, v.row, v.column, v.message) for v in report.errors] == [
+        ("outcomes", 2, "market_open/market_close", "Invalid isoformat string: 'noon'"),
+        ("outcomes", 3, "market_open", "market_open must precede market_close"),
+        ("outcomes", 4, "project", "unknown project 'XXX'"),
+        ("trades", 1, "post_trade_price", "cannot parse price 'cheap'"),
+    ]
+    assert report.warnings == []
