@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import MissingColumn, UnknownFinding
+from .errors import InvalidMapping, MissingColumn, UnknownFinding
 
 PROJECTS = ("RPP", "EERP", "ML2", "SSRP")
 SIDES = ("YES", "NO")
@@ -49,6 +49,7 @@ TRADE_FIELDS = (
     "quantity",
     "post_trade_price",
 )
+TABLE_FIELDS = {"outcomes": OUTCOME_FIELDS, "surveys": SURVEY_FIELDS, "trades": TRADE_FIELDS}
 
 # Fields a raw export is allowed to lack entirely (column may be unmapped).
 # Some public exports carry prices only; side/quantity are then unavailable
@@ -187,13 +188,27 @@ class Dataset:
 
 
 def load_mapping(path: str | Path) -> dict:
-    """Read a column-mapping file: {table: {canonical_field: source_column}}."""
+    """Read a column-mapping file: {table: {canonical_field: source_column}}.
+    :func:`load_dataset` checks it against the schema."""
     with open(path, encoding="utf-8") as fh:
-        mapping = json.load(fh)
-    for table in mapping:
-        if table not in ("outcomes", "surveys", "trades"):
-            raise ValueError(f"mapping names unknown table {table!r}")
-    return mapping
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidMapping(f"{path} is not JSON: {exc}") from None
+
+
+def _check_mapping(mapping: dict) -> None:
+    """Refuse a mapping that is not {table: {field: column}} over the schema's
+    tables and fields: a misspelt name would otherwise leave its field unmapped."""
+    if not isinstance(mapping, dict) or not all(isinstance(v, dict) for v in mapping.values()):
+        raise InvalidMapping("a column mapping is an object of {table: {field: column}}")
+    for table, names in mapping.items():
+        if table not in TABLE_FIELDS:
+            raise InvalidMapping(f"mapping names unknown table {table!r}")
+        unknown = [name for name in names if name not in TABLE_FIELDS[table]]
+        if unknown:
+            raise InvalidMapping(f"mapping names unknown {table} fields {unknown}; the "
+                                 f"fields are {', '.join(TABLE_FIELDS[table])}")
 
 
 def _category_at(p_value: float, p_threshold: float) -> str:
@@ -312,6 +327,8 @@ def _finding_faults(f: Finding, seen_ids, p_threshold: float) -> tuple:
     p_value = f.original_p_value
     if p_value is not None and p_value < 0:
         faults += (("original_p_value", "invalid_value", f"negative p-value {p_value}"),)
+    elif p_value is not None and not p_value <= 1:  # above 1, inf or nan
+        faults += (("original_p_value", "invalid_value", f"p-value {p_value} outside [0, 1]"),)
     if f.p_value_category not in CATEGORIES:
         faults += (("p_value_category", "invalid_value",
                     f"unknown category {f.p_value_category!r}"),)
@@ -387,8 +404,11 @@ def load_dataset(outcomes_path: str | Path, surveys_path: str | Path,
     window are kept: ``outside_window`` is reported by :func:`validate` only.
     Categories are taken at ``p_threshold``. A mapping column missing from a
     file header raises :class:`MissingColumn` for required fields; optional
-    fields (``original_p_value``, ``side``, ``quantity``) may be absent.
+    fields (``original_p_value``, ``side``, ``quantity``) may be absent. A
+    mapping that names a table or field the schema lacks raises
+    :class:`InvalidMapping`.
     """
+    _check_mapping(mapping or {})
     report = ValidationReport()
     notes: list[tuple[str, str, str]] = []  # the warnings of the row being read
     ids: set[str] = set()

@@ -14,6 +14,10 @@ class MissingColumn(RepmarketError):
         self.column = column
 
 
+class InvalidMapping(RepmarketError, ValueError):
+    """A column mapping names a table, or a field of a table, that the schema lacks."""
+
+
 class UnknownFinding(RepmarketError):
     """A finding_id that does not exist in the dataset."""
 

@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .dataset import Dataset, Trade, trades_for
+from .dataset import SIDES, Dataset, Trade, trades_for
 from .errors import (
     EmptyMarket,
     InsufficientHoldings,
@@ -83,6 +83,15 @@ def price_yes_from_quantities(q_yes: float, q_no: float, b: float) -> float:
     return min(max(p, _PRICE_FLOOR), _PRICE_CEIL)
 
 
+def _step(q_yes: float, q_no: float, side: str, quantity: float) -> tuple[float, float]:
+    """A market's outstanding (YES, NO) quantities, or a trader's holdings, after a trade."""
+    if side == "YES":
+        return q_yes + quantity, q_no
+    if side == "NO":
+        return q_yes, q_no + quantity
+    raise ValueError(f"side must be YES or NO, got {side!r}")
+
+
 def new_market(liquidity_b: float, endowment: float = DEFAULT_ENDOWMENT,
                traders: tuple[str, ...] | list[str] | set[str] = ()) -> MarketState:
     """Open a market with zero outstanding contracts and endowed traders."""
@@ -106,8 +115,7 @@ def price(ms: MarketState) -> Quote:
 def quote_trade(ms: MarketState, side: str, quantity: float) -> Quote:
     """Post-trade prices and signed token cost of a prospective trade."""
     cost = cost_to_trade(ms, side, quantity)
-    dq = quantity if side == "YES" else 0.0
-    p_yes = price_yes_from_quantities(ms.q_yes + dq, ms.q_no + (quantity - dq),
+    p_yes = price_yes_from_quantities(*_step(ms.q_yes, ms.q_no, side, quantity),
                                       ms.liquidity_b)
     p_no = min(max(1.0 - p_yes, _PRICE_FLOOR), _PRICE_CEIL)
     return Quote(price_yes=p_yes, price_no=p_no, cost=cost)
@@ -121,12 +129,8 @@ def cost_to_trade(ms: MarketState, side: str, quantity: float) -> float:
     """
     if ms.status != OPEN:
         raise MarketSettled("cannot trade a settled market")
-    if side not in ("YES", "NO"):
-        raise ValueError(f"side must be YES or NO, got {side!r}")
-    dq_yes = quantity if side == "YES" else 0.0
-    dq_no = quantity if side == "NO" else 0.0
     b = ms.liquidity_b
-    return (cost_function(ms.q_yes + dq_yes, ms.q_no + dq_no, b)
+    return (cost_function(*_step(ms.q_yes, ms.q_no, side, quantity), b)
             - cost_function(ms.q_yes, ms.q_no, b))
 
 
@@ -154,23 +158,17 @@ def execute_trade(ms: MarketState, trader_id: str, side: str, quantity: float,
     if tokens_after < 0:
         raise InsufficientTokens(
             f"trade costs {cost:.6f} but {trader_id!r} holds {account.tokens:.6f} tokens")
-    yes_after = account.yes_held + (quantity if side == "YES" else 0.0)
-    no_after = account.no_held + (quantity if side == "NO" else 0.0)
+    yes_after, no_after = _step(account.yes_held, account.no_held, side, quantity)
     if yes_after < 0 or no_after < 0:
         raise InsufficientHoldings(
             f"sell of {-quantity} {side} exceeds holdings of {trader_id!r}")
 
     ledgers = dict(ms.ledgers)
     ledgers[trader_id] = TraderAccount(tokens_after, yes_after, no_after)
-    new_state = MarketState(
-        liquidity_b=ms.liquidity_b,
-        q_yes=ms.q_yes + (quantity if side == "YES" else 0.0),
-        q_no=ms.q_no + (quantity if side == "NO" else 0.0),
-        ledgers=ledgers,
-        maker_intake=ms.maker_intake + cost,
-    )
-    post_price = price_yes_from_quantities(new_state.q_yes, new_state.q_no,
-                                           new_state.liquidity_b)
+    q_yes, q_no = _step(ms.q_yes, ms.q_no, side, quantity)
+    new_state = MarketState(ms.liquidity_b, q_yes, q_no, ledgers,
+                            maker_intake=ms.maker_intake + cost)
+    post_price = price_yes_from_quantities(q_yes, q_no, ms.liquidity_b)
     if quantity > 0:
         rec_side, rec_quantity = side, quantity
     else:
@@ -206,10 +204,10 @@ def replay(ds: Dataset, finding_id: str, mode: str = PRICE_TAKING,
            liquidity_b: float | None = None) -> list[float]:
     """Price time series of one market, ending with its final price.
 
-    price_taking returns the recorded post-trade prices verbatim; simulated
-    re-executes the recorded (side, quantity) sequence through a fresh
-    market with the given liquidity and returns the model prices. Simulated
-    replay requires recorded quantities.
+    price_taking returns the recorded post-trade prices verbatim. simulated
+    returns the maker's YES price, at the given liquidity, after each running
+    sum of the recorded YES and NO buys: with unbounded endowments no ledger
+    can refuse a buy, so none is kept. It needs recorded quantities and buys.
     """
     trades = trades_for(ds, finding_id)
     if not trades:
@@ -220,15 +218,17 @@ def replay(ds: Dataset, finding_id: str, mode: str = PRICE_TAKING,
         raise ValueError(f"unknown replay mode {mode!r}")
     if liquidity_b is None:
         raise ReplayUnavailable("simulated replay requires liquidity_b")
-    missing = [t for t in trades if t.quantity is None]
-    if missing:
-        raise ReplayUnavailable(
-            f"simulated replay needs recorded quantities; market {finding_id!r} "
-            f"has {len(missing)} trades without them")
-    ms = new_market(liquidity_b, endowment=math.inf,
-                    traders={t.trader_id for t in trades})
+    new_market(liquidity_b)  # refuses a liquidity that is not > 0
+    for t in trades:  # every trade is checked before any is priced
+        if t.quantity is None:
+            raise ReplayUnavailable(f"simulated replay needs recorded quantities; market "
+                                    f"{finding_id!r} has a trade without one")
+        if t.side not in SIDES or not t.quantity > 0:
+            raise ReplayUnavailable(f"simulated replay needs buys; market {finding_id!r} "
+                                    f"has a trade of {t.quantity} {t.side!r}")
+    q_yes = q_no = 0.0
     prices = []
     for t in trades:
-        ms, executed = execute_trade(ms, t.trader_id, t.side, t.quantity, t.timestamp)
-        prices.append(executed.post_trade_price)
+        q_yes, q_no = _step(q_yes, q_no, t.side, t.quantity)
+        prices.append(price_yes_from_quantities(q_yes, q_no, liquidity_b))
     return prices

@@ -14,7 +14,7 @@ from repmarket.dataset import (
     validate,
     write_dataset,
 )
-from repmarket.errors import MissingColumn, UnknownFinding
+from repmarket.errors import InvalidMapping, MissingColumn, UnknownFinding
 
 from conftest import OUTCOMES_CSV, SURVEYS_CSV, TRADES_CSV, write_fixture_files
 from helpers import BASE_MS, HOUR_MS, make_dataset, make_finding, make_trade, survey
@@ -103,6 +103,19 @@ def test_column_mapping_renames(tmp_path):
     ds = load_dataset(paths["outcomes"], paths["surveys"], paths["trades"],
                       mapping=mapping)
     assert len(ds.surveys) == 4
+
+
+@pytest.mark.parametrize("mapping", [
+    {"trades": {"sied": "direction"}},
+    {"trade": {}},
+    {"surveys": {"belief": "prob"}, "trades": {"side": "direction", "qty": "size"}},
+    {"trades": ["side"]},
+], ids=["unknown_field", "unknown_table", "one_of_two", "not_an_object"])
+def test_mapping_of_an_unknown_table_or_field_is_refused(tmp_path, mapping):
+    paths = write_fixture_files(tmp_path)
+    with pytest.raises(InvalidMapping) as raised:
+        load_dataset(paths["outcomes"], paths["surveys"], paths["trades"], mapping=mapping)
+    assert isinstance(raised.value, ValueError)
 
 
 def test_category_derived_from_p_value_with_warning(tmp_path):

@@ -10,12 +10,13 @@ from repmarket.errors import (
     InsufficientTokens,
     MarketSettled,
     NonPositiveLiquidity,
+    ReplayUnavailable,
     UnknownFinding,
     UnknownTrader,
 )
 from repmarket.synth import synthetic_dataset
 
-from helpers import BASE_MS, make_dataset, make_finding
+from helpers import BASE_MS, make_dataset, make_finding, make_trade
 
 TS = BASE_MS + 3_600_000
 
@@ -267,3 +268,35 @@ def test_simulated_replay_reproduces_engine_fixture():
         assert len(recorded) == len(simulated)
         for r, s in zip(recorded, simulated):
             assert abs(r - s) <= 1e-9
+
+
+def test_simulated_replay_runs_no_ledger_engine(monkeypatch):
+    """synth records buys through execute_trade; replay reprices them from the
+    running quantities alone, to the recorded prices bit for bit."""
+    ds = synthetic_dataset(seed=11, n_markets=4, n_traders=5, liquidity_b=50.0)
+
+    def engine(*args, **kwargs):
+        raise AssertionError("simulated replay ran the ledger engine")
+
+    monkeypatch.setattr(lmsr, "execute_trade", engine)
+    monkeypatch.setattr(lmsr, "cost_to_trade", engine)
+    for fid in ds.finding_ids():
+        assert (lmsr.replay(ds, fid, mode=lmsr.SIMULATED, liquidity_b=50.0)
+                == lmsr.replay(ds, fid, mode=lmsr.PRICE_TAKING))
+
+
+@pytest.mark.parametrize("b", [0.0, -1.0, math.nan])
+def test_simulated_replay_refuses_a_liquidity_that_is_not_positive(b):
+    ds = synthetic_dataset(seed=11, n_markets=2)
+    with pytest.raises(NonPositiveLiquidity):
+        lmsr.replay(ds, ds.finding_ids()[0], mode=lmsr.SIMULATED, liquidity_b=b)
+
+
+@pytest.mark.parametrize("side, quantity", [
+    ("BUY", 1.0), ("YES", 0.0), ("NO", -2.0), ("YES", math.nan)])
+def test_simulated_replay_refuses_a_trade_that_is_not_a_buy(side, quantity):
+    trades = [make_trade("F1", side="NO", quantity=2.0, seq=0),
+              make_trade("F1", side=side, quantity=quantity, seq=1)]
+    ds = make_dataset([make_finding("F1")], trades=trades)
+    with pytest.raises(ReplayUnavailable):
+        lmsr.replay(ds, "F1", mode=lmsr.SIMULATED, liquidity_b=100.0)

@@ -9,6 +9,7 @@ a recategorized and a not recategorized category, an unparsed p-value and a
 trade after close."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,15 @@ def test_validate_flags_a_negative_p_value():
     [error] = validate(make_dataset([finding])).errors
     assert (error.column, error.kind, error.message) == (
         "original_p_value", "invalid_value", "negative p-value -0.3")
+
+
+def test_validate_flags_a_p_value_outside_the_unit_interval():
+    findings = [Finding(f"F{i}", "RPP", 0, "above", p, BASE_MS, BASE_MS + DAY_MS)
+                for i, p in enumerate((1.5, math.inf, math.nan))]
+    errors = validate(make_dataset(findings)).errors
+    assert [(e.column, e.kind, e.message) for e in errors] == [
+        ("original_p_value", "invalid_value", f"p-value {p} outside [0, 1]")
+        for p in ("1.5", "inf", "nan")]
 
 
 def test_a_rejected_row_gets_its_first_text_fault_and_no_warnings(tmp_path):

@@ -129,6 +129,21 @@ def test_cli_mapping_flag(tmp_path):
     assert rc == 0
 
 
+@pytest.mark.parametrize("mapping", [
+    '{"trade": {}}', '{"trades": {"sied": "direction"}}', '{"trades": '],
+    ids=["unknown_table", "unknown_field", "not_json"])
+def test_cli_bad_mapping_exits_cleanly(tmp_path, capsys, mapping):
+    paths = write_fixture_files(tmp_path / "data")
+    mapping_path = tmp_path / "mapping.json"
+    mapping_path.write_text(mapping)
+    rc = main(["validate", *_data_args(paths), "--mapping", str(mapping_path),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidMapping: ") and err.count("\n") == 1
+    assert not (tmp_path / "out" / "validation.json").exists()
+
+
 def test_pipeline_tolerates_empty_market(tmp_path):
     from repmarket.cli import run_pipeline
     from repmarket.dataset import Dataset, Finding
@@ -164,6 +179,16 @@ def test_cli_simulated_replay_errors_exit_cleanly(tmp_path, capsys, trades, extr
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ReplayUnavailable: ") and err.count("\n") == 1
+    assert not (tmp_path / "out" / "replay.csv").exists()
+
+
+def test_cli_simulated_replay_refuses_zero_liquidity(tmp_path, capsys):
+    paths = write_fixture_files(tmp_path / "data")
+    rc = main(["replay", *_data_args(paths), "--mode", "simulated", "--liquidity-b", "0",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: NonPositiveLiquidity: ") and err.count("\n") == 1
     assert not (tmp_path / "out" / "replay.csv").exists()
 
 
