@@ -15,6 +15,7 @@ from pathlib import Path
 # trades_for stays bound here: code that reads or patches aggregate.trades_for relies on it
 from .dataset import Dataset, closed_trades, surveys_for, trades_for, write_csv  # noqa: F401
 from .errors import AllWeightsZero, EmptyMarket, NoSurveyResponses
+from .stats import left_sum
 
 METHOD_MARKET = "market_final_price"
 METHOD_MEAN = "survey_mean"
@@ -59,7 +60,7 @@ def _beliefs(ds: Dataset, finding_id: str) -> list[float]:
 def survey_mean(ds: Dataset, finding_id: str) -> AggregateForecast:
     beliefs = _beliefs(ds, finding_id)
     return AggregateForecast(finding_id, METHOD_MEAN,
-                             sum(beliefs) / len(beliefs), len(beliefs))
+                             left_sum(beliefs) / len(beliefs), len(beliefs))
 
 
 def survey_median(ds: Dataset, finding_id: str) -> AggregateForecast:
@@ -94,8 +95,8 @@ def forecaster_weights(ds: Dataset) -> list[ForecasterWeight]:
         if n < 2:
             weights.append(ForecasterWeight(forecaster, 0.0))
             continue
-        mean = sum(vals) / n
-        var = sum((v - mean) ** 2 for v in vals) / (n - 1)
+        mean = left_sum(vals) / n
+        var = left_sum((v - mean) ** 2 for v in vals) / (n - 1)
         weights.append(ForecasterWeight(forecaster, var))
     return weights
 
@@ -108,12 +109,12 @@ def survey_var_weighted(ds: Dataset, finding_id: str,
     responses = surveys_for(ds, finding_id)
     if not responses:
         raise NoSurveyResponses(finding_id)
-    total_w = sum(weights.get(s.forecaster_id, 0.0) for s in responses)
+    total_w = left_sum(weights.get(s.forecaster_id, 0.0) for s in responses)
     if total_w <= 0.0:
         raise AllWeightsZero(
             f"every respondent of {finding_id!r} has zero weight")
-    value = sum(weights.get(s.forecaster_id, 0.0) * s.belief
-                for s in responses) / total_w
+    value = left_sum(weights.get(s.forecaster_id, 0.0) * s.belief
+                     for s in responses) / total_w
     return AggregateForecast(finding_id, METHOD_VAR_WEIGHTED, value, len(responses))
 
 

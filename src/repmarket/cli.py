@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import aggregate, dynamics, evaluate, lmsr, reference, synth
+from . import aggregate, dynamics, evaluate, lmsr, reference, stats, synth
 from .dataset import (DEFAULT_P_THRESHOLD, load_dataset, load_mapping, trades_for,
                       validate, write_csv)
 from .errors import (
@@ -187,10 +187,10 @@ def run_pipeline(ds, threshold: float = 0.5, p_threshold: float = DEFAULT_P_THRE
         if not values:
             continue
         n = len(values)
-        mean = sum(values) / n
-        sd = (sum((v - mean) ** 2 for v in values) / (n - 1)) ** 0.5 if n > 1 else 0.0
+        mean = stats.left_sum(values) / n
+        sd = (stats.left_sum((v - mean) ** 2 for v in values) / (n - 1)) ** 0.5 if n > 1 else 0.0
         aggregators[method] = {"mean": mean, "sd": sd,
-                               "mae": sum(errors) / n, "n": n}
+                               "mae": stats.left_sum(errors) / n, "n": n}
 
     trade_counts = [len(trades_for(ds, fid)) for fid in ds.finding_ids()]
     curves, convergence = dynamics_stage(ds, loess_cfg, (0.9,), cutoff_hours=168.0)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import InvalidMapping, MissingColumn, UnknownFinding
+from .errors import InvalidMapping, MissingColumn, MissingInput, UnknownFinding
 
 PROJECTS = ("RPP", "EERP", "ML2", "SSRP")
 SIDES = ("YES", "NO")
@@ -92,8 +92,8 @@ def parse_timestamp(text: str) -> int:
 def format_timestamp(ms: int) -> str:
     """Render epoch milliseconds as a canonical ISO-8601 UTC string."""
     seconds, millis = divmod(int(ms), 1000)
-    dt = datetime.fromtimestamp(seconds, tz=timezone.utc)
-    return dt.strftime("%Y-%m-%dT%H:%M:%S") + f".{millis:03d}Z"
+    # isoformat pads a year before 1000 to four digits; strftime's %Y may not
+    return datetime.fromtimestamp(seconds, tz=timezone.utc).isoformat()[:19] + f".{millis:03d}Z"
 
 
 @dataclass(frozen=True)
@@ -190,7 +190,11 @@ class Dataset:
 def load_mapping(path: str | Path) -> dict:
     """Read a column-mapping file: {table: {canonical_field: source_column}}.
     :func:`load_dataset` checks it against the schema."""
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except FileNotFoundError:
+        raise MissingInput("mapping", path) from None
+    with fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
@@ -230,9 +234,30 @@ def _parse(convert, text: str, column: str, name: str | None = None):
                         f"cannot parse {name} {text!r}" if name else str(exc)) from None
 
 
-def _require_ids(finding_id: str, other_id: str, other_column: str) -> None:
-    if not finding_id or not other_id:
-        raise _Rejected(f"finding_id/{other_column}", "invalid_value", "empty identifier")
+def _parse_column(convert, texts: list[str], column: str, name: str | None,
+                  faults: dict) -> list:
+    """convert(text) of every text. A text that does not parse reads as None
+    and gives its row the fault `_parse` words, unless an earlier column gave
+    it one (faults maps row number to the first fault)."""
+    values = []
+    for row, text in enumerate(texts, start=1):
+        try:
+            values.append(_parse(convert, text, column, name))
+        except _Rejected as rejected:
+            values.append(None)
+            faults.setdefault(row, rejected.args)
+    return values
+
+
+def _empty_ids(finding_ids: list[str], other_ids: list[str], other_column: str) -> dict:
+    """The fault of each row (by number) that lacks one of its two ids."""
+    fault = (f"finding_id/{other_column}", "invalid_value", "empty identifier")
+    return {row: fault for row, (fid, other) in enumerate(zip(finding_ids, other_ids), start=1)
+            if not fid or not other}
+
+
+def _optional_float(text: str) -> float | None:
+    return float(text) if text else None
 
 
 def _category(stated: str, p_value: float | None, p_threshold: float, warn) -> str:
@@ -289,22 +314,25 @@ def _finding_from(values: list[str], row: int, p_threshold: float, warn) -> Find
                    source_row=row)
 
 
-def _survey_from(values: list[str], row: int) -> SurveyResponse:
-    fid, forecaster, belief = values
-    _require_ids(fid, forecaster, "forecaster_id")
-    return SurveyResponse(fid, forecaster, _parse(float, belief, "belief", "belief"),
-                          source_row=row)
+def _survey_values(columns: list[list[str]]) -> tuple:
+    """The values of each surveys row, and the text fault of each row that has one."""
+    fids, forecasters, beliefs = columns
+    faults = _empty_ids(fids, forecasters, "forecaster_id")
+    beliefs = _parse_column(float, beliefs, "belief", "belief", faults)
+    return zip(fids, forecasters, beliefs), faults
 
 
-def _trade_from(values: list[str], row: int, seq: int) -> Trade:
-    """The trade a trades row states; a row without a side buys YES."""
-    fid, trader, timestamp, side, quantity, price = values
-    _require_ids(fid, trader, "trader_id")
-    return Trade(fid, trader, _parse(parse_timestamp, timestamp, "timestamp"),
-                 side.upper() or "YES",
-                 _parse(float, quantity, "quantity", "quantity") if quantity else None,
-                 _parse(float, price, "post_trade_price", "price"),
-                 seq=seq, source_row=row)
+def _trade_values(columns: list[list[str]]) -> tuple:
+    """The values of each trades row, and the first text fault of each row
+    that has one (ids, then timestamp, quantity and price). A row without a
+    side buys YES."""
+    fids, traders, timestamps, sides, quantities, prices = columns
+    faults = _empty_ids(fids, traders, "trader_id")
+    timestamps = _parse_column(parse_timestamp, timestamps, "timestamp", None, faults)
+    quantities = _parse_column(_optional_float, quantities, "quantity", "quantity", faults)
+    prices = _parse_column(float, prices, "post_trade_price", "price", faults)
+    return zip(fids, traders, timestamps, [s.upper() or "YES" for s in sides],
+               quantities, prices), faults
 
 
 # The record rules, one function per table: the (column, kind, message) faults
@@ -367,27 +395,41 @@ def _trade_faults(t: Trade, finding_ids) -> tuple:
     return faults
 
 
-def _read_rows(path: str | Path, table: str, fields: tuple[str, ...], mapping: dict | None):
-    """Yield (row number, stripped value of each field) for each data row.
+def _read_columns(path: str | Path, table: str, fields: tuple[str, ...],
+                  mapping: dict | None) -> list[list[str]]:
+    """The stripped value of each field in each data row, one list per field.
 
-    Read as csv.DictReader reads: blank lines are skipped and get no number,
-    a short row reads its missing fields as empty, and of repeated column
-    names the last one is read. An optional field without a column reads as
-    empty; a required one raises MissingColumn.
+    The file is read whole, as csv.DictReader reads it: blank lines are
+    skipped and get no number, a short row reads its missing fields as empty,
+    and of repeated column names the last one is read. An optional field
+    without a column reads as empty; a required one raises MissingColumn.
     """
     names = (mapping or {}).get(table, {})
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except FileNotFoundError:
+        raise MissingInput(f"{table} table", path) from None
+    with fh:
         reader = csv.reader(fh)
         position = {name: i for i, name in enumerate(next(reader, []))}
-        columns = []
-        for fld in fields:
+        columns = [[] for _ in fields]
+        read = []  # (append to a field's column, the field's index in a row)
+        for fld, column in zip(fields, columns):
             col = names.get(fld, fld)
             if col not in position and fld not in OPTIONAL_FIELDS:
                 raise MissingColumn(table, col)
-            columns.append(position.get(col))
-        for row, raw in enumerate(filter(None, reader), start=1):
-            yield row, [raw[i].strip() if i is not None and i < len(raw) else ""
-                        for i in columns]
+            if col in position:
+                read.append((column.append, position[col]))
+        width = max(i for _, i in read) + 1
+        # a row's list goes as soon as its values are taken: rows kept alive
+        # by the thousand would set off the garbage collector again and again
+        for raw in filter(None, reader):
+            if len(raw) < width:
+                raw += [""] * (width - len(raw))
+            for append, i in read:
+                append(raw[i].strip())
+    lines = max(map(len, columns))
+    return [column or [""] * lines for column in columns]
 
 
 def load_dataset(outcomes_path: str | Path, surveys_path: str | Path,
@@ -416,22 +458,32 @@ def load_dataset(outcomes_path: str | Path, surveys_path: str | Path,
     findings: list[Finding] = []
     surveys: list[SurveyResponse] = []
     trades: list[Trade] = []
+    # per table: parse(columns) gives the values of each row and the text
+    # fault of each row number that has one; build(values, row) gives the
+    # record, or rejects the row on a text fault only it sees
     tables = (
         ("outcomes", outcomes_path, OUTCOME_FIELDS, findings,
+         lambda columns: (zip(*columns), {}),
          lambda values, row: _finding_from(values, row, p_threshold, notes.append),
          lambda f: _finding_faults(f, ids, p_threshold), lambda f: ids.add(f.finding_id)),
-        ("surveys", surveys_path, SURVEY_FIELDS, surveys, _survey_from,
+        ("surveys", surveys_path, SURVEY_FIELDS, surveys, _survey_values,
+         lambda values, row: SurveyResponse(*values, source_row=row),
          lambda s: _survey_faults(s, ids, pairs),
          lambda s: pairs.add((s.finding_id, s.forecaster_id))),
-        ("trades", trades_path, TRADE_FIELDS, trades,
-         lambda values, row: _trade_from(values, row, seq=len(trades)),
+        ("trades", trades_path, TRADE_FIELDS, trades, _trade_values,
+         lambda values, row: Trade(*values, seq=len(trades), source_row=row),
          lambda t: _trade_faults(t, ids), lambda t: None),
     )
-    for table, path, fields, records, build, rules, keep in tables:
-        row = 0
-        for row, values in _read_rows(path, table, fields, mapping):
+    for table, path, fields, records, parse, build, rules, keep in tables:
+        columns = _read_columns(path, table, fields, mapping)
+        lines = len(columns[0])
+        rows, text_faults = parse(columns)
+        del columns  # frees the texts parsed into numbers before the records are built
+        for row, values in enumerate(rows, start=1):
             notes.clear()
             try:
+                if row in text_faults:
+                    raise _Rejected(*text_faults[row])
                 record = build(values, row)
                 faults = rules(record)
             except _Rejected as rejected:
@@ -442,8 +494,8 @@ def load_dataset(outcomes_path: str | Path, surveys_path: str | Path,
             report.warnings += [Violation(table, row, *note) for note in notes]
             records.append(record)
             keep(record)
-        report.counts[table] = {"lines": row, "accepted": len(records),
-                                "rejected": row - len(records)}
+        report.counts[table] = {"lines": lines, "accepted": len(records),
+                                "rejected": lines - len(records)}
 
     ds = Dataset(findings, surveys, trades, load_report=report, p_threshold=p_threshold)
     _check_forecasters_traded(ds, report)

@@ -130,14 +130,6 @@ def mean_error_curve(ds: Dataset, axis: str = AXIS_TRADES,
     return ErrorCurve(axis, grid, mean_err, n_contrib)
 
 
-def _wls_poly_at(dx: np.ndarray, y: np.ndarray, w: np.ndarray, degree: int) -> float:
-    """Weighted least-squares polynomial in dx, evaluated at dx = 0."""
-    sw = np.sqrt(w)
-    design = np.vander(dx, degree + 1, increasing=True)
-    coef, *_ = np.linalg.lstsq(design * sw[:, None], y * sw, rcond=None)
-    return float(coef[0])
-
-
 def loess_fit(curve: ErrorCurve, cfg: LoessConfig = LoessConfig()) -> ErrorCurve:
     """Locally weighted regression of the curve onto itself.
 
@@ -153,13 +145,24 @@ def loess_fit(curve: ErrorCurve, cfg: LoessConfig = LoessConfig()) -> ErrorCurve
     k = max(int(math.ceil(cfg.span * n)), cfg.degree + 2)
     k = min(k, n)
     smoothed = np.empty(n)
+    # the weighted design matrix of one window: columns sw, dx*sw, dx*dx*sw
+    design = np.empty((k, cfg.degree + 1))
     for i in range(n):
         d = np.abs(x - x[i])
+        # the window's rows go to lstsq nearest first: their order moves the last bits
         idx = np.argsort(d, kind="stable")[:k]
-        radius = d[idx[-1]]
-        scaled = d[idx] / radius if radius > 0 else np.zeros(k)
-        w = (1.0 - np.clip(scaled, 0.0, 1.0) ** 3) ** 3
-        smoothed[i] = _wls_poly_at(x[idx] - x[i], y[idx], w, cfg.degree)
+        near = d[idx]
+        radius = near[-1]
+        scaled = near / radius if radius > 0 else np.zeros(k)  # in [0, 1]
+        sw = np.sqrt((1.0 - scaled ** 3) ** 3)
+        dx = x[idx] - x[i]
+        design[:, 0] = sw
+        np.multiply(dx, sw, out=design[:, 1])
+        if cfg.degree == 2:
+            np.multiply(dx * dx, sw, out=design[:, 2])
+        # weighted least squares of a polynomial in dx, evaluated at dx = 0
+        coef, *_ = np.linalg.lstsq(design, y[idx] * sw, rcond=None)
+        smoothed[i] = coef[0]
     return ErrorCurve(curve.axis, x.copy(), smoothed, curve.n_contributing.copy())
 
 
@@ -218,11 +221,11 @@ def late_trade_forecasts(ds: Dataset, cutoff_hours: float = 168.0,
         span = f.market_close - cutoff_ms
         if post and span > 0:
             weights = [(t.timestamp - cutoff_ms) / span for t in post]
-            total = sum(weights)
+            total = stats.left_sum(weights)
             # anchored at the final price so identical prices stay exact
             alt = (final_price
-                   + sum(w * (t.post_trade_price - final_price)
-                         for w, t in zip(weights, post)) / total
+                   + stats.left_sum(w * (t.post_trade_price - final_price)
+                                    for w, t in zip(weights, post)) / total
                    if total > 0 else final_price)
         else:
             alt = final_price

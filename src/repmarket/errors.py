@@ -14,6 +14,13 @@ class MissingColumn(RepmarketError):
         self.column = column
 
 
+class MissingInput(RepmarketError, FileNotFoundError):
+    """An input file, one of the three tables or a column mapping, does not exist."""
+
+    def __init__(self, what: str, path):
+        super().__init__(f"{what} file {str(path)!r} does not exist")
+
+
 class InvalidMapping(RepmarketError, ValueError):
     """A column mapping names a table, or a field of a table, that the schema lacks."""
 

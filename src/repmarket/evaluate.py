@@ -145,9 +145,9 @@ def summarize(scores: list[ScoreRow], findings,
             rows = [s for s in scores if s.method == method and s.finding_id in ids]
             if not rows:
                 continue
-            summary.mean_belief[method] = sum(r.forecast for r in rows) / len(rows)
+            summary.mean_belief[method] = stats.left_sum(r.forecast for r in rows) / len(rows)
             summary.n_correct[method] = sum(r.correct for r in rows)
-            summary.mae[method] = sum(r.abs_error for r in rows) / len(rows)
+            summary.mae[method] = stats.left_sum(r.abs_error for r in rows) / len(rows)
             summary.spearman_outcome[method] = _safe_correlation(
                 stats.spearman, [r.outcome for r in rows], [r.forecast for r in rows])
         market = _scores_by_finding(scores, METHOD_MARKET)

@@ -7,7 +7,9 @@ functions (continued-fraction / series evaluation, no table lookups).
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DegenerateInput, DegenerateTable, DomainError
@@ -19,6 +21,15 @@ _MAX_ITER = 500
 KIND_PAIRED_T = "paired_t"
 KIND_CHI_SQUARE = "chi_square_1df"
 KIND_OLS_COEF = "ols_coef"
+
+
+def left_sum(values):
+    """The values added left to right, as `sum` adds them up to Python 3.11.
+
+    From 3.12, `sum` compensates float rounding, so the same means and
+    variances would differ in their last bits from one Python to the next.
+    """
+    return functools.reduce(operator.add, values, 0)
 
 
 @dataclass(frozen=True)
@@ -167,13 +178,13 @@ def pearson(x, y) -> float:
         raise ValueError("sequences must have equal length")
     if n < 3:
         raise DegenerateInput(f"need at least 3 pairs, got {n}")
-    mx = sum(x) / n
-    my = sum(y) / n
-    sxx = sum((v - mx) ** 2 for v in x)
-    syy = sum((v - my) ** 2 for v in y)
+    mx = left_sum(x) / n
+    my = left_sum(y) / n
+    sxx = left_sum((v - mx) ** 2 for v in x)
+    syy = left_sum((v - my) ** 2 for v in y)
     if sxx == 0.0 or syy == 0.0:
         raise DegenerateInput("constant input vector")
-    sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
+    sxy = left_sum((a - mx) * (b - my) for a, b in zip(x, y))
     r = sxy / math.sqrt(sxx * syy)
     return min(max(r, -1.0), 1.0)
 
@@ -216,8 +227,8 @@ def paired_t(x, y) -> TestResult:
     if n < 2:
         raise DegenerateInput(f"need at least 2 pairs, got {n}")
     d = [a - b for a, b in zip(x, y)]
-    mean = sum(d) / n
-    var = sum((v - mean) ** 2 for v in d) / (n - 1)
+    mean = left_sum(d) / n
+    var = left_sum((v - mean) ** 2 for v in d) / (n - 1)
     df = n - 1
     if var == 0.0:
         if mean == 0.0:
@@ -237,9 +248,9 @@ def chi_square_1df(table, yates: bool = False) -> TestResult:
         raise ValueError("table must be 2x2")
     if any(v < 0 for r in rows for v in r):
         raise ValueError("counts must be nonnegative")
-    row_sums = [sum(r) for r in rows]
+    row_sums = [left_sum(r) for r in rows]
     col_sums = [rows[0][j] + rows[1][j] for j in range(2)]
-    total = sum(row_sums)
+    total = left_sum(row_sums)
     if any(s == 0 for s in row_sums) or any(s == 0 for s in col_sums):
         raise DegenerateTable("table has a zero marginal")
     stat = 0.0
@@ -265,16 +276,16 @@ def ols_simple(x, y) -> OLSFit:
         raise ValueError("sequences must have equal length")
     if n < 3:
         raise DegenerateInput(f"need at least 3 observations, got {n}")
-    mx = sum(x) / n
-    my = sum(y) / n
-    sxx = sum((v - mx) ** 2 for v in x)
+    mx = left_sum(x) / n
+    my = left_sum(y) / n
+    sxx = left_sum((v - mx) ** 2 for v in x)
     if sxx == 0.0:
         raise DegenerateInput("constant regressor")
-    sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
+    sxy = left_sum((a - mx) * (b - my) for a, b in zip(x, y))
     slope = sxy / sxx
     intercept = my - slope * mx
-    ssr = sum((b - intercept - slope * a) ** 2 for a, b in zip(x, y))
-    sst = sum((b - my) ** 2 for b in y)
+    ssr = left_sum((b - intercept - slope * a) ** 2 for a, b in zip(x, y))
+    sst = left_sum((b - my) ** 2 for b in y)
     r_squared = 1.0 - ssr / sst if sst > 0.0 else 0.0
     s2 = ssr / (n - 2)
     se_slope = math.sqrt(s2 / sxx)

@@ -14,7 +14,7 @@ from repmarket.dataset import (
     validate,
     write_dataset,
 )
-from repmarket.errors import InvalidMapping, MissingColumn, UnknownFinding
+from repmarket.errors import InvalidMapping, MissingColumn, MissingInput, UnknownFinding
 
 from conftest import OUTCOMES_CSV, SURVEYS_CSV, TRADES_CSV, write_fixture_files
 from helpers import BASE_MS, HOUR_MS, make_dataset, make_finding, make_trade, survey
@@ -243,6 +243,29 @@ def test_timestamp_round_trip():
         assert parse_timestamp(format_timestamp(ms)) == ms
     assert parse_timestamp("2020-01-06T00:00:00Z") == BASE_MS
     assert parse_timestamp(str(BASE_MS)) == BASE_MS
+
+
+def test_years_before_1000_round_trip(tmp_path):
+    # format_timestamp pads the year to four digits, the only shape parse_timestamp reads
+    opens = [parse_timestamp(f"{year:04d}-05-01T00:00:00.000Z") for year in (1, 50, 999)]
+    assert format_timestamp(opens[2]) == "0999-05-01T00:00:00.000Z"
+    findings = [make_finding(f"F{i}", open_ms=ms) for i, ms in enumerate(opens)]
+    trades = [make_trade(f.finding_id, ts=f.market_open + HOUR_MS + 7, seq=i)
+              for i, f in enumerate(findings)]
+    ds = make_dataset(findings, trades=trades)
+    write_dataset(ds, tmp_path / "o.csv", tmp_path / "s.csv", tmp_path / "t.csv")
+    again = load_dataset(tmp_path / "o.csv", tmp_path / "s.csv", tmp_path / "t.csv")
+    assert again.load_report.errors == []
+    assert again.findings == ds.findings
+    assert again.trades == ds.trades
+
+
+def test_missing_table_names_table_and_path(tmp_path):
+    paths = write_fixture_files(tmp_path)
+    paths["trades"].unlink()
+    with pytest.raises(MissingInput, match="trades table file .*trades.csv") as raised:
+        load_dataset(paths["outcomes"], paths["surveys"], paths["trades"])
+    assert isinstance(raised.value, FileNotFoundError)
 
 
 def test_synth_dataset_is_valid(synth_ds):

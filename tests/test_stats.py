@@ -265,3 +265,11 @@ def test_ols_reproduces_reference_regression():
     assert fit.se_slope == pytest.approx(ref["se_slope"], abs=5e-5)
     assert fit.r_squared == pytest.approx(ref["r_squared"], abs=5e-5)
     assert abs(stats.pearson(x, y)) == pytest.approx(0.456, abs=5e-4)
+
+
+def test_left_sum_adds_left_to_right():
+    # compensated summation, as `sum` does from Python 3.12, gives 1.0 and 1.0
+    assert stats.left_sum([0.1] * 10) == 0.9999999999999999
+    assert stats.left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert stats.left_sum(iter([1, 2, 3])) == 6
+    assert stats.left_sum([]) == 0

@@ -144,6 +144,21 @@ def test_cli_bad_mapping_exits_cleanly(tmp_path, capsys, mapping):
     assert not (tmp_path / "out" / "validation.json").exists()
 
 
+@pytest.mark.parametrize("missing", ["outcomes", "surveys", "trades", "mapping"])
+def test_cli_missing_input_exits_cleanly(tmp_path, capsys, missing):
+    paths = {**write_fixture_files(tmp_path / "data"), "mapping": tmp_path / "mapping.json"}
+    paths["mapping"].write_text("{}")
+    nope = tmp_path / "data" / "nope.csv"
+    paths[missing] = nope
+    rc = main(["validate", *_data_args(paths), "--mapping", str(paths["mapping"]),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: MissingInput: ") and err.count("\n") == 1
+    assert missing in err and repr(str(nope)) in err
+    assert not (tmp_path / "out" / "validation.json").exists()
+
+
 def test_pipeline_tolerates_empty_market(tmp_path):
     from repmarket.cli import run_pipeline
     from repmarket.dataset import Dataset, Finding
