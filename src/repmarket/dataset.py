@@ -57,6 +57,10 @@ TABLE_FIELDS = {"outcomes": OUTCOME_FIELDS, "surveys": SURVEY_FIELDS, "trades": 
 OPTIONAL_FIELDS = frozenset({"original_p_value", "side", "quantity"})
 
 MS_PER_HOUR = 3_600_000
+# the instants format_timestamp can write: 0001-01-01T00:00:00.000Z to
+# 9999-12-31T23:59:59.999Z
+MIN_TIMESTAMP_MS = -62_135_596_800_000
+MAX_TIMESTAMP_MS = 253_402_300_799_999
 
 _CATEGORY_ALIASES = {
     "above": CATEGORY_ABOVE,
@@ -75,18 +79,22 @@ _CATEGORY_ALIASES = {
 def parse_timestamp(text: str) -> int:
     """Parse an ISO-8601 timestamp (or integer epoch milliseconds) to ms since epoch.
 
-    Naive timestamps are taken as UTC.
+    Naive timestamps are taken as UTC. An instant outside the years 0001-9999
+    UTC, which :func:`format_timestamp` cannot write, is refused.
     """
     text = text.strip()
     if not text:
         raise ValueError("empty timestamp")
     if text.lstrip("-").isdigit():
-        return int(text)
-    iso = text.replace("Z", "+00:00")
-    dt = datetime.fromisoformat(iso)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return int(round(dt.timestamp() * 1000))
+        ms = int(text)
+    else:
+        dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        ms = int(round(dt.timestamp() * 1000))
+    if not MIN_TIMESTAMP_MS <= ms <= MAX_TIMESTAMP_MS:
+        raise ValueError(f"timestamp {text!r} outside the years 0001-9999 UTC")
+    return ms
 
 
 def format_timestamp(ms: int) -> str:

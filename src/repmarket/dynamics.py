@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, MS_PER_HOUR, closed_trades, write_csv
+from .dataset import Dataset, Finding, MS_PER_HOUR, closed_trades, write_csv
 from .errors import EmptyMarket, InsufficientPoints, NoReduction
 from . import stats
 
@@ -67,23 +67,31 @@ def _check_axis(axis: str) -> None:
         raise ValueError(f"unknown axis {axis!r}")
 
 
+def _market_errors(ds: Dataset, finding: Finding, axis: str,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The x and error arrays of :func:`error_series`, empty for a market
+    without trades up to its close."""
+    trades = closed_trades(ds, finding)
+    n = len(trades)
+    if axis == AXIS_TRADES:
+        x = np.arange(1.0, n + 1.0)
+    else:
+        # Python ints subtract exactly at any size; an int64 column would overflow
+        x = np.fromiter(((t.timestamp - finding.market_open) / MS_PER_HOUR
+                         for t in trades), float, n)
+    prices = np.fromiter((t.post_trade_price for t in trades), float, n)
+    return x, np.abs(finding.outcome - prices)
+
+
 def error_series(ds: Dataset, finding_id: str, axis: str = AXIS_TRADES,
                  ) -> list[tuple[float, float]]:
     """(x, |outcome - price|) after each trade of one market up to its close,
     the window `aggregate.market_final_price` takes the final price from."""
     _check_axis(axis)
-    finding = ds.finding(finding_id)
-    trades = closed_trades(ds, finding)
-    if not trades:
+    x, errors = _market_errors(ds, ds.finding(finding_id), axis)
+    if not len(x):
         raise EmptyMarket(finding_id)
-    series = []
-    for k, t in enumerate(trades, start=1):
-        if axis == AXIS_TRADES:
-            x = float(k)
-        else:
-            x = (t.timestamp - finding.market_open) / MS_PER_HOUR
-        series.append((x, abs(finding.outcome - t.post_trade_price)))
-    return series
+    return list(zip(x.tolist(), errors.tolist()))
 
 
 def mean_error_curve(ds: Dataset, axis: str = AXIS_TRADES,
@@ -96,17 +104,11 @@ def mean_error_curve(ds: Dataset, axis: str = AXIS_TRADES,
     markets whose value comes from an actual trade.
     """
     _check_axis(axis)
-    per_market = []
-    for fid in ds.finding_ids():
-        try:
-            per_market.append(error_series(ds, fid, axis))
-        except EmptyMarket:
-            per_market.append([])
+    per_market = [_market_errors(ds, ds.finding(fid), axis) for fid in ds.finding_ids()]
     if grid is None:
         if axis == AXIS_TRADES:
-            last = [s[-1][0] for s in per_market if s]
-            top = max(last) if last else 0.0
-            grid = np.arange(0.0, math.floor(top) + 1.0)
+            top = max((len(xs) for xs, _ in per_market), default=0)
+            grid = np.arange(0.0, top + 1.0)
         else:
             # hour grid spans the union of market durations
             durations = [(f.market_close - f.market_open) / MS_PER_HOUR
@@ -118,10 +120,7 @@ def mean_error_curve(ds: Dataset, axis: str = AXIS_TRADES,
     # one column per market; each grid row is summed in market order
     values = np.full((len(grid), len(per_market)), PRE_MARKET_ERROR)
     n_contrib = np.zeros(len(grid), dtype=int)
-    for mi, series in enumerate(per_market):
-        if not series:
-            continue
-        xs, errs = np.array(series).T
+    for mi, (xs, errs) in enumerate(per_market):
         n_traded = np.searchsorted(xs, grid, side="right")
         traded = n_traded > 0
         values[traded, mi] = errs[n_traded[traded] - 1]

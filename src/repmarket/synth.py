@@ -8,7 +8,6 @@ files.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 from pathlib import Path
@@ -79,9 +78,9 @@ def synthetic_dataset(seed: int, n_markets: int = 12, n_traders: int = 8,
         # front-loaded trading times, matching how real markets behave
         times = sorted(int(market_open + (market_close - market_open) * rng.random() ** 2)
                        for _ in range(n_trades))
+        current = 0.5  # the YES price of a market without trades
         for ts in times:
             trader = rng.choice(trader_ids)
-            current = lmsr.price(market).price_yes
             target = current + (beliefs[trader] - current) * rng.uniform(0.2, 0.6)
             target = min(max(target, 0.02), 0.98)
             move = liquidity_b * (_logit(target) - _logit(current))
@@ -92,7 +91,10 @@ def synthetic_dataset(seed: int, n_markets: int = 12, n_traders: int = 8,
             if quantity < 1e-9:
                 side, quantity = ("YES" if rng.random() < 0.5 else "NO"), 0.01
             market, trade = lmsr.execute_trade(market, trader, side, quantity, ts)
-            trades.append(dataclasses.replace(trade, finding_id=fid, seq=seq))
+            # the post-trade price is the quote lmsr.price gives the new state
+            current = trade.post_trade_price
+            trades.append(Trade(fid, trader, ts, trade.side, trade.quantity, current,
+                                seq=seq))
             seq += 1
 
     traded = sorted({t.trader_id for t in trades})

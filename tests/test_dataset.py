@@ -245,6 +245,32 @@ def test_timestamp_round_trip():
     assert parse_timestamp(str(BASE_MS)) == BASE_MS
 
 
+@pytest.mark.parametrize("first, last, past", [
+    ("-62135596800000", "253402300799999", ("-62135596800001", "253402300800000")),
+    ("0001-01-01T00:00:00.000Z", "9999-12-31T23:59:59.999Z",
+     ("0001-01-01T00:00:00+05:00", "9999-12-31T23:00:00-05:00",
+      "9999-12-31T23:59:59.999600Z")),
+])
+def test_timestamps_outside_years_1_to_9999_are_refused(first, last, past):
+    # the bounds are the instants format_timestamp can write
+    assert format_timestamp(parse_timestamp(first)) == "0001-01-01T00:00:00.000Z"
+    assert format_timestamp(parse_timestamp(last)) == "9999-12-31T23:59:59.999Z"
+    for text in past:
+        with pytest.raises(ValueError, match="outside the years 0001-9999 UTC"):
+            parse_timestamp(text)
+
+
+def test_market_window_outside_years_1_to_9999_rejects_the_finding(tmp_path):
+    # F001 closes in the year 318857
+    paths = write_fixture_files(tmp_path, outcomes=OUTCOMES_CSV.replace(
+        "2020-01-20T00:00:00.000Z", "10000000000000000"))
+    ds = load_dataset(paths["outcomes"], paths["surveys"], paths["trades"])
+    [error, *_] = ds.load_report.errors
+    assert (error.table, error.row, error.column, error.kind) == (
+        "outcomes", 1, "market_open/market_close", "invalid_value")
+    assert "outside the years 0001-9999 UTC" in error.message
+
+
 def test_years_before_1000_round_trip(tmp_path):
     # format_timestamp pads the year to four digits, the only shape parse_timestamp reads
     opens = [parse_timestamp(f"{year:04d}-05-01T00:00:00.000Z") for year in (1, 50, 999)]

@@ -1,5 +1,6 @@
-"""Property tests of the per-finding grouping built with a Dataset and of the
-vectorized error-curve alignment, each against a plain reference kept here."""
+"""Property tests of the per-finding grouping built with a Dataset, of the
+vectorized error-curve alignment and of the error series and late-trade
+forecasts, each against a plain reference over the records kept here."""
 
 import dataclasses
 import math
@@ -8,10 +9,10 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from repmarket import dynamics  # noqa: E402
-from repmarket.dataset import surveys_for, trades_for  # noqa: E402
+from repmarket import dynamics, stats  # noqa: E402
+from repmarket.dataset import Dataset, surveys_for, trades_for  # noqa: E402
 from repmarket.errors import EmptyMarket, UnknownFinding  # noqa: E402
 from repmarket.synth import synthetic_dataset  # noqa: E402
 
@@ -170,3 +171,128 @@ def test_replace_regroups(ds):
     for fid in smaller.finding_ids():
         assert _keyed(trades_for(smaller, fid)) == _keyed(scan_trades(smaller, fid))
         assert surveys_for(smaller, fid) == []
+
+
+def walk_series(ds, fid, axis):
+    """(x, |outcome - price|) of each trade at or before the market's close."""
+    f = ds.finding(fid)
+    closed = [t for t in scan_trades(ds, fid) if t.timestamp <= f.market_close]
+    if not closed:
+        raise EmptyMarket(fid)
+    return [(float(k) if axis == dynamics.AXIS_TRADES
+             else (t.timestamp - f.market_open) / HOUR_MS,
+             abs(f.outcome - t.post_trade_price))
+            for k, t in enumerate(closed, start=1)]
+
+
+def series_or_empty(series, ds, fid, axis):
+    try:
+        return series(ds, fid, axis)
+    except EmptyMarket:
+        return []
+
+
+def walk_late_forecasts(ds, cutoff_hours, add=stats.left_sum):
+    """The time-weighted mean of the prices after the cutoff, trade by trade;
+    `add` sums the weights and the weighted price moves."""
+    out = {}
+    for f in ds.findings:
+        closed = [t for t in scan_trades(ds, f.finding_id) if t.timestamp <= f.market_close]
+        if not closed:
+            continue
+        final = closed[-1].post_trade_price
+        cutoff_ms = f.market_open + cutoff_hours * HOUR_MS
+        post = [t for t in closed if t.timestamp > cutoff_ms]
+        span = f.market_close - cutoff_ms
+        alt = final
+        if post and span > 0:
+            weights = [(t.timestamp - cutoff_ms) / span for t in post]
+            total = add(weights)
+            if total > 0:
+                alt = final + add([w * (t.post_trade_price - final)
+                                   for w, t in zip(weights, post)]) / total
+        out[f.finding_id] = (final, alt)
+    return out
+
+
+@settings(deadline=None, max_examples=80)
+@given(datasets(), st.sampled_from([dynamics.AXIS_TRADES, dynamics.AXIS_HOURS]))
+def test_error_series_equals_the_record_walk(ds, axis):
+    for fid in ds.finding_ids():
+        try:
+            expected = walk_series(ds, fid, axis)
+        except EmptyMarket:
+            with pytest.raises(EmptyMarket):
+                dynamics.error_series(ds, fid, axis)
+        else:
+            assert dynamics.error_series(ds, fid, axis) == expected
+
+
+def _market_at_the_edges():
+    """One market with a trade before open, at the cutoff (2h), after it and
+    after close (4h), and one without trades."""
+    f = make_finding("F1", outcome=0, open_ms=BASE_MS, close_ms=BASE_MS + 4 * HOUR_MS)
+    steps = (-1, 2, 4, 5, 7, 9)  # half hours from open
+    trades = [make_trade("F1", ts=BASE_MS + step * HALF_HOUR_MS, price=0.1 * (k + 2), seq=k)
+              for k, step in enumerate(steps)]
+    return make_dataset([f, make_finding("F2")], trades=trades)
+
+
+# ties at the cutoff, a cutoff before open and one past close
+CUTOFFS = st.integers(-2, 30).map(lambda k: k / 2) | st.floats(-2.0, 16.0)
+
+
+@settings(deadline=None, max_examples=100)
+@given(datasets(), CUTOFFS)
+@example(_market_at_the_edges(), 2.0)
+@example(_market_at_the_edges(), 5.0)
+def test_late_trade_forecasts_equal_the_record_walk(ds, cutoff_hours):
+    assert dynamics.late_trade_forecasts(ds, cutoff_hours) == walk_late_forecasts(
+        ds, cutoff_hours)
+
+
+def test_late_trade_forecasts_add_left_to_right():
+    ds = synthetic_dataset(seed=5, n_markets=40, n_traders=10)
+    forecasts = dynamics.late_trade_forecasts(ds, 100.0)
+    assert forecasts == walk_late_forecasts(ds, 100.0)
+    # the data tell summation orders apart: numpy's pairwise sum misses somewhere
+    pairwise = walk_late_forecasts(ds, 100.0, add=lambda v: float(np.sum(v)))
+    assert pairwise != forecasts
+
+
+@settings(deadline=None, max_examples=50)
+@given(datasets(), CUTOFFS)
+def test_replace_gives_the_curves_of_the_new_trades(ds, cutoff_hours):
+    axes = (dynamics.AXIS_TRADES, dynamics.AXIS_HOURS)
+    for axis in axes:  # ds is read before it is replaced
+        dynamics.mean_error_curve(ds, axis)
+    dynamics.late_trade_forecasts(ds, cutoff_hours)
+    kept = ds.trades[1::2]
+    smaller = dataclasses.replace(ds, trades=kept)
+    fresh = Dataset(ds.findings, ds.surveys, kept)
+    for axis in axes:
+        curve, expected = (dynamics.mean_error_curve(d, axis) for d in (smaller, fresh))
+        assert np.array_equal(curve.x, expected.x)
+        assert np.array_equal(curve.mean_abs_error, expected.mean_abs_error)
+        assert np.array_equal(curve.n_contributing, expected.n_contributing)
+        for fid in smaller.finding_ids():  # a copy kept by finding id fails here
+            assert (series_or_empty(dynamics.error_series, smaller, fid, axis)
+                    == series_or_empty(walk_series, smaller, fid, axis))
+    assert dynamics.late_trade_forecasts(smaller, cutoff_hours) == walk_late_forecasts(
+        fresh, cutoff_hours)
+
+
+def test_timestamps_beyond_int64_give_the_floats_of_the_records():
+    # only loaded rows are bounded to the years 0001-9999; an in-memory trade
+    # may lie past 2**63 ms, where an int64 column would overflow
+    big = 10**19
+    f = make_finding("F1", open_ms=big - HOUR_MS, close_ms=big + HOUR_MS)
+    ds = make_dataset([f], trades=[make_trade("F1", ts=big + k, price=0.15 * k, seq=k)
+                                   for k in (1, 5)])
+    for axis in (dynamics.AXIS_TRADES, dynamics.AXIS_HOURS):
+        assert dynamics.error_series(ds, "F1", axis) == walk_series(ds, "F1", axis)
+    curve = dynamics.mean_error_curve(ds, dynamics.AXIS_HOURS)
+    assert curve.x.tolist() == [0.0, 1.0, 2.0]
+    assert curve.mean_abs_error.tolist() == [0.5, 0.5, 0.25]
+    assert curve.n_contributing.tolist() == [0, 0, 1]
+    assert dynamics.late_trade_forecasts(ds, 0.5) == walk_late_forecasts(ds, 0.5)

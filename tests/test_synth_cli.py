@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +66,22 @@ def test_cli_validate_flags_bad_data(tmp_path):
                                 surveys=SURVEYS_CSV + "F001,evil,1.7\n")
     rc = main(["validate", *_data_args(paths), "--out", str(tmp_path / "out")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("timestamp", ["1000000000000000", "9999-12-31T23:00:00-05:00"])
+def test_cli_validate_rejects_a_timestamp_past_year_9999(synth_paths, tmp_path, capsys,
+                                                         timestamp):
+    paths = {name: Path(shutil.copy(path, tmp_path)) for name, path in synth_paths.items()}
+    rows = paths["trades"].read_text().count("\n")  # the appended row's number
+    with open(paths["trades"], "a", encoding="utf-8") as fh:
+        fh.write(f"F001,trader01,{timestamp},YES,1,0.6\n")
+    rc = main(["validate", *_data_args(paths), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    errors = json.loads((tmp_path / "out" / "validation.json").read_text())["load"]["errors"]
+    assert [(e["table"], e["row"], e["column"], e["kind"]) for e in errors] == [
+        ("trades", rows, "timestamp", "invalid_value")]
+    assert "outside the years 0001-9999 UTC" in errors[0]["message"]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_replay_modes(synth_paths, tmp_path):
