@@ -14,7 +14,7 @@ from pathlib import Path
 
 # trades_for stays bound here: code that reads or patches aggregate.trades_for relies on it
 from .dataset import Dataset, closed_trades, surveys_for, trades_for, write_csv  # noqa: F401
-from .errors import AllWeightsZero, EmptyMarket, NoSurveyResponses
+from .errors import AllWeightsZero, EmptyMarket, NoSurveyResponses, or_null
 from .stats import left_sum
 
 METHOD_MARKET = "market_final_price"
@@ -102,10 +102,9 @@ def forecaster_weights(ds: Dataset) -> list[ForecasterWeight]:
 
 
 def survey_var_weighted(ds: Dataset, finding_id: str,
-                        weights) -> AggregateForecast:
-    """Variance-weighted mean of the finding's survey responses."""
-    if not isinstance(weights, dict):
-        weights = {w.forecaster_id: w.weight for w in weights}
+                        weights: dict[str, float]) -> AggregateForecast:
+    """Variance-weighted mean of the finding's survey responses, with
+    `weights` mapping forecaster id to weight (absent ids weigh 0)."""
     responses = surveys_for(ds, finding_id)
     if not responses:
         raise NoSurveyResponses(finding_id)
@@ -133,14 +132,9 @@ def aggregate_all(ds: Dataset, methods=ALL_METHODS,
         rules[METHOD_VAR_WEIGHTED] = partial(survey_var_weighted, weights=weights)
     if not set(methods) <= rules.keys():
         raise ValueError(f"unknown methods {sorted(set(methods) - rules.keys())}")
-    out: list[AggregateForecast] = []
-    for finding in ds.findings:
-        for method in methods:
-            try:
-                out.append(rules[method](ds, finding.finding_id))
-            except (EmptyMarket, NoSurveyResponses, AllWeightsZero):
-                continue
-    return out
+    forecasts = (or_null(rules[method], ds, finding.finding_id)
+                 for finding in ds.findings for method in methods)
+    return [f for f in forecasts if f is not None]
 
 
 def write_aggregates(forecasts: list[AggregateForecast], path: str | Path) -> None:

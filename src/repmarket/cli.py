@@ -19,13 +19,7 @@ import numpy as np
 from . import aggregate, dynamics, evaluate, lmsr, reference, stats, synth
 from .dataset import (DEFAULT_P_THRESHOLD, load_dataset, load_mapping, trades_for,
                       validate, write_csv)
-from .errors import (
-    DegenerateInput,
-    DegenerateTable,
-    InsufficientPoints,
-    NoReduction,
-    RepmarketError,
-)
+from .errors import RepmarketError, or_null
 
 DATA_DIR_ENV = "REPMARKET_DATA_DIR"
 
@@ -89,17 +83,11 @@ def _write_json(obj, path: Path) -> None:
         fh.write("\n")
 
 
-def _test_dict(result) -> dict:
+def _test_dict(result) -> dict | None:
+    if result is None:
+        return None
     return {"statistic": result.statistic, "df": result.df,
             "p_value": result.p_value, "kind": result.kind}
-
-
-def _test_or_null(undefined, fn, *args, **kwargs) -> dict | None:
-    """fn's test result as a dict, or None when the data leave it undefined."""
-    try:
-        return _test_dict(fn(*args, **kwargs))
-    except undefined:
-        return None
 
 
 # ----------------------------------------------------------------------
@@ -112,27 +100,24 @@ def forecast_stage(ds, threshold: float = 0.5, yates: bool = False) -> tuple:
     forecasts = aggregate.aggregate_all(ds, threshold=threshold)
     scores = evaluate.score(forecasts, ds, threshold=threshold)
 
-    tests: dict[str, dict | None] = {}
-    try:
-        over = evaluate.overestimation_tests(forecasts, ds)
-        tests["overestimation_survey"] = _test_dict(over[aggregate.METHOD_MEAN])
-        tests["overestimation_market"] = _test_dict(over[aggregate.METHOD_MARKET])
-    except DegenerateInput:
-        tests["overestimation_survey"] = tests["overestimation_market"] = None
-    tests["error_difference"] = _test_or_null(
-        DegenerateInput, evaluate.error_difference_test, scores)
-    tests["extremeness"] = _test_or_null(DegenerateInput, evaluate.extremeness_test, scores)
-    tests["accuracy_chi_square"] = _test_or_null(
-        DegenerateTable, evaluate.accuracy_comparison_test, scores, yates=yates)
+    over = or_null(evaluate.overestimation_tests, forecasts, ds) or {}
+    tests = {
+        "overestimation_survey": _test_dict(over.get(aggregate.METHOD_MEAN)),
+        "overestimation_market": _test_dict(over.get(aggregate.METHOD_MARKET)),
+        "error_difference": _test_dict(or_null(evaluate.error_difference_test, scores)),
+        "extremeness": _test_dict(or_null(evaluate.extremeness_test, scores)),
+        "accuracy_chi_square": _test_dict(
+            or_null(evaluate.accuracy_comparison_test, scores, yates=yates)),
+    }
 
+    # both asymmetry tests are null together, and then there are no quadrants
+    asymmetry = or_null(evaluate.asymmetry_tests, scores, yates=yates) or {}
     quadrants = {}
-    try:
-        for method, (quad, result) in evaluate.asymmetry_tests(scores, yates=yates).items():
-            short = "market" if method == aggregate.METHOD_MARKET else "survey"
-            tests[f"asymmetry_{short}"] = _test_dict(result)
+    for method, short in ((aggregate.METHOD_MARKET, "market"), (aggregate.METHOD_MEAN, "survey")):
+        quad, result = asymmetry.get(method, (None, None))
+        tests[f"asymmetry_{short}"] = _test_dict(result)
+        if quad is not None:
             quadrants[short] = quad.to_dict()
-    except DegenerateTable:
-        tests["asymmetry_market"] = tests["asymmetry_survey"] = None
 
     return forecasts, scores, {"tests": tests, "quadrants": quadrants,
                                "correlations": evaluate.forecast_correlations(scores)}
@@ -147,19 +132,15 @@ def dynamics_stage(ds, loess_cfg: dynamics.LoessConfig, fractions,
     for axis, label in ((dynamics.AXIS_TRADES, "trades"),
                         (dynamics.AXIS_HOURS, "hours")):
         raw = dynamics.mean_error_curve(ds, axis)
-        try:
-            smoothed = dynamics.loess_fit(raw, loess_cfg)
-        except InsufficientPoints:
-            smoothed = raw  # grid too small to smooth
+        # a grid too small to smooth is kept raw
+        smoothed = or_null(dynamics.loess_fit, raw, loess_cfg) or raw
         curves[label] = (raw, smoothed)
         for fraction in fractions:
-            key = f"milestone_{label}_{int(fraction * 100)}"
-            try:
-                dyn[key] = dynamics.reduction_milestone(smoothed, fraction).x_at_fraction
-            except NoReduction:
-                dyn[key] = None
-    dyn["late_smoothing"] = _test_or_null(
-        DegenerateInput, dynamics.late_trade_smoothing, ds, cutoff_hours)
+            milestone = or_null(dynamics.reduction_milestone, smoothed, fraction)
+            dyn[f"milestone_{label}_{int(fraction * 100)}"] = (
+                milestone and milestone.x_at_fraction)
+    dyn["late_smoothing"] = _test_dict(
+        or_null(dynamics.late_trade_smoothing, ds, cutoff_hours))
     return curves, dyn
 
 
@@ -175,10 +156,7 @@ def run_pipeline(ds, threshold: float = 0.5, p_threshold: float = DEFAULT_P_THRE
     """
     loess_cfg = loess_cfg or dynamics.LoessConfig()
     forecasts, scores, evaluation = forecast_stage(ds, threshold=threshold, yates=yates)
-    try:
-        table2 = evaluate.build_table2(ds.findings, p_threshold)
-    except DegenerateInput:
-        table2 = None
+    table2 = or_null(evaluate.build_table2, ds.findings, p_threshold)
 
     aggregators = {}
     for method in aggregate.SURVEY_METHODS:

@@ -61,6 +61,7 @@ MS_PER_HOUR = 3_600_000
 # 9999-12-31T23:59:59.999Z
 MIN_TIMESTAMP_MS = -62_135_596_800_000
 MAX_TIMESTAMP_MS = 253_402_300_799_999
+_OUTSIDE_YEARS = "outside the years 0001-9999 UTC"
 
 _CATEGORY_ALIASES = {
     "above": CATEGORY_ABOVE,
@@ -92,9 +93,19 @@ def parse_timestamp(text: str) -> int:
         if dt.tzinfo is None:
             dt = dt.replace(tzinfo=timezone.utc)
         ms = int(round(dt.timestamp() * 1000))
-    if not MIN_TIMESTAMP_MS <= ms <= MAX_TIMESTAMP_MS:
-        raise ValueError(f"timestamp {text!r} outside the years 0001-9999 UTC")
+    if not _writable(ms):
+        raise ValueError(f"timestamp {text!r} {_OUTSIDE_YEARS}")
     return ms
+
+
+def _writable(ms: int) -> bool:
+    """Whether ms lies in the years 0001-9999 UTC, which format_timestamp can write."""
+    return MIN_TIMESTAMP_MS <= ms <= MAX_TIMESTAMP_MS
+
+
+def _instant(ms: int) -> str:
+    """format_timestamp's text, or the integer milliseconds it cannot write."""
+    return format_timestamp(ms) if _writable(ms) else str(ms)
 
 
 def format_timestamp(ms: int) -> str:
@@ -373,6 +384,9 @@ def _finding_faults(f: Finding, seen_ids, p_threshold: float) -> tuple:
                     f"category {f.p_value_category!r} inconsistent with p-value {p_value}"),)
     if not f.market_open < f.market_close:
         faults += (("market_open", "invalid_value", "market_open must precede market_close"),)
+    for column, ms in (("market_open", f.market_open), ("market_close", f.market_close)):
+        if not _writable(ms):
+            faults += ((column, "invalid_value", f"{column} {ms} {_OUTSIDE_YEARS}"),)
     return faults
 
 
@@ -400,6 +414,9 @@ def _trade_faults(t: Trade, finding_ids) -> tuple:
     if not 0.0 < t.post_trade_price < 1.0:
         faults += (("post_trade_price", "invalid_value",
                     f"price {t.post_trade_price} outside (0, 1)"),)
+    # _writable, inlined: this runs on every trade row
+    if not MIN_TIMESTAMP_MS <= t.timestamp <= MAX_TIMESTAMP_MS:
+        faults += (("timestamp", "invalid_value", f"timestamp {t.timestamp} {_OUTSIDE_YEARS}"),)
     return faults
 
 
@@ -554,9 +571,8 @@ def validate(ds: Dataset) -> ValidationReport:
         if finding is not None and not finding.market_open <= t.timestamp <= finding.market_close:
             report.errors.append(Violation(
                 "trades", t.source_row, "timestamp", "outside_window",
-                f"trade at {format_timestamp(t.timestamp)} outside "
-                f"[{format_timestamp(finding.market_open)}, "
-                f"{format_timestamp(finding.market_close)}]"))
+                f"trade at {_instant(t.timestamp)} outside "
+                f"[{_instant(finding.market_open)}, {_instant(finding.market_close)}]"))
 
     report.counts = {
         "outcomes": {"records": len(ds.findings)},

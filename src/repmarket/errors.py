@@ -5,6 +5,19 @@ class RepmarketError(Exception):
     """Base class for all repmarket errors."""
 
 
+class Undefined(RepmarketError):
+    """The data leave this result undefined: ordinary input at the studies'
+    sizes, reported as null rather than failing the run."""
+
+
+def or_null(fn, *args, **kwargs):
+    """fn(*args, **kwargs), or None when the data leave it undefined."""
+    try:
+        return fn(*args, **kwargs)
+    except Undefined:
+        return None
+
+
 class MissingColumn(RepmarketError):
     """A column named by the column mapping is absent from the file header."""
 
@@ -29,7 +42,7 @@ class UnknownFinding(RepmarketError):
     """A finding_id that does not exist in the dataset."""
 
 
-class EmptyMarket(RepmarketError):
+class EmptyMarket(Undefined):
     """A market with no usable trades."""
 
 
@@ -57,11 +70,11 @@ class InsufficientHoldings(RepmarketError):
     """Sell exceeds the trader's holdings (short positions are not allowed)."""
 
 
-class NoSurveyResponses(RepmarketError):
+class NoSurveyResponses(Undefined):
     """Finding has no survey responses to aggregate."""
 
 
-class AllWeightsZero(RepmarketError):
+class AllWeightsZero(Undefined):
     """Every respondent for the finding carries zero weight."""
 
 
@@ -69,11 +82,11 @@ class MissingOutcome(RepmarketError):
     """Forecast references a finding with no recorded outcome."""
 
 
-class DegenerateInput(RepmarketError):
+class DegenerateInput(Undefined):
     """Statistic is undefined for the given input (constant vector, too short)."""
 
 
-class DegenerateTable(RepmarketError):
+class DegenerateTable(Undefined):
     """Contingency table has a zero marginal."""
 
 
@@ -81,9 +94,9 @@ class DomainError(RepmarketError):
     """Special-function argument outside its valid domain."""
 
 
-class InsufficientPoints(RepmarketError):
+class InsufficientPoints(Undefined):
     """Too few points for the requested local regression."""
 
 
-class NoReduction(RepmarketError):
+class NoReduction(Undefined):
     """Error curve is flat or rising; no reduction milestone exists."""

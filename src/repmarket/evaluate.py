@@ -18,7 +18,7 @@ from .aggregate import (
 )
 from .dataset import (CATEGORY_ABOVE, CATEGORY_AT_OR_BELOW, DEFAULT_P_THRESHOLD, Dataset,
                       Finding, PROJECTS, write_csv)
-from .errors import DegenerateInput, MissingOutcome
+from .errors import MissingOutcome, or_null
 from . import stats
 
 POOLED = "Pooled"
@@ -111,14 +111,6 @@ def _scores_by_finding(scores, method: str) -> dict[str, ScoreRow]:
     return {s.finding_id: s for s in scores if s.method == method}
 
 
-def _safe_correlation(fn, x, y) -> float | None:
-    """fn(x, y), or None when the data leave the correlation undefined."""
-    try:
-        return fn(x, y)
-    except DegenerateInput:
-        return None
-
-
 def summarize(scores: list[ScoreRow], findings,
               group_by: str = "project") -> list[ProjectSummary]:
     """Per-project summaries (`group_by="project"`) or one pooled row."""
@@ -148,13 +140,13 @@ def summarize(scores: list[ScoreRow], findings,
             summary.mean_belief[method] = stats.left_sum(r.forecast for r in rows) / len(rows)
             summary.n_correct[method] = sum(r.correct for r in rows)
             summary.mae[method] = stats.left_sum(r.abs_error for r in rows) / len(rows)
-            summary.spearman_outcome[method] = _safe_correlation(
+            summary.spearman_outcome[method] = or_null(
                 stats.spearman, [r.outcome for r in rows], [r.forecast for r in rows])
         market = _scores_by_finding(scores, METHOD_MARKET)
         survey = _scores_by_finding(scores, METHOD_MEAN)
         both = sorted(ids & market.keys() & survey.keys())
         if len(both) >= 3:
-            summary.spearman_market_survey = _safe_correlation(
+            summary.spearman_market_survey = or_null(
                 stats.spearman, [market[i].forecast for i in both],
                 [survey[i].forecast for i in both])
         summaries.append(summary)
@@ -247,14 +239,14 @@ def forecast_correlations(scores: list[ScoreRow]) -> dict[str, float | None]:
     out: dict[str, float | None] = {}
     m_ids = sorted(market)
     s_ids = sorted(survey)
-    out["pearson_outcome_market"] = _safe_correlation(
+    out["pearson_outcome_market"] = or_null(
         stats.pearson, [market[i].outcome for i in m_ids], [market[i].forecast for i in m_ids])
-    out["pearson_outcome_survey"] = _safe_correlation(
+    out["pearson_outcome_survey"] = or_null(
         stats.pearson, [survey[i].outcome for i in s_ids], [survey[i].forecast for i in s_ids])
     both = sorted(market.keys() & survey.keys())
-    out["pearson_market_survey"] = _safe_correlation(
+    out["pearson_market_survey"] = or_null(
         stats.pearson, [market[i].forecast for i in both], [survey[i].forecast for i in both])
-    out["spearman_market_survey"] = _safe_correlation(
+    out["spearman_market_survey"] = or_null(
         stats.spearman, [market[i].forecast for i in both], [survey[i].forecast for i in both])
     return out
 

@@ -142,7 +142,7 @@ def build_discrepancies(report: dict) -> list[dict]:
 
     tests = report.get("tests", {})
     for name, published in TESTS.items():
-        computed = tests.get(name, {})
+        computed = tests.get(name) or {}
         for key, pub_val in published.items():
             comp_key = "statistic" if key in ("t", "statistic") else "p_value"
             rows.append(_row(f"tests.{name}.{key}", computed.get(comp_key), pub_val))
