@@ -15,7 +15,7 @@ from pathlib import Path
 # trades_for stays bound here: code that reads or patches aggregate.trades_for relies on it
 from .dataset import Dataset, closed_trades, surveys_for, trades_for, write_csv  # noqa: F401
 from .errors import AllWeightsZero, EmptyMarket, NoSurveyResponses, or_null
-from .stats import left_sum
+from .stats import left_sum, mean_var
 
 METHOD_MARKET = "market_final_price"
 METHOD_MEAN = "survey_mean"
@@ -88,17 +88,8 @@ def forecaster_weights(ds: Dataset) -> list[ForecasterWeight]:
     beliefs: dict[str, list[float]] = {}
     for s in ds.surveys:
         beliefs.setdefault(s.forecaster_id, []).append(s.belief)
-    weights = []
-    for forecaster in sorted(beliefs):
-        vals = beliefs[forecaster]
-        n = len(vals)
-        if n < 2:
-            weights.append(ForecasterWeight(forecaster, 0.0))
-            continue
-        mean = left_sum(vals) / n
-        var = left_sum((v - mean) ** 2 for v in vals) / (n - 1)
-        weights.append(ForecasterWeight(forecaster, var))
-    return weights
+    return [ForecasterWeight(forecaster, mean_var(beliefs[forecaster])[1])
+            for forecaster in sorted(beliefs)]
 
 
 def survey_var_weighted(ds: Dataset, finding_id: str,

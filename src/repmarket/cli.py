@@ -102,22 +102,20 @@ def forecast_stage(ds, threshold: float = 0.5, yates: bool = False) -> tuple:
 
     over = or_null(evaluate.overestimation_tests, forecasts, ds) or {}
     tests = {
-        "overestimation_survey": _test_dict(over.get(aggregate.METHOD_MEAN)),
-        "overestimation_market": _test_dict(over.get(aggregate.METHOD_MARKET)),
         "error_difference": _test_dict(or_null(evaluate.error_difference_test, scores)),
         "extremeness": _test_dict(or_null(evaluate.extremeness_test, scores)),
         "accuracy_chi_square": _test_dict(
             or_null(evaluate.accuracy_comparison_test, scores, yates=yates)),
     }
-
     # both asymmetry tests are null together, and then there are no quadrants
     asymmetry = or_null(evaluate.asymmetry_tests, scores, yates=yates) or {}
     quadrants = {}
-    for method, short in ((aggregate.METHOD_MARKET, "market"), (aggregate.METHOD_MEAN, "survey")):
+    for method, name in evaluate.COMPARED.items():
+        tests[f"overestimation_{name}"] = _test_dict(over.get(method))
         quad, result = asymmetry.get(method, (None, None))
-        tests[f"asymmetry_{short}"] = _test_dict(result)
+        tests[f"asymmetry_{name}"] = _test_dict(result)
         if quad is not None:
-            quadrants[short] = quad.to_dict()
+            quadrants[name] = quad.to_dict()
 
     return forecasts, scores, {"tests": tests, "quadrants": quadrants,
                                "correlations": evaluate.forecast_correlations(scores)}
@@ -144,11 +142,11 @@ def dynamics_stage(ds, loess_cfg: dynamics.LoessConfig, fractions,
     return curves, dyn
 
 
-def run_pipeline(ds, threshold: float = 0.5, p_threshold: float = DEFAULT_P_THRESHOLD,
-                 yates: bool = False,
+def run_pipeline(ds, threshold: float = 0.5, yates: bool = False,
                  loess_cfg: dynamics.LoessConfig | None = None) -> dict:
     """Both stages plus the report-only parts: Tables 1 and 2, aggregator
-    summaries, market sizes and the first-hour reduction.
+    summaries, market sizes and the first-hour reduction. Table 2 cuts the
+    p-value categories at the dataset's `p_threshold`.
 
     Returns {"report": ..., "scores": ..., "forecasts": ..., "curves": ...}.
     Pieces that are undefined on the given data (degenerate fixtures) are
@@ -156,7 +154,7 @@ def run_pipeline(ds, threshold: float = 0.5, p_threshold: float = DEFAULT_P_THRE
     """
     loess_cfg = loess_cfg or dynamics.LoessConfig()
     forecasts, scores, evaluation = forecast_stage(ds, threshold=threshold, yates=yates)
-    table2 = or_null(evaluate.build_table2, ds.findings, p_threshold)
+    table2 = or_null(evaluate.build_table2, ds.findings, ds.p_threshold)
 
     aggregators = {}
     for method in aggregate.SURVEY_METHODS:
@@ -165,9 +163,8 @@ def run_pipeline(ds, threshold: float = 0.5, p_threshold: float = DEFAULT_P_THRE
         if not values:
             continue
         n = len(values)
-        mean = stats.left_sum(values) / n
-        sd = (stats.left_sum((v - mean) ** 2 for v in values) / (n - 1)) ** 0.5 if n > 1 else 0.0
-        aggregators[method] = {"mean": mean, "sd": sd,
+        mean, var = stats.mean_var(values)
+        aggregators[method] = {"mean": mean, "sd": var ** 0.5,
                                "mae": stats.left_sum(errors) / n, "n": n}
 
     trade_counts = [len(trades_for(ds, fid)) for fid in ds.finding_ids()]
@@ -191,7 +188,7 @@ def run_pipeline(ds, threshold: float = 0.5, p_threshold: float = DEFAULT_P_THRE
     report = {
         "counts": {"findings": len(ds.findings), "trades": len(ds.trades),
                    "surveys": len(ds.surveys)},
-        "config": {"threshold": threshold, "p_threshold": p_threshold,
+        "config": {"threshold": threshold, "p_threshold": ds.p_threshold,
                    "yates": yates, "loess_span": loess_cfg.span,
                    "loess_degree": loess_cfg.degree},
         "table1": evaluate.build_table1(ds, scores),
@@ -279,7 +276,7 @@ def cmd_dynamics(args) -> int:
 
 def cmd_pvalue(args) -> int:
     ds = _load(args)
-    table2 = evaluate.build_table2(ds.findings, args.pvalue_threshold)
+    table2 = evaluate.build_table2(ds.findings, ds.p_threshold)
     out = _out_dir(args)
     evaluate.write_table2_csv(table2, out / "table2.csv")
     _write_json(table2, out / "table2.json")
@@ -291,9 +288,8 @@ def cmd_pvalue(args) -> int:
 def cmd_report(args) -> int:
     ds = _load(args)
     cfg = dynamics.LoessConfig(span=args.loess_span, degree=args.loess_degree)
-    result = run_pipeline(ds, threshold=args.threshold,
-                          p_threshold=args.pvalue_threshold,
-                          yates=args.yates, loess_cfg=cfg)
+    result = run_pipeline(ds, threshold=args.threshold, yates=args.yates,
+                          loess_cfg=cfg)
     report = result["report"]
     out = _out_dir(args)
     aggregate.write_aggregates(result["forecasts"], out / "aggregates.csv")

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset, Finding, MS_PER_HOUR, closed_trades, write_csv
-from .errors import EmptyMarket, InsufficientPoints, NoReduction
+from .errors import EmptyMarket, InsufficientPoints, NoReduction, OutOfRange
 from . import stats
 
 AXIS_TRADES = "trade_index"
@@ -51,9 +51,9 @@ class LoessConfig:
 
     def __post_init__(self):
         if not 0.0 < self.span <= 1.0:
-            raise ValueError(f"span must be in (0, 1], got {self.span}")
+            raise OutOfRange(f"span must be in (0, 1], got {self.span}")
         if self.degree not in (1, 2):
-            raise ValueError(f"degree must be 1 or 2, got {self.degree}")
+            raise OutOfRange(f"degree must be 1 or 2, got {self.degree}")
 
 
 @dataclass(frozen=True)

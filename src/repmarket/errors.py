@@ -46,6 +46,11 @@ class EmptyMarket(Undefined):
     """A market with no usable trades."""
 
 
+class OutOfRange(RepmarketError, ValueError):
+    """A setting lies outside the values its rule allows (a LOESS span or
+    degree, the size of a synthetic fixture)."""
+
+
 class ReplayUnavailable(RepmarketError, ValueError):
     """Simulated replay lacks an input it needs (liquidity or recorded quantities)."""
 

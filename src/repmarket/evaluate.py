@@ -23,6 +23,10 @@ from . import stats
 
 POOLED = "Pooled"
 
+# the two forecasters the paper compares, each with its name in the report;
+# report rows and columns follow this order
+COMPARED = {METHOD_MARKET: "market", METHOD_MEAN: "survey"}
+
 
 @dataclass(frozen=True)
 class ScoreRow:
@@ -107,13 +111,24 @@ def score(forecasts: list[AggregateForecast], findings,
     return rows
 
 
-def _scores_by_finding(scores, method: str) -> dict[str, ScoreRow]:
-    return {s.finding_id: s for s in scores if s.method == method}
+def _rows_by_id(scores, method: str) -> dict[str, ScoreRow]:
+    """The method's score row of each finding, in finding-id order."""
+    return dict(sorted(((s.finding_id, s) for s in scores if s.method == method),
+                       key=lambda item: item[0]))
+
+
+def paired_scores(scores) -> tuple[list[ScoreRow], list[ScoreRow]]:
+    """The market's and the survey mean's score rows on the findings both
+    scored, in finding-id order."""
+    market, survey = (_rows_by_id(scores, method) for method in COMPARED)
+    both = [i for i in market if i in survey]
+    return [market[i] for i in both], [survey[i] for i in both]
 
 
 def summarize(scores: list[ScoreRow], findings,
               group_by: str = "project") -> list[ProjectSummary]:
-    """Per-project summaries (`group_by="project"`) or one pooled row."""
+    """Per-project summaries (`group_by="project"`) or one pooled row of the
+    two compared methods."""
     by_id = _findings_by_id(findings)
     if group_by == "pooled":
         groups = [(POOLED, list(by_id.values()))]
@@ -124,7 +139,7 @@ def summarize(scores: list[ScoreRow], findings,
     else:
         raise ValueError(f"group_by must be 'project' or 'pooled', got {group_by!r}")
 
-    methods = sorted({s.method for s in scores})
+    market, survey = paired_scores(scores)
     summaries = []
     for name, members in groups:
         ids = {f.finding_id for f in members}
@@ -133,7 +148,7 @@ def summarize(scores: list[ScoreRow], findings,
         summary = ProjectSummary(
             project=name, n_findings=n, n_replicated=n_rep,
             replication_rate=n_rep / n if n else 0.0)
-        for method in methods:
+        for method in COMPARED:
             rows = [s for s in scores if s.method == method and s.finding_id in ids]
             if not rows:
                 continue
@@ -142,19 +157,15 @@ def summarize(scores: list[ScoreRow], findings,
             summary.mae[method] = stats.left_sum(r.abs_error for r in rows) / len(rows)
             summary.spearman_outcome[method] = or_null(
                 stats.spearman, [r.outcome for r in rows], [r.forecast for r in rows])
-        market = _scores_by_finding(scores, METHOD_MARKET)
-        survey = _scores_by_finding(scores, METHOD_MEAN)
-        both = sorted(ids & market.keys() & survey.keys())
+        both = [(m.forecast, s.forecast) for m, s in zip(market, survey)
+                if m.finding_id in ids]
         if len(both) >= 3:
-            summary.spearman_market_survey = or_null(
-                stats.spearman, [market[i].forecast for i in both],
-                [survey[i].forecast for i in both])
+            summary.spearman_market_survey = or_null(stats.spearman, *zip(*both))
         summaries.append(summary)
     return summaries
 
 
-def asymmetry_tests(scores: list[ScoreRow],
-                    methods: tuple[str, ...] = (METHOD_MARKET, METHOD_MEAN),
+def asymmetry_tests(scores: list[ScoreRow], methods: tuple[str, ...] = tuple(COMPARED),
                     yates: bool = False) -> dict[str, tuple[ConfusionQuadrants, stats.TestResult]]:
     """Is each method more accurate on predicted failures than on predicted
     replications? Chi-square on the (predicted class x correctness) table."""
@@ -176,82 +187,66 @@ def asymmetry_tests(scores: list[ScoreRow],
     return out
 
 
-def accuracy_comparison_test(scores: list[ScoreRow],
-                             method_a: str = METHOD_MARKET,
-                             method_b: str = METHOD_MEAN,
-                             yates: bool = False) -> stats.TestResult:
-    """Chi-square comparing the correct/incorrect counts of two methods."""
+def accuracy_comparison_test(scores: list[ScoreRow], yates: bool = False) -> stats.TestResult:
+    """Chi-square comparing the correct/incorrect counts of the market's
+    final price (first row) and the survey mean (second row)."""
     def counts(method):
         rows = [s for s in scores if s.method == method]
         correct = sum(s.correct for s in rows)
         return [correct, len(rows) - correct]
 
-    return stats.chi_square_1df([counts(method_a), counts(method_b)], yates=yates)
+    return stats.chi_square_1df([counts(method) for method in COMPARED], yates=yates)
 
 
-def overestimation_tests(forecasts: list[AggregateForecast], findings,
-                         methods: tuple[str, ...] = (METHOD_MEAN, METHOD_MARKET),
-                         ) -> dict[str, stats.TestResult]:
-    """Paired t-tests of outcomes against each method's forecasts.
+def overestimation_tests(forecasts: list[AggregateForecast],
+                         findings) -> dict[str, stats.TestResult]:
+    """Paired t-tests of outcomes against the forecasts of the market's final
+    price and of the survey mean, keyed by method.
 
     Negative t means the forecasts overestimate the replication rate.
     """
     by_id = _findings_by_id(findings)
     out = {}
-    for method in methods:
+    for method in COMPARED:
         pairs = [(by_id[f.finding_id].outcome, f.value)
                  for f in forecasts if f.method == method and f.finding_id in by_id]
         out[method] = stats.paired_t([p[0] for p in pairs], [p[1] for p in pairs])
     return out
 
 
-def error_difference_test(scores: list[ScoreRow],
-                          method_a: str = METHOD_MEAN,
-                          method_b: str = METHOD_MARKET) -> stats.TestResult:
-    """Paired t-test of per-finding absolute errors, method_a minus method_b.
+def error_difference_test(scores: list[ScoreRow]) -> stats.TestResult:
+    """Paired t-test of per-finding absolute errors, the survey mean's minus
+    the market's final price's.
 
-    With the defaults, positive t means the market's errors are smaller
-    than the survey's.
+    Positive t means the market's errors are smaller than the survey's.
     """
-    a = _scores_by_finding(scores, method_a)
-    b = _scores_by_finding(scores, method_b)
-    both = sorted(a.keys() & b.keys())
-    return stats.paired_t([a[i].abs_error for i in both],
-                          [b[i].abs_error for i in both])
+    market, survey = paired_scores(scores)
+    return stats.paired_t([s.abs_error for s in survey], [m.abs_error for m in market])
 
 
-def extremeness_test(scores: list[ScoreRow],
-                     method_a: str = METHOD_MARKET,
-                     method_b: str = METHOD_MEAN) -> stats.TestResult:
-    """Paired t-test of per-finding extremeness, method_a minus method_b."""
-    a = _scores_by_finding(scores, method_a)
-    b = _scores_by_finding(scores, method_b)
-    both = sorted(a.keys() & b.keys())
-    return stats.paired_t([a[i].extremeness for i in both],
-                          [b[i].extremeness for i in both])
+def extremeness_test(scores: list[ScoreRow]) -> stats.TestResult:
+    """Paired t-test of per-finding extremeness, the market's final price's
+    minus the survey mean's."""
+    market, survey = paired_scores(scores)
+    return stats.paired_t([m.extremeness for m in market], [s.extremeness for s in survey])
 
 
 def forecast_correlations(scores: list[ScoreRow]) -> dict[str, float | None]:
-    """Outcome/forecast and market/survey correlations on shared findings."""
-    market = _scores_by_finding(scores, METHOD_MARKET)
-    survey = _scores_by_finding(scores, METHOD_MEAN)
-
+    """Each compared method's outcome/forecast correlation over the findings
+    it scored, and the market/survey correlations on the findings both scored."""
     out: dict[str, float | None] = {}
-    m_ids = sorted(market)
-    s_ids = sorted(survey)
-    out["pearson_outcome_market"] = or_null(
-        stats.pearson, [market[i].outcome for i in m_ids], [market[i].forecast for i in m_ids])
-    out["pearson_outcome_survey"] = or_null(
-        stats.pearson, [survey[i].outcome for i in s_ids], [survey[i].forecast for i in s_ids])
-    both = sorted(market.keys() & survey.keys())
-    out["pearson_market_survey"] = or_null(
-        stats.pearson, [market[i].forecast for i in both], [survey[i].forecast for i in both])
-    out["spearman_market_survey"] = or_null(
-        stats.spearman, [market[i].forecast for i in both], [survey[i].forecast for i in both])
+    for method, name in COMPARED.items():
+        rows = _rows_by_id(scores, method).values()
+        out[f"pearson_outcome_{name}"] = or_null(
+            stats.pearson, [r.outcome for r in rows], [r.forecast for r in rows])
+    market, survey = paired_scores(scores)
+    pairs = ([m.forecast for m in market], [s.forecast for s in survey])
+    out["pearson_market_survey"] = or_null(stats.pearson, *pairs)
+    out["spearman_market_survey"] = or_null(stats.spearman, *pairs)
     return out
 
 
-def pvalue_regression(findings, p_threshold: float = DEFAULT_P_THRESHOLD,
+def pvalue_regression(findings: list[Finding], p_threshold: float = DEFAULT_P_THRESHOLD,
                       ) -> tuple[stats.OLSFit, dict[str, dict]]:
     """OLS of outcome on the significant-evidence indicator, plus rates.
 
@@ -259,8 +254,6 @@ def pvalue_regression(findings, p_threshold: float = DEFAULT_P_THRESHOLD,
     intercept is then the above-threshold replication rate and
     intercept + slope the at-or-below rate.
     """
-    if isinstance(findings, Dataset):
-        findings = findings.findings
     x = [1.0 if f.p_value_category == CATEGORY_AT_OR_BELOW else 0.0
          for f in findings]
     y = [float(f.outcome) for f in findings]
@@ -289,21 +282,16 @@ def build_table1(ds: Dataset, scores: list[ScoreRow]) -> dict:
     groups += summarize(scores, ds, group_by="pooled")
     rows = []
     for g in groups:
-        rows.append({
-            "project": g.project,
-            "n_findings": g.n_findings,
-            "n_replicated": g.n_replicated,
-            "replication_rate": g.replication_rate,
-            "market_mean_belief": g.mean_belief.get(METHOD_MARKET),
-            "market_n_correct": g.n_correct.get(METHOD_MARKET),
-            "market_mae": g.mae.get(METHOD_MARKET),
-            "survey_mean_belief": g.mean_belief.get(METHOD_MEAN),
-            "survey_n_correct": g.n_correct.get(METHOD_MEAN),
-            "survey_mae": g.mae.get(METHOD_MEAN),
-            "spearman_market_survey": g.spearman_market_survey,
-            "spearman_outcome_market": g.spearman_outcome.get(METHOD_MARKET),
-            "spearman_outcome_survey": g.spearman_outcome.get(METHOD_MEAN),
-        })
+        row = {"project": g.project, "n_findings": g.n_findings,
+               "n_replicated": g.n_replicated, "replication_rate": g.replication_rate}
+        for method, name in COMPARED.items():
+            row[f"{name}_mean_belief"] = g.mean_belief.get(method)
+            row[f"{name}_n_correct"] = g.n_correct.get(method)
+            row[f"{name}_mae"] = g.mae.get(method)
+        row["spearman_market_survey"] = g.spearman_market_survey
+        for method, name in COMPARED.items():
+            row[f"spearman_outcome_{name}"] = g.spearman_outcome.get(method)
+        rows.append(row)
     return {"rows": rows}
 
 

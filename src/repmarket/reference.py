@@ -52,10 +52,6 @@ TABLE1 = {
     },
 }
 
-# The pooled market correct count is printed as 76 in the summary table but
-# as 75 in the running text; both are kept.
-MARKET_N_CORRECT_ALTERNATE = 75
-
 TESTS = {
     "overestimation_survey": {"t": -2.89, "p": 0.0046},
     "overestimation_market": {"t": -3.43, "p": 0.00088},
@@ -73,8 +69,7 @@ CORRELATIONS = {
     "spearman_market_survey": 0.837,
 }
 
-# predicted-fail / predicted-replicate quadrant counts; note the published
-# market counts sum to 104 rather than 103
+# predicted-fail / predicted-replicate quadrant counts
 QUADRANTS = {
     "market": {"predicted_fail": 31, "fail_but_replicated": 3,
                "predicted_replicate": 73, "replicate_but_failed": 25},
@@ -106,7 +101,28 @@ DYNAMICS = {
 }
 
 
-def _row(metric: str, computed, published, note: str = "") -> dict:
+# Every published section, in the order of the discrepancy rows
+PUBLISHED = {
+    "counts": COUNTS,
+    "table1": TABLE1,
+    "tests": TESTS,
+    "correlations": CORRELATIONS,
+    "quadrants": QUADRANTS,
+    "aggregators": AGGREGATORS,
+    "table2": {**TABLE2, "category_rates": CATEGORY_RATES},
+    "dynamics": DYNAMICS,
+}
+
+# Published values that contradict themselves, keyed by metric; a note on a
+# section covers every metric in it
+NOTES = {
+    # printed as 76 in the summary table but as 75 in the running text
+    "table1.Pooled.market_n_correct": "also published as 75 in the running text",
+    "quadrants.market": "published market quadrants sum to 104 of 103 findings",
+}
+
+
+def _row(metric: str, computed, published, note: str) -> dict:
     delta = None
     if computed is not None and published is not None:
         try:
@@ -117,65 +133,38 @@ def _row(metric: str, computed, published, note: str = "") -> dict:
             "delta": delta, "note": note}
 
 
+def _published_view(report: dict) -> dict:
+    """The report under the published names: Table 1 rows keyed by project,
+    a test's statistic and p-value as its published `t`/`statistic` and `p`,
+    and each p-value category as its rate."""
+    tests = {name: {"t": test.get("statistic"), "statistic": test.get("statistic"),
+                    "p": test.get("p_value")}
+             for name, test in (report.get("tests") or {}).items() if test}
+    table2 = report.get("table2") or {}
+    rates = {category: (counts or {}).get("rate")
+             for category, counts in (table2.get("category_rates") or {}).items()}
+    return {**report,
+            "table1": {r.get("project"): r
+                       for r in (report.get("table1") or {}).get("rows", [])},
+            "tests": tests,
+            "table2": {**table2, "category_rates": rates}}
+
+
+def _walk(published: dict, computed, path: str, note: str):
+    for key, value in published.items():
+        metric = f"{path}.{key}" if path else key
+        here = computed.get(key) if isinstance(computed, dict) else None
+        metric_note = NOTES.get(metric, note)
+        if isinstance(value, dict):
+            yield from _walk(value, here, metric, metric_note)
+        else:
+            yield _row(metric, here, value, metric_note)
+
+
 def build_discrepancies(report: dict) -> list[dict]:
     """One row per published metric: computed value, published value, delta.
 
     `report` is the structured report document assembled by the pipeline;
     metrics it does not contain are reported with computed=None.
     """
-    rows: list[dict] = []
-
-    counts = report.get("counts", {})
-    for key, published in COUNTS.items():
-        rows.append(_row(f"counts.{key}", counts.get(key), published))
-
-    table1_rows = {r.get("project"): r for r in report.get("table1", {}).get("rows", [])}
-    for project, published in TABLE1.items():
-        computed = table1_rows.get(project, {})
-        for key, pub_val in published.items():
-            note = ""
-            if project == "Pooled" and key == "market_n_correct":
-                note = (f"also published as {MARKET_N_CORRECT_ALTERNATE} in the "
-                        "running text")
-            rows.append(_row(f"table1.{project}.{key}", computed.get(key),
-                             pub_val, note))
-
-    tests = report.get("tests", {})
-    for name, published in TESTS.items():
-        computed = tests.get(name) or {}
-        for key, pub_val in published.items():
-            comp_key = "statistic" if key in ("t", "statistic") else "p_value"
-            rows.append(_row(f"tests.{name}.{key}", computed.get(comp_key), pub_val))
-
-    correlations = report.get("correlations", {})
-    for key, pub_val in CORRELATIONS.items():
-        rows.append(_row(f"correlations.{key}", correlations.get(key), pub_val))
-
-    quadrants = report.get("quadrants", {})
-    for method, published in QUADRANTS.items():
-        computed = quadrants.get(method, {})
-        note = ("published market quadrants sum to 104 of 103 findings"
-                if method == "market" else "")
-        for key, pub_val in published.items():
-            rows.append(_row(f"quadrants.{method}.{key}", computed.get(key),
-                             pub_val, note))
-
-    agg = report.get("aggregators", {})
-    for method, published in AGGREGATORS.items():
-        computed = agg.get(method, {})
-        for key, pub_val in published.items():
-            rows.append(_row(f"aggregators.{method}.{key}", computed.get(key), pub_val))
-
-    table2 = report.get("table2") or {}
-    for key, pub_val in TABLE2.items():
-        rows.append(_row(f"table2.{key}", table2.get(key), pub_val))
-    cat_rates = table2.get("category_rates", {})
-    for key, pub_val in CATEGORY_RATES.items():
-        rows.append(_row(f"table2.category_rates.{key}",
-                         (cat_rates.get(key) or {}).get("rate"), pub_val))
-
-    dyn = report.get("dynamics", {})
-    for key, pub_val in DYNAMICS.items():
-        rows.append(_row(f"dynamics.{key}", dyn.get(key), pub_val))
-
-    return rows
+    return list(_walk(PUBLISHED, _published_view(report), "", ""))

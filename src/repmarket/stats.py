@@ -32,6 +32,16 @@ def left_sum(values):
     return functools.reduce(operator.add, values, 0)
 
 
+def mean_var(values) -> tuple[float, float]:
+    """Mean and n-1 sample variance of one or more values, each summed left
+    to right; the variance of a single value is 0.0."""
+    values = list(values)
+    n = len(values)
+    mean = left_sum(values) / n
+    var = left_sum((v - mean) ** 2 for v in values) / (n - 1) if n > 1 else 0.0
+    return mean, var
+
+
 @dataclass(frozen=True)
 class TestResult:
     statistic: float
@@ -226,9 +236,7 @@ def paired_t(x, y) -> TestResult:
         raise ValueError("sequences must have equal length")
     if n < 2:
         raise DegenerateInput(f"need at least 2 pairs, got {n}")
-    d = [a - b for a, b in zip(x, y)]
-    mean = left_sum(d) / n
-    var = left_sum((v - mean) ** 2 for v in d) / (n - 1)
+    mean, var = mean_var(a - b for a, b in zip(x, y))
     df = n - 1
     if var == 0.0:
         if mean == 0.0:

@@ -13,6 +13,7 @@ import random
 from pathlib import Path
 
 from . import lmsr
+from .errors import OutOfRange
 from .dataset import (
     CATEGORY_ABOVE,
     CATEGORY_AT_OR_BELOW,
@@ -38,7 +39,9 @@ def synthetic_dataset(seed: int, n_markets: int = 12, n_traders: int = 8,
                       endowment: float = 1e9) -> Dataset:
     """Generate an in-memory dataset of LMSR-driven markets and surveys."""
     if n_markets < 2:
-        raise ValueError("need at least 2 markets (one per p-value category)")
+        raise OutOfRange("need at least 2 markets (one per p-value category)")
+    if n_traders < 1:
+        raise OutOfRange(f"need at least 1 trader, got {n_traders}")
     rng = random.Random(seed)
     trader_ids = [f"trader{j + 1:02d}" for j in range(n_traders)]
 

@@ -252,3 +252,43 @@ def test_pvalue_threshold_only_on_commands_that_read_categories():
         assert parser.parse_args([cmd, "--pvalue-threshold", "0.01"]).pvalue_threshold == 0.01
     with pytest.raises(SystemExit):
         parser.parse_args(["evaluate", "--pvalue-threshold", "0.01"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["dynamics", "--loess-span", "0"],
+    ["report", "--loess-span", "1.5"],
+    ["synth", "--seed", "1", "--markets", "1"],
+    ["synth", "--seed", "1", "--traders", "0"],
+], ids=["dynamics_span_0", "report_span_1.5", "synth_1_market", "synth_0_traders"])
+def test_cli_out_of_range_option_exits_cleanly(synth_paths, tmp_path, capsys, argv):
+    data = [] if argv[0] == "synth" else _data_args(synth_paths)
+    rc = main([*argv, *data, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: OutOfRange: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_pipeline_reports_the_dataset_p_threshold(synth_paths):
+    from repmarket.cli import run_pipeline
+
+    ds = load_dataset(synth_paths["outcomes"], synth_paths["surveys"],
+                      synth_paths["trades"], p_threshold=0.01)
+    report = run_pipeline(ds)["report"]
+    assert report["config"]["p_threshold"] == 0.01
+    rates = report["table2"]["category_rates"]
+    assert len(rates) == 2
+    assert all(rate["threshold"] == 0.01 for rate in rates.values())
+
+
+def test_discrepancies_of_an_empty_report_name_every_metric_without_a_value(synth_paths):
+    from repmarket.cli import run_pipeline
+    from repmarket.reference import build_discrepancies
+
+    ds = load_dataset(synth_paths["outcomes"], synth_paths["surveys"], synth_paths["trades"])
+    full = build_discrepancies(run_pipeline(ds)["report"])
+    empty = build_discrepancies({})
+    assert [r["metric"] for r in empty] == [r["metric"] for r in full]
+    assert all(r["computed"] is None and r["delta"] is None for r in empty)
+    assert [r["published"] for r in empty] == [r["published"] for r in full]
+    assert [r["note"] for r in empty] == [r["note"] for r in full]
