@@ -13,8 +13,8 @@ from functools import partial
 from pathlib import Path
 
 # trades_for stays bound here: code that reads or patches aggregate.trades_for relies on it
-from .dataset import Dataset, closed_trades, surveys_for, trades_for, write_csv  # noqa: F401
-from .errors import AllWeightsZero, EmptyMarket, NoSurveyResponses, or_null
+from .dataset import Dataset, closed_rows, surveys_for, trades_for, write_csv  # noqa: F401
+from .errors import AllWeightsZero, EmptyMarket, NoSurveyResponses, OutOfRange, or_null
 from .stats import left_sum, mean_var
 
 METHOD_MARKET = "market_final_price"
@@ -43,11 +43,12 @@ class ForecasterWeight:
 
 def market_final_price(ds: Dataset, finding_id: str) -> AggregateForecast:
     """Last post-trade price at or before market close."""
-    in_window = closed_trades(ds, ds.finding(finding_id))
-    if not in_window:
+    rows = closed_rows(ds, ds.finding(finding_id))
+    if rows.start == rows.stop:
         raise EmptyMarket(f"no trades at or before close for {finding_id!r}")
     return AggregateForecast(finding_id, METHOD_MARKET,
-                             in_window[-1].post_trade_price, len(in_window))
+                             float(ds.trade_columns.price[rows.stop - 1]),
+                             rows.stop - rows.start)
 
 
 def _beliefs(ds: Dataset, finding_id: str) -> list[float]:
@@ -108,10 +109,17 @@ def survey_var_weighted(ds: Dataset, finding_id: str,
     return AggregateForecast(finding_id, METHOD_VAR_WEIGHTED, value, len(responses))
 
 
+def check_threshold(threshold: float) -> None:
+    """Refuse a binarization threshold that is not a number in [0, 1]."""
+    if not 0.0 <= threshold <= 1.0:
+        raise OutOfRange(f"threshold must be in [0, 1], got {threshold}")
+
+
 def aggregate_all(ds: Dataset, methods=ALL_METHODS,
                   threshold: float = 0.5) -> list[AggregateForecast]:
     """One forecast per (finding, method), skipping findings a method cannot
     aggregate (empty market / no responses / all-zero weights)."""
+    check_threshold(threshold)
     rules = {
         METHOD_MARKET: market_final_price,
         METHOD_MEAN: survey_mean,

@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import aggregate, dynamics, evaluate, lmsr, reference, stats, synth
-from .dataset import (DEFAULT_P_THRESHOLD, load_dataset, load_mapping, trades_for,
-                      validate, write_csv)
+# trades_for stays bound here: code that reads or patches cli.trades_for relies on it
+from .dataset import (DEFAULT_P_THRESHOLD, load_dataset, load_mapping, trade_counts,  # noqa: F401
+                      trades_for, validate, write_csv)
 from .errors import RepmarketError, or_null
 
 DATA_DIR_ENV = "REPMARKET_DATA_DIR"
@@ -79,7 +80,7 @@ def _out_dir(args) -> Path:
 
 def _write_json(obj, path: Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -167,13 +168,12 @@ def run_pipeline(ds, threshold: float = 0.5, yates: bool = False,
         aggregators[method] = {"mean": mean, "sd": var ** 0.5,
                                "mae": stats.left_sum(errors) / n, "n": n}
 
-    trade_counts = [len(trades_for(ds, fid)) for fid in ds.finding_ids()]
+    counts = trade_counts(ds)
     curves, convergence = dynamics_stage(ds, loess_cfg, (0.9,), cutoff_hours=168.0)
     dyn = {
-        "trades_per_market_min": min(trade_counts) if trade_counts else None,
-        "trades_per_market_max": max(trade_counts) if trade_counts else None,
-        "trades_per_market_mean": (sum(trade_counts) / len(trade_counts)
-                                   if trade_counts else None),
+        "trades_per_market_min": min(counts) if counts else None,
+        "trades_per_market_max": max(counts) if counts else None,
+        "trades_per_market_mean": sum(counts) / len(counts) if counts else None,
         **convergence,
     }
     hours_smoothed = curves["hours"][1]
@@ -186,7 +186,7 @@ def run_pipeline(ds, threshold: float = 0.5, yates: bool = False,
         dyn["first_hour_reduction_fraction"] = None
 
     report = {
-        "counts": {"findings": len(ds.findings), "trades": len(ds.trades),
+        "counts": {"findings": len(ds.findings), "trades": len(ds.trade_columns),
                    "surveys": len(ds.surveys)},
         "config": {"threshold": threshold, "p_threshold": ds.p_threshold,
                    "yates": yates, "loess_span": loess_cfg.span,
@@ -216,7 +216,7 @@ def cmd_validate(args) -> int:
     _write_json(merged, out / "validation.json")
     n_load_errors = len(ds.load_report.errors) if ds.load_report else 0
     print(f"records: {len(ds.findings)} findings, {len(ds.surveys)} surveys, "
-          f"{len(ds.trades)} trades")
+          f"{len(ds.trade_columns)} trades")
     print(f"load errors: {n_load_errors}; validation errors: {len(report.errors)}; "
           f"warnings: {len(report.warnings) }")
     print(f"wrote {out / 'validation.json'}")

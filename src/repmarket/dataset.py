@@ -16,11 +16,15 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 
-from .errors import InvalidMapping, MissingColumn, MissingInput, UnknownFinding
+import numpy as np
+
+from .errors import InvalidMapping, MissingColumn, MissingInput, OutOfRange, UnknownFinding
 
 PROJECTS = ("RPP", "EERP", "ML2", "SSRP")
 SIDES = ("YES", "NO")
@@ -62,6 +66,9 @@ MS_PER_HOUR = 3_600_000
 MIN_TIMESTAMP_MS = -62_135_596_800_000
 MAX_TIMESTAMP_MS = 253_402_300_799_999
 _OUTSIDE_YEARS = "outside the years 0001-9999 UTC"
+# an int64 column holds instants below this many ms from the epoch: their
+# differences then stay below 2**53, where float64 holds them exactly
+_EXACT_MS = 2**52
 
 _CATEGORY_ALIASES = {
     "above": CATEGORY_ABOVE,
@@ -174,27 +181,157 @@ class ValidationReport:
         }
 
 
+# the columns of TradeColumns that hold one entry per row
+_ROW_COLUMNS = ("finding", "trader", "timestamp", "yes", "no", "quantity", "has_quantity",
+                "price", "load_index", "source_row")
+
+
+@dataclass(frozen=True, eq=False)
+class TradeColumns:
+    """A trades table as columns, one entry per trade.
+
+    A Dataset holds its trades so in trade order: grouped by market in the
+    order the finding ids first occur, each market's rows sorted by
+    (timestamp, load sequence), and the rows of unknown findings first.
+    `records` gives the rows as `Trade` records.
+    """
+    finding_ids: list[str]    # the distinct finding ids, which `finding` indexes
+    finding: np.ndarray       # int64; -1 for a finding_id the findings lack
+    trader: np.ndarray        # object: the trader ids
+    timestamp: np.ndarray     # int64 ms since epoch; Python ints past _EXACT_MS
+    yes: np.ndarray           # bool: the side is YES
+    no: np.ndarray            # bool: the side is NO (neither: not a side)
+    quantity: np.ndarray      # float64; NaN where no quantity is recorded
+    has_quantity: np.ndarray  # bool: a quantity (NaN too) is recorded
+    price: np.ndarray         # float64 post-trade YES price
+    load_index: np.ndarray    # int64 position of each row in load order
+    source_row: np.ndarray | None = None  # int64 data row of each loaded row
+    given: list[Trade] | None = None      # the records the columns were taken from
+
+    @classmethod
+    def from_records(cls, trades: list[Trade], findings: list[Finding],
+                     group: dict[str, int]) -> TradeColumns:
+        """The columns of the records in trade order; `group` numbers the
+        finding ids. The records are kept."""
+        fids, traders, times, sides, quantities, prices, seqs = (
+            list(map(attrgetter(name), trades)) for name in (
+                "finding_id", "trader_id", "timestamp", "side", "quantity",
+                "post_trade_price", "seq"))
+        bounds = [ms for f in findings for ms in (f.market_open, f.market_close)]
+        columns = _trade_columns(list(group), [group.get(fid, -1) for fid in fids], traders,
+                                 _ms_column(times, bounds), sides, quantities, prices,
+                                 given=trades)
+        return columns[np.lexsort((np.array(seqs), columns.timestamp, columns.finding))]
+
+    def __len__(self) -> int:
+        return len(self.load_index)
+
+    def __getitem__(self, rows) -> TradeColumns:
+        """The given rows, in the given order (a slice gives views)."""
+        return replace(self, **{name: column[rows] for name in _ROW_COLUMNS
+                                if (column := getattr(self, name)) is not None})
+
+    def records(self, rows=slice(None)) -> list[Trade]:
+        """The Trade of each of the given rows: the record the columns were
+        taken from, or one built from a loaded row."""
+        if self.given is not None:
+            return [self.given[i] for i in self.load_index[rows].tolist()]
+        # a loaded row names a known finding and a side
+        part = self[rows]
+        return list(map(Trade, [self.finding_ids[k] for k in part.finding.tolist()],
+                        part.trader.tolist(), part.timestamp.tolist(),
+                        ["YES" if yes else "NO" for yes in part.yes.tolist()],
+                        [q if has else None for q, has in zip(part.quantity.tolist(),
+                                                             part.has_quantity.tolist())],
+                        part.price.tolist(), part.load_index.tolist(),
+                        part.source_row.tolist()))
+
+    def record(self, row: int) -> Trade:
+        """The Trade of one row."""
+        return self.records(slice(row, row + 1))[0]
+
+
+def _trade_columns(finding_ids: list[str], finding, traders, timestamp: np.ndarray, sides,
+                   quantities, prices, source_row=None, given=None) -> TradeColumns:
+    """Columns of the rows' values in the given order; None is no quantity."""
+    sides = np.array(sides, dtype=object)
+    return TradeColumns(
+        finding_ids, np.array(finding, dtype=np.int64), np.array(traders, dtype=object),
+        timestamp, sides == "YES", sides == "NO", np.array(quantities, dtype=float),
+        np.array([q is not None for q in quantities], dtype=bool),
+        np.array(prices, dtype=float), np.arange(len(timestamp)), source_row, given)
+
+
+def _ms_column(times, bounds=()) -> np.ndarray:
+    """The instants as int64, or as Python ints (exact at any size) when one
+    of them or of the market bounds is not an int below _EXACT_MS."""
+    both = np.array([*bounds, *times]) if bounds or times else np.zeros(0, np.int64)
+    if both.dtype == np.int64 and bool(np.all((-_EXACT_MS < both) & (both < _EXACT_MS))):
+        return both[len(bounds):]
+    return np.array(times, dtype=object)
+
+
+class _TradeRecords:
+    """The `trades` field of a Dataset. It takes a record list, which it
+    keeps, or the TradeColumns of a loaded table, whose records it builds on
+    the first read."""
+
+    def __get__(self, ds, owner=None):
+        if ds is None:
+            raise AttributeError("trades")  # the field has no default
+        if ds._trade_records is None:
+            columns = ds.trade_columns
+            ds._trade_records = columns.records(np.argsort(columns.load_index))
+        return ds._trade_records
+
+    def __set__(self, ds, trades):
+        if "_group" in vars(ds):
+            raise AttributeError("a Dataset's trades are grouped when it is built: "
+                                 "rebuild it with dataclasses.replace")
+        if isinstance(trades, TradeColumns):
+            vars(ds).update(trade_columns=trades, _trade_records=None)
+        else:
+            ds._trade_records = trades
+
+
 @dataclass
 class Dataset:
-    """The three tables. Trades and survey responses are grouped by finding when
-    the object is built (records of unknown findings join no group), so a changed
-    dataset must be rebuilt with `dataclasses.replace`, not mutated in place."""
+    """The three tables. The trades are held as columns (`trade_columns`),
+    grouped by market once: a loaded dataset is built from them, and a
+    dataset built from a record list keeps the list and takes its columns on
+    first use. `trades`, `trades_for` and `TradeColumns.records` build `Trade`
+    records only on request. Survey responses are grouped by finding as
+    records. Records of unknown findings join no group. A changed dataset
+    must be rebuilt with `dataclasses.replace`, not mutated in place."""
     findings: list[Finding]
     surveys: list[SurveyResponse]
-    trades: list[Trade]
+    trades: list[Trade] = _TradeRecords()  # or a loaded table's TradeColumns
     load_report: ValidationReport | None = field(default=None, compare=False)
     p_threshold: float = DEFAULT_P_THRESHOLD  # the cut the categories were taken at
 
     def __post_init__(self):
+        if not 0.0 < self.p_threshold < 1.0:
+            raise OutOfRange(f"p-value threshold must be in (0, 1), got {self.p_threshold}")
         self._by_id = {f.finding_id: f for f in self.findings}
-        self._trades = {fid: [] for fid in self._by_id}
+        # trades are grouped by finding id, in the order the ids first occur
+        self._group = {fid: k for k, fid in enumerate(self._by_id)}
+        if "trade_columns" in vars(self) and self.trade_columns.finding_ids != list(self._group):
+            raise ValueError("the trade columns number other findings")
         self._surveys = {fid: [] for fid in self._by_id}
-        for t in self.trades:
-            self._trades.get(t.finding_id, []).append(t)
         for s in self.surveys:
             self._surveys.get(s.finding_id, []).append(s)
-        for group in self._trades.values():
-            group.sort(key=lambda t: (t.timestamp, t.seq))
+
+    @cached_property
+    def trade_columns(self) -> TradeColumns:
+        """The trades as columns in trade order, taken from the kept records
+        on first use (a loaded dataset is built with them)."""
+        return TradeColumns.from_records(self._trade_records, self.findings, self._group)
+
+    @cached_property
+    def _bounds(self) -> list[int]:
+        """Market k's rows are _bounds[k]:_bounds[k + 1]."""
+        return np.searchsorted(self.trade_columns.finding,
+                               np.arange(len(self._group) + 1)).tolist()
 
     def finding(self, finding_id: str) -> Finding:
         try:
@@ -258,6 +395,10 @@ def _parse_column(convert, texts: list[str], column: str, name: str | None,
     """convert(text) of every text. A text that does not parse reads as None
     and gives its row the fault `_parse` words, unless an earlier column gave
     it one (faults maps row number to the first fault)."""
+    try:
+        return list(map(convert, texts))
+    except ValueError:
+        pass  # some text does not parse: take the column row by row
     values = []
     for row, text in enumerate(texts, start=1):
         try:
@@ -270,6 +411,8 @@ def _parse_column(convert, texts: list[str], column: str, name: str | None,
 
 def _empty_ids(finding_ids: list[str], other_ids: list[str], other_column: str) -> dict:
     """The fault of each row (by number) that lacks one of its two ids."""
+    if all(finding_ids) and all(other_ids):
+        return {}
     fault = (f"finding_id/{other_column}", "invalid_value", "empty identifier")
     return {row: fault for row, (fid, other) in enumerate(zip(finding_ids, other_ids), start=1)
             if not fid or not other}
@@ -341,25 +484,12 @@ def _survey_values(columns: list[list[str]]) -> tuple:
     return zip(fids, forecasters, beliefs), faults
 
 
-def _trade_values(columns: list[list[str]]) -> tuple:
-    """The values of each trades row, and the first text fault of each row
-    that has one (ids, then timestamp, quantity and price). A row without a
-    side buys YES."""
-    fids, traders, timestamps, sides, quantities, prices = columns
-    faults = _empty_ids(fids, traders, "trader_id")
-    timestamps = _parse_column(parse_timestamp, timestamps, "timestamp", None, faults)
-    quantities = _parse_column(_optional_float, quantities, "quantity", "quantity", faults)
-    prices = _parse_column(float, prices, "post_trade_price", "price", faults)
-    return zip(fids, traders, timestamps, [s.upper() or "YES" for s in sides],
-               quantities, prices), faults
-
-
 # The record rules, one function per table: the (column, kind, message) faults
 # of one record, given the records before it. A clean record gets the empty
 # tuple, so checking it allocates nothing.
 
-def _unknown_finding(finding_id: str) -> tuple:
-    return (("finding_id", "dangling_reference", f"unknown finding_id {finding_id!r}"),)
+def _unknown_finding(finding_id: str) -> str:
+    return f"unknown finding_id {finding_id!r}"
 
 
 def _finding_faults(f: Finding, seen_ids, p_threshold: float) -> tuple:
@@ -392,7 +522,7 @@ def _finding_faults(f: Finding, seen_ids, p_threshold: float) -> tuple:
 
 def _survey_faults(s: SurveyResponse, finding_ids, seen_pairs) -> tuple:
     if s.finding_id not in finding_ids:
-        return _unknown_finding(s.finding_id)
+        return (("finding_id", "dangling_reference", _unknown_finding(s.finding_id)),)
     faults = ()
     key = (s.finding_id, s.forecaster_id)
     if key in seen_pairs:
@@ -402,22 +532,29 @@ def _survey_faults(s: SurveyResponse, finding_ids, seen_pairs) -> tuple:
     return faults
 
 
-def _trade_faults(t: Trade, finding_ids) -> tuple:
-    if t.finding_id not in finding_ids:
-        return _unknown_finding(t.finding_id)
-    faults = ()
-    if t.side not in SIDES:
-        faults += (("side", "invalid_value", f"side must be YES or NO, got {t.side!r}"),)
-    if t.quantity is not None and not t.quantity > 0:
-        faults += (("quantity", "invalid_value",
-                    f"quantity must be positive, got {t.quantity}"),)
-    if not 0.0 < t.post_trade_price < 1.0:
-        faults += (("post_trade_price", "invalid_value",
-                    f"price {t.post_trade_price} outside (0, 1)"),)
-    # _writable, inlined: this runs on every trade row
-    if not MIN_TIMESTAMP_MS <= t.timestamp <= MAX_TIMESTAMP_MS:
-        faults += (("timestamp", "invalid_value", f"timestamp {t.timestamp} {_OUTSIDE_YEARS}"),)
-    return faults
+def _trade_rule(t: TradeColumns) -> list[tuple]:
+    """The trade rule over whole columns: (column, kind, mask of the rows at
+    fault, message given a faulty row's record) for each of its parts, in
+    rule order. A row of an unknown finding has that fault only."""
+    known = t.finding >= 0
+    return [
+        ("finding_id", "dangling_reference", ~known,
+         lambda r: _unknown_finding(r.finding_id)),
+        ("side", "invalid_value", known & ~(t.yes | t.no),
+         lambda r: f"side must be YES or NO, got {r.side!r}"),
+        ("quantity", "invalid_value", known & t.has_quantity & ~(t.quantity > 0),
+         lambda r: f"quantity must be positive, got {r.quantity}"),
+        ("post_trade_price", "invalid_value", known & ~((0.0 < t.price) & (t.price < 1.0)),
+         lambda r: f"price {r.post_trade_price} outside (0, 1)"),
+        ("timestamp", "invalid_value",
+         known & ~((MIN_TIMESTAMP_MS <= t.timestamp) & (t.timestamp <= MAX_TIMESTAMP_MS)),
+         lambda r: f"timestamp {r.timestamp} {_OUTSIDE_YEARS}"),
+    ]
+
+
+def _faulty_rows(faults: list[tuple]) -> np.ndarray:
+    """The rows that some mask of (column, kind, mask, message) faults marks."""
+    return np.flatnonzero(np.logical_or.reduce([mask for _, _, mask, _ in faults]))
 
 
 def _read_columns(path: str | Path, table: str, fields: tuple[str, ...],
@@ -469,10 +606,11 @@ def load_dataset(outcomes_path: str | Path, surveys_path: str | Path,
     gets exactly one error in ``Dataset.load_report`` (its first text fault,
     else its first rule fault) and no warnings. Trades outside their market's
     window are kept: ``outside_window`` is reported by :func:`validate` only.
-    Categories are taken at ``p_threshold``. A mapping column missing from a
-    file header raises :class:`MissingColumn` for required fields; optional
-    fields (``original_p_value``, ``side``, ``quantity``) may be absent. A
-    mapping that names a table or field the schema lacks raises
+    The trades are kept as columns and build no records. Categories are taken
+    at ``p_threshold``. A mapping column missing from a file header raises
+    :class:`MissingColumn` for required fields; optional fields
+    (``original_p_value``, ``side``, ``quantity``) may be absent. A mapping
+    that names a table or field the schema lacks raises
     :class:`InvalidMapping`.
     """
     _check_mapping(mapping or {})
@@ -482,7 +620,6 @@ def load_dataset(outcomes_path: str | Path, surveys_path: str | Path,
     pairs: set[tuple[str, str]] = set()
     findings: list[Finding] = []
     surveys: list[SurveyResponse] = []
-    trades: list[Trade] = []
     # per table: parse(columns) gives the values of each row and the text
     # fault of each row number that has one; build(values, row) gives the
     # record, or rejects the row on a text fault only it sees
@@ -495,9 +632,6 @@ def load_dataset(outcomes_path: str | Path, surveys_path: str | Path,
          lambda values, row: SurveyResponse(*values, source_row=row),
          lambda s: _survey_faults(s, ids, pairs),
          lambda s: pairs.add((s.finding_id, s.forecaster_id))),
-        ("trades", trades_path, TRADE_FIELDS, trades, _trade_values,
-         lambda values, row: Trade(*values, seq=len(trades), source_row=row),
-         lambda t: _trade_faults(t, ids), lambda t: None),
     )
     for table, path, fields, records, parse, build, rules, keep in tables:
         columns = _read_columns(path, table, fields, mapping)
@@ -521,10 +655,75 @@ def load_dataset(outcomes_path: str | Path, surveys_path: str | Path,
             keep(record)
         report.counts[table] = {"lines": lines, "accepted": len(records),
                                 "rejected": lines - len(records)}
+    trades = _load_trades(_read_columns(trades_path, "trades", TRADE_FIELDS, mapping),
+                          [f.finding_id for f in findings], report)
 
     ds = Dataset(findings, surveys, trades, load_report=report, p_threshold=p_threshold)
     _check_forecasters_traded(ds, report)
     return ds
+
+
+def _parse_trades(columns: list[list[str]]) -> tuple[list[list], dict]:
+    """The value columns of a trades table, and the first text fault of each
+    row that has one (ids, then timestamp, quantity and price). A text that
+    does not parse reads as None; a row without a side buys YES."""
+    fids, traders, timestamps, sides, quantities, prices = columns
+    columns.clear()  # each text column goes once it is parsed
+    faults = _empty_ids(fids, traders, "trader_id")
+    timestamps = _parse_column(parse_timestamp, timestamps, "timestamp", None, faults)
+    # float alone where no quantity is empty: the same values, without a Python call a row
+    quantities = _parse_column(float if all(quantities) else _optional_float, quantities,
+                               "quantity", "quantity", faults)
+    prices = _parse_column(float, prices, "post_trade_price", "price", faults)
+    return [fids, traders, timestamps, [s.upper() or "YES" for s in sides], quantities,
+            prices], faults
+
+
+def _trade_values(columns: list[list[str]]) -> tuple:
+    """The values of each trades row, and the text fault of each row that has one."""
+    values, faults = _parse_trades(columns)
+    return zip(*values), faults
+
+
+def _load_trades(columns: list[list[str]], finding_ids: list[str],
+                 report: ValidationReport) -> TradeColumns:
+    """The accepted rows of a trades table as columns in trade order. A
+    rejected row gets one error: its first text fault, else its first fault
+    under the trade rule."""
+    values, faults = _parse_trades(columns)
+    fids, traders, timestamps, sides, quantities, prices = values
+    lines = len(fids)
+    group = {fid: k for k, fid in enumerate(finding_ids)}
+    distinct: dict[str, str] = {}  # one string per trader id, so the texts read can all go
+    # loaded instants lie in the years 0001-9999, well inside _EXACT_MS; a
+    # timestamp that did not parse reads as 0 and a price as NaN, and the row
+    # is rejected on its text alone
+    table = _trade_columns(
+        finding_ids, [group.get(fid, -1) for fid in fids],
+        list(map(distinct.setdefault, traders, traders)),
+        np.array([0 if ms is None else ms for ms in timestamps] if faults else timestamps,
+                 dtype=np.int64), sides, quantities, prices,
+        source_row=np.arange(1, lines + 1))
+    rule = _trade_rule(table)
+    rejected = np.zeros(lines, dtype=bool)
+    rejected[[row - 1 for row in faults]] = True
+    rejected[_faulty_rows(rule)] = True
+    for i in np.flatnonzero(rejected).tolist():
+        fault = faults.get(i + 1)
+        if fault is None:
+            record = Trade(fids[i], traders[i], timestamps[i], sides[i], quantities[i],
+                           prices[i])
+            fault = next((column, kind, message(record))
+                         for column, kind, mask, message in rule if mask[i])
+        report.errors.append(Violation("trades", i + 1, *fault))
+    # the parsed values go before the accepted rows are copied
+    del values, fids, traders, timestamps, sides, quantities, prices
+    kept = np.flatnonzero(~rejected)
+    report.counts["trades"] = {"lines": lines, "accepted": len(kept),
+                               "rejected": lines - len(kept)}
+    # an accepted row's load sequence is its place among the accepted rows
+    order = np.lexsort((table.timestamp[kept], table.finding[kept]))
+    return replace(table[kept[order]], load_index=order)
 
 
 def _check_forecasters_traded(ds: Dataset, report: ValidationReport) -> None:
@@ -534,7 +733,7 @@ def _check_forecasters_traded(ds: Dataset, report: ValidationReport) -> None:
     market, so a non-trading forecaster signals schema drift; tolerated as a
     warning, not an error.
     """
-    traders = {t.trader_id for t in ds.trades}
+    traders = set(ds.trade_columns.trader.tolist())
     flagged = sorted({s.forecaster_id for s in ds.surveys} - traders)
     for forecaster in flagged:
         report.warnings.append(Violation(
@@ -565,42 +764,67 @@ def validate(ds: Dataset) -> ValidationReport:
     for s in ds.surveys:
         audit("surveys", s, _survey_faults(s, by_id, pairs))
         pairs.add((s.finding_id, s.forecaster_id))
-    for t in ds.trades:
-        audit("trades", t, _trade_faults(t, by_id))
-        finding = by_id.get(t.finding_id)
-        if finding is not None and not finding.market_open <= t.timestamp <= finding.market_close:
-            report.errors.append(Violation(
-                "trades", t.source_row, "timestamp", "outside_window",
-                f"trade at {_instant(t.timestamp)} outside "
-                f"[{_instant(finding.market_open)}, {_instant(finding.market_close)}]"))
+
+    trades = ds.trade_columns
+    # a trade's window is that of the first finding with its id
+    windows = [by_id[fid] for fid in trades.finding_ids]
+    known = np.flatnonzero(trades.finding >= 0)
+    group, at = trades.finding[known], trades.timestamp[known]
+    opens = np.array([f.market_open for f in windows], dtype=at.dtype)[group]
+    closes = np.array([f.market_close for f in windows], dtype=at.dtype)[group]
+    outside = np.zeros(len(trades), dtype=bool)
+    outside[known] = ~((opens <= at) & (at <= closes))
+    faults = _trade_rule(trades) + [("timestamp", "outside_window", outside, lambda t: (
+        f"trade at {_instant(t.timestamp)} outside [{_instant(by_id[t.finding_id].market_open)}, "
+        f"{_instant(by_id[t.finding_id].market_close)}]"))]
+    flagged = _faulty_rows(faults)
+    # every fault of a record, the records in load order
+    for i in flagged[np.argsort(trades.load_index[flagged], kind="stable")].tolist():
+        record = trades.record(i)
+        audit("trades", record, [(column, kind, message(record))
+                                 for column, kind, mask, message in faults if mask[i]])
 
     report.counts = {
         "outcomes": {"records": len(ds.findings)},
         "surveys": {"records": len(ds.surveys)},
         "trades": {
-            "records": len(ds.trades),
+            "records": len(trades),
             # whether the export records both sides or is normalized to the
             # YES-price convention is an empirical property of the data
-            "yes_side": sum(1 for t in ds.trades if t.side == "YES"),
-            "no_side": sum(1 for t in ds.trades if t.side == "NO"),
+            "yes_side": int(np.count_nonzero(trades.yes)),
+            "no_side": int(np.count_nonzero(trades.no)),
         },
     }
     _check_forecasters_traded(ds, report)
     return report
 
 
+def market_rows(ds: Dataset, finding_id: str) -> slice:
+    """The rows of one market's trades in ``ds.trade_columns``, in trade order."""
+    try:
+        k = ds._group[finding_id]
+    except KeyError:
+        raise UnknownFinding(finding_id) from None
+    return slice(ds._bounds[k], ds._bounds[k + 1])
+
+
+def closed_rows(ds: Dataset, finding: Finding) -> slice:
+    """The rows of one market's trades at or before its close: the window its
+    final price and its error curve are taken from."""
+    rows = market_rows(ds, finding.finding_id)
+    end = np.searchsorted(ds.trade_columns.timestamp[rows], finding.market_close, side="right")
+    return slice(rows.start, rows.start + int(end))
+
+
+def trade_counts(ds: Dataset) -> list[int]:
+    """The number of trades of each finding, in the order of ``ds.findings``."""
+    sizes = np.diff(ds._bounds).tolist()
+    return [sizes[ds._group[f.finding_id]] for f in ds.findings]
+
+
 def trades_for(ds: Dataset, finding_id: str) -> list[Trade]:
-    """All trades of one market, sorted by (timestamp, load sequence)."""
-    if finding_id not in ds._trades:
-        raise UnknownFinding(finding_id)
-    return list(ds._trades[finding_id])
-
-
-def closed_trades(ds: Dataset, finding: Finding) -> list[Trade]:
-    """The trades of one market at or before its close, in trade order: the
-    window its final price and its error curve are taken from."""
-    return [t for t in trades_for(ds, finding.finding_id)
-            if t.timestamp <= finding.market_close]
+    """All trades of one market as records, sorted by (timestamp, load sequence)."""
+    return ds.trade_columns.records(market_rows(ds, finding_id))
 
 
 def surveys_for(ds: Dataset, finding_id: str) -> list[SurveyResponse]:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, Finding, MS_PER_HOUR, closed_trades, write_csv
+from .dataset import Dataset, Finding, MS_PER_HOUR, closed_rows, write_csv
 from .errors import EmptyMarket, InsufficientPoints, NoReduction, OutOfRange
 from . import stats
 
@@ -71,15 +71,15 @@ def _market_errors(ds: Dataset, finding: Finding, axis: str,
                    ) -> tuple[np.ndarray, np.ndarray]:
     """The x and error arrays of :func:`error_series`, empty for a market
     without trades up to its close."""
-    trades = closed_trades(ds, finding)
-    n = len(trades)
+    rows = closed_rows(ds, finding)
+    prices = ds.trade_columns.price[rows]
     if axis == AXIS_TRADES:
-        x = np.arange(1.0, n + 1.0)
+        x = np.arange(1.0, len(prices) + 1.0)
     else:
-        # Python ints subtract exactly at any size; an int64 column would overflow
-        x = np.fromiter(((t.timestamp - finding.market_open) / MS_PER_HOUR
-                         for t in trades), float, n)
-    prices = np.fromiter((t.post_trade_price for t in trades), float, n)
+        # exact as the Python ints' quotient: an int64 column's differences
+        # stay below 2**53, and a column past that holds Python ints
+        x = ((ds.trade_columns.timestamp[rows] - finding.market_open)
+             / MS_PER_HOUR).astype(float)
     return x, np.abs(finding.outcome - prices)
 
 
@@ -209,22 +209,26 @@ def late_trade_forecasts(ds: Dataset, cutoff_hours: float = 168.0,
     cutoff, with weights growing linearly from the cutoff to market close;
     markets without post-cutoff trades keep their final price.
     """
+    trades = ds.trade_columns
     out = {}
     for f in ds.findings:
-        trades = closed_trades(ds, f)
-        if not trades:
+        rows = closed_rows(ds, f)
+        if rows.start == rows.stop:
             continue
-        final_price = trades[-1].post_trade_price
+        final_price = float(trades.price[rows.stop - 1])
         cutoff_ms = f.market_open + cutoff_hours * MS_PER_HOUR
-        post = [t for t in trades if t.timestamp > cutoff_ms]
+        # the trades after the cutoff: a market's times are sorted
+        after = np.searchsorted(trades.timestamp[rows], cutoff_ms, side="right")
+        post = slice(rows.start + int(after), rows.stop)
         span = f.market_close - cutoff_ms
-        if post and span > 0:
-            weights = [(t.timestamp - cutoff_ms) / span for t in post]
+        if post.start < post.stop and span > 0:
+            weights = [(t - cutoff_ms) / span for t in trades.timestamp[post].tolist()]
             total = stats.left_sum(weights)
             # anchored at the final price so identical prices stay exact
             alt = (final_price
-                   + stats.left_sum(w * (t.post_trade_price - final_price)
-                                    for w, t in zip(weights, post)) / total
+                   + stats.left_sum(w * (p - final_price)
+                                    for w, p in zip(weights, trades.price[post].tolist()))
+                   / total
                    if total > 0 else final_price)
         else:
             alt = final_price
@@ -237,8 +241,11 @@ def late_trade_smoothing(ds: Dataset, cutoff_hours: float = 168.0,
     """Does time-weighted smoothing of post-cutoff trades beat the final price?
 
     Paired t-test of final-price absolute errors minus smoothed absolute
-    errors, so positive t means smoothing helps.
+    errors, so positive t means smoothing helps. The cutoff is a number of
+    hours, finite and at least 0.
     """
+    if not 0.0 <= cutoff_hours < math.inf:
+        raise OutOfRange(f"cutoff must be finite and at least 0 hours, got {cutoff_hours}")
     forecasts = late_trade_forecasts(ds, cutoff_hours)
     final_errors = []
     smoothed_errors = []

@@ -48,15 +48,16 @@ class EmptyMarket(Undefined):
 
 class OutOfRange(RepmarketError, ValueError):
     """A setting lies outside the values its rule allows (a LOESS span or
-    degree, the size of a synthetic fixture)."""
+    degree, a threshold, a cutoff, a liquidity, the size of a synthetic
+    fixture)."""
 
 
 class ReplayUnavailable(RepmarketError, ValueError):
     """Simulated replay lacks an input it needs (liquidity or recorded quantities)."""
 
 
-class NonPositiveLiquidity(RepmarketError):
-    """Liquidity parameter must be strictly positive."""
+class NonPositiveLiquidity(OutOfRange):
+    """A liquidity parameter that is not finite and strictly positive."""
 
 
 class MarketSettled(RepmarketError):

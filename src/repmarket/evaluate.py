@@ -15,6 +15,7 @@ from .aggregate import (
     AggregateForecast,
     METHOD_MARKET,
     METHOD_MEAN,
+    check_threshold,
 )
 from .dataset import (CATEGORY_ABOVE, CATEGORY_AT_OR_BELOW, DEFAULT_P_THRESHOLD, Dataset,
                       Finding, PROJECTS, write_csv)
@@ -91,6 +92,7 @@ def score(forecasts: list[AggregateForecast], findings,
 
     A forecast at exactly the threshold binarizes to "replicates".
     """
+    check_threshold(threshold)
     by_id = _findings_by_id(findings)
     rows = []
     for fc in forecasts:

@@ -14,7 +14,9 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .dataset import SIDES, Dataset, Trade, trades_for
+import numpy as np
+
+from .dataset import Dataset, Trade, market_rows
 from .errors import (
     EmptyMarket,
     InsufficientHoldings,
@@ -95,8 +97,8 @@ def _step(q_yes: float, q_no: float, side: str, quantity: float) -> tuple[float,
 def new_market(liquidity_b: float, endowment: float = DEFAULT_ENDOWMENT,
                traders: tuple[str, ...] | list[str] | set[str] = ()) -> MarketState:
     """Open a market with zero outstanding contracts and endowed traders."""
-    if not liquidity_b > 0:
-        raise NonPositiveLiquidity(f"liquidity_b must be > 0, got {liquidity_b}")
+    if not 0.0 < liquidity_b < math.inf:
+        raise NonPositiveLiquidity(f"liquidity_b must be finite and > 0, got {liquidity_b}")
     if endowment < 0:
         raise ValueError(f"endowment must be nonnegative, got {endowment}")
     ledgers = {tid: TraderAccount(tokens=endowment) for tid in sorted(traders)}
@@ -209,26 +211,32 @@ def replay(ds: Dataset, finding_id: str, mode: str = PRICE_TAKING,
     sum of the recorded YES and NO buys: with unbounded endowments no ledger
     can refuse a buy, so none is kept. It needs recorded quantities and buys.
     """
-    trades = trades_for(ds, finding_id)
-    if not trades:
+    rows = market_rows(ds, finding_id)
+    if rows.start == rows.stop:
         raise EmptyMarket(finding_id)
+    trades = ds.trade_columns
     if mode == PRICE_TAKING:
-        return [t.post_trade_price for t in trades]
+        return trades.price[rows].tolist()
     if mode != SIMULATED:
         raise ValueError(f"unknown replay mode {mode!r}")
     if liquidity_b is None:
         raise ReplayUnavailable("simulated replay requires liquidity_b")
-    new_market(liquidity_b)  # refuses a liquidity that is not > 0
-    for t in trades:  # every trade is checked before any is priced
-        if t.quantity is None:
+    new_market(liquidity_b)  # refuses a liquidity that is not finite and > 0
+    yes, quantity = trades.yes[rows], trades.quantity[rows]
+    # every trade is checked before any is priced; the first that is not a
+    # recorded buy is named
+    missing = ~trades.has_quantity[rows]
+    unfit = np.flatnonzero(missing | ~(yes | trades.no[rows]) | ~(quantity > 0))
+    if len(unfit):
+        if missing[unfit[0]]:
             raise ReplayUnavailable(f"simulated replay needs recorded quantities; market "
                                     f"{finding_id!r} has a trade without one")
-        if t.side not in SIDES or not t.quantity > 0:
-            raise ReplayUnavailable(f"simulated replay needs buys; market {finding_id!r} "
-                                    f"has a trade of {t.quantity} {t.side!r}")
+        t = trades.record(rows.start + int(unfit[0]))
+        raise ReplayUnavailable(f"simulated replay needs buys; market {finding_id!r} "
+                                f"has a trade of {t.quantity} {t.side!r}")
     q_yes = q_no = 0.0
     prices = []
-    for t in trades:
-        q_yes, q_no = _step(q_yes, q_no, t.side, t.quantity)
+    for is_yes, q in zip(yes.tolist(), quantity.tolist()):
+        q_yes, q_no = _step(q_yes, q_no, "YES" if is_yes else "NO", q)
         prices.append(price_yes_from_quantities(q_yes, q_no, liquidity_b))
     return prices

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 from repmarket.dataset import Dataset, Finding, SurveyResponse, Trade
 
 BASE_MS = 1_578_268_800_000  # 2020-01-06T00:00:00Z
@@ -39,3 +41,11 @@ def priced_market(fid, prices, outcome=1, project="RPP", open_ms=BASE_MS,
         trades.append(make_trade(fid, trader=f"t{k % 3 + 1}", ts=ts,
                                  price=p, seq=k))
     return finding, trades
+
+
+def load_strict_json(path):
+    """Parse a JSON file as RFC 8259 does: NaN and Infinity are refused."""
+    def refuse(constant):
+        raise ValueError(f"{path} holds {constant}, which strict JSON has not")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=refuse)

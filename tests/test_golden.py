@@ -17,6 +17,8 @@ from repmarket import dynamics
 from repmarket.cli import main
 from repmarket.synth import synthetic_dataset, write_fixture
 
+from helpers import load_strict_json
+
 # fixture name -> (seed, markets); both with 10 traders
 FIXTURES = {"seed3": (3, 12), "seed11": (11, 40)}
 
@@ -191,3 +193,12 @@ def test_evaluate_builds_no_curves(fixture_args, tmp_path, monkeypatch):
     assert _run(["evaluate", *fixture_args["seed3"]], tmp_path) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "evaluation.json", "scores.csv"]
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_every_json_file_is_strict_json(fixture_args, tmp_path, fixture):
+    for command, argv in COMMANDS.items():
+        out = tmp_path / command
+        assert _run([*argv, *fixture_args[fixture]], out) == 0
+        for path in out.glob("*.json"):
+            load_strict_json(path)

@@ -4,6 +4,8 @@ forecasts, each against a plain reference over the records kept here."""
 
 import dataclasses
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +13,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from repmarket import dynamics, stats  # noqa: E402
-from repmarket.dataset import Dataset, surveys_for, trades_for  # noqa: E402
-from repmarket.errors import EmptyMarket, UnknownFinding  # noqa: E402
+from repmarket import dynamics, lmsr, stats  # noqa: E402
+from repmarket.dataset import (Dataset, closed_rows, load_dataset, surveys_for,  # noqa: E402
+                               trades_for, validate, write_dataset)
+from repmarket.errors import EmptyMarket, ReplayUnavailable, UnknownFinding  # noqa: E402
 from repmarket.synth import synthetic_dataset  # noqa: E402
 
 from helpers import BASE_MS, HOUR_MS, make_dataset, make_finding, make_trade, survey  # noqa: E402
+from test_load_laws import valid_datasets  # noqa: E402
 
 # ten markets: numpy sums eight or more terms pairwise, so a change of
 # summation order in the curve shows in the last bits
@@ -296,3 +300,71 @@ def test_timestamps_beyond_int64_give_the_floats_of_the_records():
     assert curve.mean_abs_error.tolist() == [0.5, 0.5, 0.25]
     assert curve.n_contributing.tolist() == [0, 0, 1]
     assert dynamics.late_trade_forecasts(ds, 0.5) == walk_late_forecasts(ds, 0.5)
+
+
+def _write_and_load(ds, directory):
+    paths = [directory / name for name in ("o.csv", "s.csv", "t.csv")]
+    write_dataset(ds, *paths)
+    return load_dataset(*paths)
+
+
+def _replayed(ds, fid, mode):
+    try:
+        return lmsr.replay(ds, fid, mode=mode, liquidity_b=50.0)
+    except (EmptyMarket, ReplayUnavailable) as exc:
+        return type(exc)
+
+
+@settings(deadline=None, max_examples=60)
+@given(valid_datasets())
+def test_a_loaded_dataset_reads_as_the_records_it_was_written_from(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        loaded = _write_and_load(ds, Path(tmp))
+    assert loaded.load_report.errors == []
+    for f in ds.findings:
+        fid = f.finding_id
+        assert trades_for(loaded, fid) == trades_for(ds, fid)
+        assert (loaded.trade_columns.records(closed_rows(loaded, f))
+                == ds.trade_columns.records(closed_rows(ds, f))
+                == [t for t in scan_trades(ds, fid) if t.timestamp <= f.market_close])
+        for mode in (lmsr.PRICE_TAKING, lmsr.SIMULATED):
+            assert _replayed(loaded, fid, mode) == _replayed(ds, fid, mode)
+
+
+@settings(deadline=None, max_examples=80)
+@given(datasets())
+def test_validate_reads_dangling_and_known_trades_as_the_records_say(ds):
+    # each record carries its place in the table; unknown findings' trades
+    # group before every market's, and validate reports them in record order
+    trades = [dataclasses.replace(t, source_row=row) for row, t in enumerate(ds.trades, 1)]
+    ds = dataclasses.replace(ds, trades=trades)
+    by_id = {}
+    for f in ds.findings:
+        by_id.setdefault(f.finding_id, f)
+    expected = []
+    for t in trades:
+        f = by_id.get(t.finding_id)
+        if f is None:
+            expected.append((t.source_row, "dangling_reference"))
+        elif not f.market_open <= t.timestamp <= f.market_close:
+            expected.append((t.source_row, "outside_window"))
+    report = validate(ds)
+    assert [(v.row, v.kind) for v in report.errors if v.table == "trades"] == expected
+    assert report.counts["trades"] == {"records": len(trades), "yes_side": len(trades),
+                                       "no_side": 0}
+    for fid in ds.finding_ids():
+        assert _keyed(trades_for(ds, fid)) == _keyed(scan_trades(ds, fid))
+
+
+def test_dangling_trades_between_known_ones_are_reported_and_join_no_market():
+    f = make_finding("F1")
+    trades = [make_trade(fid, trader=f"t{k}", ts=BASE_MS + (5 - k) * HOUR_MS, seq=k)
+              for k, fid in enumerate(("F1", UNKNOWN, "F1", UNKNOWN, "F1"))]
+    trades = [dataclasses.replace(t, source_row=k + 1) for k, t in enumerate(trades)]
+    ds = make_dataset([f], trades=trades)
+    assert [(v.row, v.kind, v.message) for v in validate(ds).errors] == [
+        (2, "dangling_reference", f"unknown finding_id {UNKNOWN!r}"),
+        (4, "dangling_reference", f"unknown finding_id {UNKNOWN!r}")]
+    assert trades_for(ds, "F1") == trades[::-2]
+    assert lmsr.replay(ds, "F1") == [0.6] * 3
+    assert len(ds.trade_columns) == 5

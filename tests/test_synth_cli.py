@@ -269,6 +269,37 @@ def test_cli_out_of_range_option_exits_cleanly(synth_paths, tmp_path, capsys, ar
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["report", "--threshold", "nan"], "OutOfRange"),
+    (["aggregate", "--threshold", "inf"], "OutOfRange"),
+    (["evaluate", "--threshold", "-0.1"], "OutOfRange"),
+    (["pvalue", "--pvalue-threshold", "2"], "OutOfRange"),
+    (["report", "--pvalue-threshold", "0"], "OutOfRange"),
+    (["dynamics", "--cutoff-hours", "nan"], "OutOfRange"),
+    (["dynamics", "--cutoff-hours", "-5"], "OutOfRange"),
+    (["dynamics", "--cutoff-hours", "inf"], "OutOfRange"),
+    (["replay", "--mode", "simulated", "--liquidity-b", "inf"], "NonPositiveLiquidity"),
+    (["synth", "--seed", "1", "--liquidity-b", "nan"], "NonPositiveLiquidity"),
+], ids=["report_threshold_nan", "aggregate_threshold_inf", "evaluate_threshold_negative",
+        "pvalue_threshold_2", "report_pvalue_threshold_0", "dynamics_cutoff_nan",
+        "dynamics_cutoff_negative", "dynamics_cutoff_inf", "replay_liquidity_inf",
+        "synth_liquidity_nan"])
+def test_cli_option_outside_its_domain_exits_cleanly(synth_paths, tmp_path, capsys, argv,
+                                                     error):
+    data = [] if argv[0] == "synth" else _data_args(synth_paths)
+    rc = main([*argv, *data, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_liquidity_that_is_not_positive_is_out_of_range():
+    from repmarket.errors import NonPositiveLiquidity, OutOfRange
+
+    assert issubclass(NonPositiveLiquidity, OutOfRange)
+
+
 def test_run_pipeline_reports_the_dataset_p_threshold(synth_paths):
     from repmarket.cli import run_pipeline
 

@@ -1,0 +1,74 @@
+"""The trades of a loaded dataset are columns: the analysis commands read them
+as per-market slices and build no `Trade` record, and what they return from
+the columns are Python numbers, not numpy scalars."""
+
+import contextlib
+import io
+
+import pytest
+
+from repmarket import aggregate, dynamics, lmsr
+from repmarket.cli import main
+from repmarket.dataset import Trade, load_dataset
+from repmarket.synth import synthetic_dataset, write_fixture
+
+COMMANDS = {
+    "report": ["report"],
+    "evaluate": ["evaluate"],
+    "dynamics": ["dynamics"],
+    "replay": ["replay"],
+    "replay_simulated": ["replay", "--mode", "simulated", "--liquidity-b", "50"],
+}
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    return write_fixture(synthetic_dataset(seed=3, n_markets=12, n_traders=10),
+                         tmp_path_factory.mktemp("data"))
+
+
+@pytest.fixture()
+def built(monkeypatch):
+    """The number of Trade records built while the test runs."""
+    count = [0]
+    init = Trade.__init__
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Trade, "__init__", counting)
+    return count
+
+
+def _data_args(paths):
+    return ["--outcomes", str(paths["outcomes"]), "--surveys", str(paths["surveys"]),
+            "--trades", str(paths["trades"])]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_commands_on_a_loaded_dataset_build_no_trade(paths, tmp_path, built, command):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*COMMANDS[command], *_data_args(paths), "--out", str(tmp_path)]) == 0
+    assert built[0] == 0
+
+
+def test_the_count_sees_records_built_on_request(paths, built):
+    ds = load_dataset(paths["outcomes"], paths["surveys"], paths["trades"])
+    assert built[0] == 0
+    assert len(ds.trades) == ds.load_report.counts["trades"]["accepted"] == built[0]
+
+
+def test_values_read_from_the_columns_are_python_floats(paths):
+    ds = load_dataset(paths["outcomes"], paths["surveys"], paths["trades"])
+    fid = ds.finding_ids()[0]
+    for axis in (dynamics.AXIS_TRADES, dynamics.AXIS_HOURS):
+        series = dynamics.error_series(ds, fid, axis)
+        assert {type(v) for point in series for v in point} == {float}
+    prices = (lmsr.replay(ds, fid, mode=lmsr.PRICE_TAKING)
+              + lmsr.replay(ds, fid, mode=lmsr.SIMULATED, liquidity_b=50.0))
+    assert {type(p) for p in prices} == {float}
+    forecast = aggregate.market_final_price(ds, fid)
+    assert type(forecast.value) is float and type(forecast.n_inputs) is int
+    assert {type(v) for pair in dynamics.late_trade_forecasts(ds).values()
+            for v in pair} == {float}

@@ -11,6 +11,8 @@ from repmarket import errors, stats
 from repmarket.cli import main, run_pipeline
 from repmarket.synth import synthetic_dataset, write_fixture
 
+from helpers import load_strict_json
+
 UNDEFINED = (errors.EmptyMarket, errors.NoSurveyResponses, errors.AllWeightsZero,
              errors.DegenerateInput, errors.DegenerateTable,
              errors.InsufficientPoints, errors.NoReduction)
@@ -119,3 +121,15 @@ def test_report_still_fails_on_an_error_that_is_not_undefined(tmp_path, monkeypa
     assert main(["report", *_data_args(tmp_path / "data"),
                  "--out", str(tmp_path / "out")]) == 2
     assert "error: DomainError: broken kernel" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(NULLS))
+def test_every_json_file_of_a_fixture_with_nulls_is_strict_json(tmp_path, name):
+    write_fixture(NULLS[name][0](), tmp_path / "data")
+    runs = [[command] for command in ("report", "evaluate", "dynamics", "validate")]
+    runs.append(["report", "--threshold", "0.01"])
+    for k, argv in enumerate(runs):
+        out = tmp_path / f"out{k}"
+        assert main([*argv, *_data_args(tmp_path / "data"), "--out", str(out)]) == 0
+        for path in out.glob("*.json"):
+            load_strict_json(path)
