@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from functools import cached_property
@@ -694,13 +695,12 @@ def _load_trades(columns: list[list[str]], finding_ids: list[str],
     fids, traders, timestamps, sides, quantities, prices = values
     lines = len(fids)
     group = {fid: k for k, fid in enumerate(finding_ids)}
-    distinct: dict[str, str] = {}  # one string per trader id, so the texts read can all go
     # loaded instants lie in the years 0001-9999, well inside _EXACT_MS; a
     # timestamp that did not parse reads as 0 and a price as NaN, and the row
     # is rejected on its text alone
     table = _trade_columns(
         finding_ids, [group.get(fid, -1) for fid in fids],
-        list(map(distinct.setdefault, traders, traders)),
+        list(map(sys.intern, traders)),  # one string per trader id: the texts read can go
         np.array([0 if ms is None else ms for ms in timestamps] if faults else timestamps,
                  dtype=np.int64), sides, quantities, prices,
         source_row=np.arange(1, lines + 1))
