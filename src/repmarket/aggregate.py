@@ -12,8 +12,10 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 # trades_for stays bound here: code that reads or patches aggregate.trades_for relies on it
-from .dataset import Dataset, closed_rows, surveys_for, trades_for, write_csv  # noqa: F401
+from .dataset import Dataset, closed_rows, survey_rows, trades_for, write_csv  # noqa: F401
 from .errors import AllWeightsZero, EmptyMarket, NoSurveyResponses, OutOfRange, or_null
 from .stats import left_sum, mean_var
 
@@ -51,11 +53,16 @@ def market_final_price(ds: Dataset, finding_id: str) -> AggregateForecast:
                              rows.stop - rows.start)
 
 
-def _beliefs(ds: Dataset, finding_id: str) -> list[float]:
-    responses = surveys_for(ds, finding_id)
-    if not responses:
+def _responses(ds: Dataset, finding_id: str) -> slice:
+    """The rows of the finding's survey responses in ``ds.survey_columns``."""
+    rows = survey_rows(ds, finding_id)
+    if rows.start == rows.stop:
         raise NoSurveyResponses(finding_id)
-    return [s.belief for s in responses]
+    return rows
+
+
+def _beliefs(ds: Dataset, finding_id: str) -> list[float]:
+    return ds.survey_columns.belief[_responses(ds, finding_id)].tolist()
 
 
 def survey_mean(ds: Dataset, finding_id: str) -> AggregateForecast:
@@ -82,13 +89,17 @@ def survey_voting(ds: Dataset, finding_id: str,
 
 
 def forecaster_weights(ds: Dataset) -> list[ForecasterWeight]:
-    """Sample variance (n-1 divisor) of each forecaster's beliefs.
+    """Sample variance (n-1 divisor) of each forecaster's beliefs, summed in
+    load order.
 
     Forecasters with fewer than two responses get weight 0.
     """
+    surveys = ds.survey_columns
+    order = np.argsort(surveys.load_index)
     beliefs: dict[str, list[float]] = {}
-    for s in ds.surveys:
-        beliefs.setdefault(s.forecaster_id, []).append(s.belief)
+    for forecaster, belief in zip(surveys.forecaster[order].tolist(),
+                                  surveys.belief[order].tolist()):
+        beliefs.setdefault(forecaster, []).append(belief)
     return [ForecasterWeight(forecaster, mean_var(beliefs[forecaster])[1])
             for forecaster in sorted(beliefs)]
 
@@ -97,16 +108,15 @@ def survey_var_weighted(ds: Dataset, finding_id: str,
                         weights: dict[str, float]) -> AggregateForecast:
     """Variance-weighted mean of the finding's survey responses, with
     `weights` mapping forecaster id to weight (absent ids weigh 0)."""
-    responses = surveys_for(ds, finding_id)
-    if not responses:
-        raise NoSurveyResponses(finding_id)
-    total_w = left_sum(weights.get(s.forecaster_id, 0.0) for s in responses)
+    rows = _responses(ds, finding_id)
+    surveys = ds.survey_columns
+    w = [weights.get(forecaster, 0.0) for forecaster in surveys.forecaster[rows].tolist()]
+    total_w = left_sum(w)
     if total_w <= 0.0:
         raise AllWeightsZero(
             f"every respondent of {finding_id!r} has zero weight")
-    value = left_sum(weights.get(s.forecaster_id, 0.0) * s.belief
-                     for s in responses) / total_w
-    return AggregateForecast(finding_id, METHOD_VAR_WEIGHTED, value, len(responses))
+    value = left_sum(wi * b for wi, b in zip(w, surveys.belief[rows].tolist())) / total_w
+    return AggregateForecast(finding_id, METHOD_VAR_WEIGHTED, value, len(w))
 
 
 def check_threshold(threshold: float) -> None:

@@ -187,7 +187,7 @@ def run_pipeline(ds, threshold: float = 0.5, yates: bool = False,
 
     report = {
         "counts": {"findings": len(ds.findings), "trades": len(ds.trade_columns),
-                   "surveys": len(ds.surveys)},
+                   "surveys": len(ds.survey_columns)},
         "config": {"threshold": threshold, "p_threshold": ds.p_threshold,
                    "yates": yates, "loess_span": loess_cfg.span,
                    "loess_degree": loess_cfg.degree},
@@ -207,20 +207,17 @@ def run_pipeline(ds, threshold: float = 0.5, yates: bool = False,
 
 def cmd_validate(args) -> int:
     ds = _load(args)
-    report = validate(ds)
-    merged = {
-        "load": ds.load_report.to_dict() if ds.load_report else None,
-        "validation": report.to_dict(),
-    }
+    load, report = ds.load_report, validate(ds)
     out = _out_dir(args)
-    _write_json(merged, out / "validation.json")
-    n_load_errors = len(ds.load_report.errors) if ds.load_report else 0
-    print(f"records: {len(ds.findings)} findings, {len(ds.surveys)} surveys, "
+    _write_json({"load": load.to_dict(), "validation": report.to_dict()},
+                out / "validation.json")
+    print(f"records: {len(ds.findings)} findings, {len(ds.survey_columns)} surveys, "
           f"{len(ds.trade_columns)} trades")
-    print(f"load errors: {n_load_errors}; validation errors: {len(report.errors)}; "
-          f"warnings: {len(report.warnings) }")
+    print(f"load errors: {len(load.errors)}; load warnings: {len(load.warnings)}; "
+          f"validation errors: {len(report.errors)}; "
+          f"validation warnings: {len(report.warnings)}")
     print(f"wrote {out / 'validation.json'}")
-    return 0 if report.ok() and n_load_errors == 0 else 1
+    return 0 if report.ok() and load.ok() else 1
 
 
 def cmd_replay(args) -> int:

@@ -182,13 +182,33 @@ class ValidationReport:
         }
 
 
-# the columns of TradeColumns that hold one entry per row
-_ROW_COLUMNS = ("finding", "trader", "timestamp", "yes", "no", "quantity", "has_quantity",
-                "price", "load_index", "source_row")
+class _Columns:
+    """What the two column tables share. A table holds one entry per row in
+    each column its ROWS name, the row's place in load order (`load_index`)
+    and, when it was taken from a record list, that list (`given`)."""
+
+    def __len__(self) -> int:
+        return len(self.load_index)
+
+    def __getitem__(self, rows):
+        """The given rows, in the given order (a slice gives views)."""
+        return replace(self, **{name: column[rows] for name in self.ROWS
+                                if (column := getattr(self, name)) is not None})
+
+    def records(self, rows=slice(None)) -> list:
+        """The record of each of the given rows: the record the columns were
+        taken from, or one built from a loaded row."""
+        if self.given is not None:
+            return [self.given[i] for i in self.load_index[rows].tolist()]
+        return self[rows]._loaded_records()
+
+    def record(self, row: int):
+        """The record of one row."""
+        return self.records(slice(row, row + 1))[0]
 
 
 @dataclass(frozen=True, eq=False)
-class TradeColumns:
+class TradeColumns(_Columns):
     """A trades table as columns, one entry per trade.
 
     A Dataset holds its trades so in trade order: grouped by market in the
@@ -209,6 +229,9 @@ class TradeColumns:
     source_row: np.ndarray | None = None  # int64 data row of each loaded row
     given: list[Trade] | None = None      # the records the columns were taken from
 
+    ROWS = ("finding", "trader", "timestamp", "yes", "no", "quantity", "has_quantity",
+            "price", "load_index", "source_row")
+
     @classmethod
     def from_records(cls, trades: list[Trade], findings: list[Finding],
                      group: dict[str, int]) -> TradeColumns:
@@ -224,32 +247,52 @@ class TradeColumns:
                                  given=trades)
         return columns[np.lexsort((np.array(seqs), columns.timestamp, columns.finding))]
 
-    def __len__(self) -> int:
-        return len(self.load_index)
-
-    def __getitem__(self, rows) -> TradeColumns:
-        """The given rows, in the given order (a slice gives views)."""
-        return replace(self, **{name: column[rows] for name in _ROW_COLUMNS
-                                if (column := getattr(self, name)) is not None})
-
-    def records(self, rows=slice(None)) -> list[Trade]:
-        """The Trade of each of the given rows: the record the columns were
-        taken from, or one built from a loaded row."""
-        if self.given is not None:
-            return [self.given[i] for i in self.load_index[rows].tolist()]
+    def _loaded_records(self) -> list[Trade]:
         # a loaded row names a known finding and a side
-        part = self[rows]
-        return list(map(Trade, [self.finding_ids[k] for k in part.finding.tolist()],
-                        part.trader.tolist(), part.timestamp.tolist(),
-                        ["YES" if yes else "NO" for yes in part.yes.tolist()],
-                        [q if has else None for q, has in zip(part.quantity.tolist(),
-                                                             part.has_quantity.tolist())],
-                        part.price.tolist(), part.load_index.tolist(),
-                        part.source_row.tolist()))
+        return list(map(Trade, [self.finding_ids[k] for k in self.finding.tolist()],
+                        self.trader.tolist(), self.timestamp.tolist(),
+                        ["YES" if yes else "NO" for yes in self.yes.tolist()],
+                        [q if has else None for q, has in zip(self.quantity.tolist(),
+                                                             self.has_quantity.tolist())],
+                        self.price.tolist(), self.load_index.tolist(),
+                        self.source_row.tolist()))
 
-    def record(self, row: int) -> Trade:
-        """The Trade of one row."""
-        return self.records(slice(row, row + 1))[0]
+
+@dataclass(frozen=True, eq=False)
+class SurveyColumns(_Columns):
+    """A surveys table as columns, one entry per response.
+
+    A Dataset holds its responses grouped by finding in the order the finding
+    ids first occur, each finding's rows in load order, and the rows of
+    unknown findings first. `records` gives the rows as `SurveyResponse`
+    records.
+    """
+    finding_ids: list[str]    # the distinct finding ids, which `finding` indexes
+    finding: np.ndarray       # int64; -1 for a finding_id the findings lack
+    forecaster: np.ndarray    # object: the forecaster ids
+    belief: np.ndarray        # float64
+    load_index: np.ndarray    # int64 position of each row in load order
+    source_row: np.ndarray | None = None    # int64 data row of each loaded row
+    given: list[SurveyResponse] | None = None  # the records the columns were taken from
+
+    ROWS = ("finding", "forecaster", "belief", "load_index", "source_row")
+
+    @classmethod
+    def from_records(cls, surveys: list[SurveyResponse], group: dict[str, int]) -> SurveyColumns:
+        """The columns of the records grouped by finding; `group` numbers the
+        finding ids. The records are kept."""
+        fids, forecasters, beliefs = (list(map(attrgetter(name), surveys)) for name in (
+            "finding_id", "forecaster_id", "belief"))
+        columns = cls(list(group), np.array([group.get(fid, -1) for fid in fids], dtype=np.int64),
+                      np.array(forecasters, dtype=object), np.array(beliefs, dtype=float),
+                      np.arange(len(surveys)), given=surveys)
+        return columns[np.argsort(columns.finding, kind="stable")]
+
+    def _loaded_records(self) -> list[SurveyResponse]:
+        # a loaded row names a known finding
+        return list(map(SurveyResponse, [self.finding_ids[k] for k in self.finding.tolist()],
+                        self.forecaster.tolist(), self.belief.tolist(),
+                        self.source_row.tolist()))
 
 
 def _trade_columns(finding_ids: list[str], finding, traders, timestamp: np.ndarray, sides,
@@ -272,41 +315,47 @@ def _ms_column(times, bounds=()) -> np.ndarray:
     return np.array(times, dtype=object)
 
 
-class _TradeRecords:
-    """The `trades` field of a Dataset. It takes a record list, which it
-    keeps, or the TradeColumns of a loaded table, whose records it builds on
-    the first read."""
+class _Records:
+    """A table field of a Dataset, `surveys` or `trades`. It takes a record
+    list, which it keeps, or the columns of a loaded table, whose records it
+    builds on the first read."""
+
+    def __init__(self, columns: str):
+        self.columns = columns  # the Dataset attribute that holds the columns
+
+    def __set_name__(self, owner, name):
+        self.name, self.kept = name, f"_{name}_records"
 
     def __get__(self, ds, owner=None):
         if ds is None:
-            raise AttributeError("trades")  # the field has no default
-        if ds._trade_records is None:
-            columns = ds.trade_columns
-            ds._trade_records = columns.records(np.argsort(columns.load_index))
-        return ds._trade_records
+            raise AttributeError(self.name)  # the field has no default
+        if vars(ds)[self.kept] is None:
+            columns = getattr(ds, self.columns)
+            vars(ds)[self.kept] = columns.records(np.argsort(columns.load_index))
+        return vars(ds)[self.kept]
 
-    def __set__(self, ds, trades):
+    def __set__(self, ds, value):
         if "_group" in vars(ds):
-            raise AttributeError("a Dataset's trades are grouped when it is built: "
+            raise AttributeError(f"a Dataset's {self.name} are grouped when it is built: "
                                  "rebuild it with dataclasses.replace")
-        if isinstance(trades, TradeColumns):
-            vars(ds).update(trade_columns=trades, _trade_records=None)
+        if isinstance(value, _Columns):
+            vars(ds).update({self.columns: value, self.kept: None})
         else:
-            ds._trade_records = trades
+            vars(ds)[self.kept] = value
 
 
 @dataclass
 class Dataset:
-    """The three tables. The trades are held as columns (`trade_columns`),
-    grouped by market once: a loaded dataset is built from them, and a
-    dataset built from a record list keeps the list and takes its columns on
-    first use. `trades`, `trades_for` and `TradeColumns.records` build `Trade`
-    records only on request. Survey responses are grouped by finding as
-    records. Records of unknown findings join no group. A changed dataset
+    """The three tables. Survey responses and trades are held as columns
+    (`survey_columns`, `trade_columns`), each grouped by finding once: a
+    loaded dataset is built from them, and a dataset built from record lists
+    keeps the lists and takes its columns on first use. `surveys`, `trades`,
+    `surveys_for`, `trades_for` and the columns' `records` build records only
+    on request. Rows of unknown findings join no group. A changed dataset
     must be rebuilt with `dataclasses.replace`, not mutated in place."""
     findings: list[Finding]
-    surveys: list[SurveyResponse]
-    trades: list[Trade] = _TradeRecords()  # or a loaded table's TradeColumns
+    surveys: list[SurveyResponse] = _Records("survey_columns")  # or a loaded SurveyColumns
+    trades: list[Trade] = _Records("trade_columns")  # or a loaded table's TradeColumns
     load_report: ValidationReport | None = field(default=None, compare=False)
     p_threshold: float = DEFAULT_P_THRESHOLD  # the cut the categories were taken at
 
@@ -314,25 +363,36 @@ class Dataset:
         if not 0.0 < self.p_threshold < 1.0:
             raise OutOfRange(f"p-value threshold must be in (0, 1), got {self.p_threshold}")
         self._by_id = {f.finding_id: f for f in self.findings}
-        # trades are grouped by finding id, in the order the ids first occur
+        # rows are grouped by finding id, in the order the ids first occur
         self._group = {fid: k for k, fid in enumerate(self._by_id)}
-        if "trade_columns" in vars(self) and self.trade_columns.finding_ids != list(self._group):
-            raise ValueError("the trade columns number other findings")
-        self._surveys = {fid: [] for fid in self._by_id}
-        for s in self.surveys:
-            self._surveys.get(s.finding_id, []).append(s)
+        for name in ("survey_columns", "trade_columns"):
+            if name in vars(self) and vars(self)[name].finding_ids != list(self._group):
+                raise ValueError(f"the {name.replace('_', ' ')} number other findings")
 
     @cached_property
     def trade_columns(self) -> TradeColumns:
         """The trades as columns in trade order, taken from the kept records
         on first use (a loaded dataset is built with them)."""
-        return TradeColumns.from_records(self._trade_records, self.findings, self._group)
+        return TradeColumns.from_records(self._trades_records, self.findings, self._group)
 
     @cached_property
-    def _bounds(self) -> list[int]:
-        """Market k's rows are _bounds[k]:_bounds[k + 1]."""
-        return np.searchsorted(self.trade_columns.finding,
-                               np.arange(len(self._group) + 1)).tolist()
+    def survey_columns(self) -> SurveyColumns:
+        """The survey responses as columns grouped by finding, taken from the
+        kept records on first use (a loaded dataset is built with them)."""
+        return SurveyColumns.from_records(self._surveys_records, self._group)
+
+    @cached_property
+    def _trade_bounds(self) -> list[int]:
+        """Market k's rows are _trade_bounds[k]:_trade_bounds[k + 1]."""
+        return self._bounds_of(self.trade_columns)
+
+    @cached_property
+    def _survey_bounds(self) -> list[int]:
+        """Finding k's responses are _survey_bounds[k]:_survey_bounds[k + 1]."""
+        return self._bounds_of(self.survey_columns)
+
+    def _bounds_of(self, columns: _Columns) -> list[int]:
+        return np.searchsorted(columns.finding, np.arange(len(self._group) + 1)).tolist()
 
     def finding(self, finding_id: str) -> Finding:
         try:
@@ -477,17 +537,9 @@ def _finding_from(values: list[str], row: int, p_threshold: float, warn) -> Find
                    source_row=row)
 
 
-def _survey_values(columns: list[list[str]]) -> tuple:
-    """The values of each surveys row, and the text fault of each row that has one."""
-    fids, forecasters, beliefs = columns
-    faults = _empty_ids(fids, forecasters, "forecaster_id")
-    beliefs = _parse_column(float, beliefs, "belief", "belief", faults)
-    return zip(fids, forecasters, beliefs), faults
-
-
-# The record rules, one function per table: the (column, kind, message) faults
-# of one record, given the records before it. A clean record gets the empty
-# tuple, so checking it allocates nothing.
+# The record rules. A finding is checked as one record given the records before
+# it: a clean one gets the empty tuple, so checking it allocates nothing. The
+# survey and trade rules are stated over whole columns.
 
 def _unknown_finding(finding_id: str) -> str:
     return f"unknown finding_id {finding_id!r}"
@@ -521,16 +573,38 @@ def _finding_faults(f: Finding, seen_ids, p_threshold: float) -> tuple:
     return faults
 
 
-def _survey_faults(s: SurveyResponse, finding_ids, seen_pairs) -> tuple:
-    if s.finding_id not in finding_ids:
-        return (("finding_id", "dangling_reference", _unknown_finding(s.finding_id)),)
-    faults = ()
-    key = (s.finding_id, s.forecaster_id)
-    if key in seen_pairs:
-        faults += (("forecaster_id", "duplicate_key", f"duplicate response {key!r}"),)
-    if not 0.0 <= s.belief <= 1.0:
-        faults += (("belief", "invalid_value", f"belief {s.belief} outside [0, 1]"),)
-    return faults
+def _repeats(s: SurveyColumns, seen: np.ndarray) -> np.ndarray:
+    """The rows whose (finding, forecaster) pair is on an earlier row that
+    `seen` marks. The rows of one pair lie in load order in every table."""
+    codes: dict[str, int] = {}
+    forecaster = np.array([codes.setdefault(f, len(codes)) for f in s.forecaster.tolist()],
+                          dtype=np.int64)
+    # one number a pair: an unknown finding's -1 gives numbers below 0
+    pair = s.finding * len(codes) + forecaster
+    counted = np.flatnonzero(seen)
+    if not len(counted):
+        return np.zeros(len(s), dtype=bool)
+    pairs, first = np.unique(pair[counted], return_index=True)
+    at = np.minimum(np.searchsorted(pairs, pair), len(pairs) - 1)
+    return (pairs[at] == pair) & (np.arange(len(s)) > counted[first[at]])
+
+
+def _survey_rule(s: SurveyColumns, counted: np.ndarray | None = None) -> list[tuple]:
+    """The survey rule over whole columns, in rule order (see _trade_rule).
+    A row of an unknown finding has that fault only. A duplicate repeats the
+    pair of an earlier row that counts as seen: any earlier row, or, given
+    `counted`, one that it marks and that is accepted."""
+    known = s.finding >= 0
+    in_range = (0.0 <= s.belief) & (s.belief <= 1.0)
+    seen = np.ones(len(s), dtype=bool) if counted is None else counted & known & in_range
+    return [
+        ("finding_id", "dangling_reference", ~known,
+         lambda r: _unknown_finding(r.finding_id)),
+        ("forecaster_id", "duplicate_key", known & _repeats(s, seen),
+         lambda r: f"duplicate response {(r.finding_id, r.forecaster_id)!r}"),
+        ("belief", "invalid_value", known & ~in_range,
+         lambda r: f"belief {r.belief} outside [0, 1]"),
+    ]
 
 
 def _trade_rule(t: TradeColumns) -> list[tuple]:
@@ -605,9 +679,10 @@ def load_dataset(outcomes_path: str | Path, surveys_path: str | Path,
     does not parse, or a stated category that disagrees with the p-value at
     0.005, the cut the labels are named for. A rejected row is left out and
     gets exactly one error in ``Dataset.load_report`` (its first text fault,
-    else its first rule fault) and no warnings. Trades outside their market's
-    window are kept: ``outside_window`` is reported by :func:`validate` only.
-    The trades are kept as columns and build no records. Categories are taken
+    else its first rule fault) and no warnings. A key counts as seen once a
+    row with it is accepted. Trades outside their market's window are kept:
+    ``outside_window`` is reported by :func:`validate` only. Survey responses
+    and trades are kept as columns and build no records. Categories are taken
     at ``p_threshold``. A mapping column missing from a file header raises
     :class:`MissingColumn` for required fields; optional fields
     (``original_p_value``, ``side``, ``quantity``) may be absent. A mapping
@@ -616,52 +691,94 @@ def load_dataset(outcomes_path: str | Path, surveys_path: str | Path,
     """
     _check_mapping(mapping or {})
     report = ValidationReport()
-    notes: list[tuple[str, str, str]] = []  # the warnings of the row being read
-    ids: set[str] = set()
-    pairs: set[tuple[str, str]] = set()
-    findings: list[Finding] = []
-    surveys: list[SurveyResponse] = []
-    # per table: parse(columns) gives the values of each row and the text
-    # fault of each row number that has one; build(values, row) gives the
-    # record, or rejects the row on a text fault only it sees
-    tables = (
-        ("outcomes", outcomes_path, OUTCOME_FIELDS, findings,
-         lambda columns: (zip(*columns), {}),
-         lambda values, row: _finding_from(values, row, p_threshold, notes.append),
-         lambda f: _finding_faults(f, ids, p_threshold), lambda f: ids.add(f.finding_id)),
-        ("surveys", surveys_path, SURVEY_FIELDS, surveys, _survey_values,
-         lambda values, row: SurveyResponse(*values, source_row=row),
-         lambda s: _survey_faults(s, ids, pairs),
-         lambda s: pairs.add((s.finding_id, s.forecaster_id))),
-    )
-    for table, path, fields, records, parse, build, rules, keep in tables:
-        columns = _read_columns(path, table, fields, mapping)
-        lines = len(columns[0])
-        rows, text_faults = parse(columns)
-        del columns  # frees the texts parsed into numbers before the records are built
-        for row, values in enumerate(rows, start=1):
-            notes.clear()
-            try:
-                if row in text_faults:
-                    raise _Rejected(*text_faults[row])
-                record = build(values, row)
-                faults = rules(record)
-            except _Rejected as rejected:
-                faults = (rejected.args,)
-            if faults:
-                report.errors.append(Violation(table, row, *faults[0]))
-                continue
-            report.warnings += [Violation(table, row, *note) for note in notes]
-            records.append(record)
-            keep(record)
-        report.counts[table] = {"lines": lines, "accepted": len(records),
-                                "rejected": lines - len(records)}
+    findings = _load_findings(_read_columns(outcomes_path, "outcomes", OUTCOME_FIELDS, mapping),
+                              p_threshold, report)
+    finding_ids = [f.finding_id for f in findings]
+    surveys = _load_surveys(_read_columns(surveys_path, "surveys", SURVEY_FIELDS, mapping),
+                            finding_ids, report)
     trades = _load_trades(_read_columns(trades_path, "trades", TRADE_FIELDS, mapping),
-                          [f.finding_id for f in findings], report)
-
+                          finding_ids, report)
     ds = Dataset(findings, surveys, trades, load_report=report, p_threshold=p_threshold)
     _check_forecasters_traded(ds, report)
     return ds
+
+
+def _load_findings(columns: list[list[str]], p_threshold: float,
+                   report: ValidationReport) -> list[Finding]:
+    """The accepted rows of an outcomes table as records. A rejected row gets
+    one error, its first text fault, else its first rule fault, and no
+    warnings."""
+    findings: list[Finding] = []
+    ids: set[str] = set()
+    notes: list[tuple[str, str, str]] = []  # the warnings of the row being read
+    for row, values in enumerate(zip(*columns), start=1):
+        notes.clear()
+        try:
+            finding = _finding_from(values, row, p_threshold, notes.append)
+            faults = _finding_faults(finding, ids, p_threshold)
+        except _Rejected as rejected:
+            faults = (rejected.args,)
+        if faults:
+            report.errors.append(Violation("outcomes", row, *faults[0]))
+            continue
+        report.warnings += [Violation("outcomes", row, *note) for note in notes]
+        findings.append(finding)
+        ids.add(finding.finding_id)
+    lines = len(columns[0])
+    report.counts["outcomes"] = {"lines": lines, "accepted": len(findings),
+                                 "rejected": lines - len(findings)}
+    return findings
+
+
+def _clean_rows(lines: int, text_faults: dict) -> np.ndarray:
+    """The mask of the rows without a text fault."""
+    clean = np.ones(lines, dtype=bool)
+    clean[[row - 1 for row in text_faults]] = False
+    return clean
+
+
+def _accepted(table: str, clean: np.ndarray, text_faults: dict, rule: list[tuple],
+              record, report: ValidationReport) -> np.ndarray:
+    """The accepted rows of a loaded table. A rejected row gets one error: its
+    first text fault, else its first fault under the rule, worded from
+    record(i), the record of its row i."""
+    rejected = ~clean
+    rejected[_faulty_rows(rule)] = True
+    for i in np.flatnonzero(rejected).tolist():
+        fault = text_faults.get(i + 1)
+        if fault is None:
+            faulty = record(i)
+            fault = next((column, kind, message(faulty))
+                         for column, kind, mask, message in rule if mask[i])
+        report.errors.append(Violation(table, i + 1, *fault))
+    kept = np.flatnonzero(~rejected)
+    report.counts[table] = {"lines": len(clean), "accepted": len(kept),
+                            "rejected": len(clean) - len(kept)}
+    return kept
+
+
+def _load_surveys(columns: list[list[str]], finding_ids: list[str],
+                  report: ValidationReport) -> SurveyColumns:
+    """The accepted rows of a surveys table as columns grouped by finding,
+    each finding's rows in load order."""
+    fids, forecasters, beliefs = columns
+    columns.clear()  # each text column goes once it is parsed
+    faults = _empty_ids(fids, forecasters, "forecaster_id")
+    beliefs = _parse_column(float, beliefs, "belief", "belief", faults)
+    lines = len(fids)
+    group = {fid: k for k, fid in enumerate(finding_ids)}
+    # a belief that did not parse reads as NaN, and the row is rejected on its text alone
+    table = SurveyColumns(finding_ids,
+                          np.array([group.get(fid, -1) for fid in fids], dtype=np.int64),
+                          np.array(list(map(sys.intern, forecasters)), dtype=object),
+                          np.array(beliefs, dtype=float), np.arange(lines),
+                          np.arange(1, lines + 1))
+    clean = _clean_rows(lines, faults)
+    kept = _accepted("surveys", clean, faults, _survey_rule(table, clean),
+                     lambda i: SurveyResponse(fids[i], forecasters[i], beliefs[i]), report)
+    # an accepted row's load index is its place among the accepted rows
+    order = np.argsort(table.finding[kept], kind="stable")
+    return replace(table[kept[order]], load_index=order)
 
 
 def _parse_trades(columns: list[list[str]]) -> tuple[list[list], dict]:
@@ -680,17 +797,9 @@ def _parse_trades(columns: list[list[str]]) -> tuple[list[list], dict]:
             prices], faults
 
 
-def _trade_values(columns: list[list[str]]) -> tuple:
-    """The values of each trades row, and the text fault of each row that has one."""
-    values, faults = _parse_trades(columns)
-    return zip(*values), faults
-
-
 def _load_trades(columns: list[list[str]], finding_ids: list[str],
                  report: ValidationReport) -> TradeColumns:
-    """The accepted rows of a trades table as columns in trade order. A
-    rejected row gets one error: its first text fault, else its first fault
-    under the trade rule."""
+    """The accepted rows of a trades table as columns in trade order."""
     values, faults = _parse_trades(columns)
     fids, traders, timestamps, sides, quantities, prices = values
     lines = len(fids)
@@ -704,23 +813,11 @@ def _load_trades(columns: list[list[str]], finding_ids: list[str],
         np.array([0 if ms is None else ms for ms in timestamps] if faults else timestamps,
                  dtype=np.int64), sides, quantities, prices,
         source_row=np.arange(1, lines + 1))
-    rule = _trade_rule(table)
-    rejected = np.zeros(lines, dtype=bool)
-    rejected[[row - 1 for row in faults]] = True
-    rejected[_faulty_rows(rule)] = True
-    for i in np.flatnonzero(rejected).tolist():
-        fault = faults.get(i + 1)
-        if fault is None:
-            record = Trade(fids[i], traders[i], timestamps[i], sides[i], quantities[i],
-                           prices[i])
-            fault = next((column, kind, message(record))
-                         for column, kind, mask, message in rule if mask[i])
-        report.errors.append(Violation("trades", i + 1, *fault))
+    kept = _accepted("trades", _clean_rows(lines, faults), faults, _trade_rule(table),
+                     lambda i: Trade(fids[i], traders[i], timestamps[i], sides[i],
+                                     quantities[i], prices[i]), report)
     # the parsed values go before the accepted rows are copied
     del values, fids, traders, timestamps, sides, quantities, prices
-    kept = np.flatnonzero(~rejected)
-    report.counts["trades"] = {"lines": lines, "accepted": len(kept),
-                               "rejected": lines - len(kept)}
     # an accepted row's load sequence is its place among the accepted rows
     order = np.lexsort((table.timestamp[kept], table.finding[kept]))
     return replace(table[kept[order]], load_index=order)
@@ -734,7 +831,7 @@ def _check_forecasters_traded(ds: Dataset, report: ValidationReport) -> None:
     warning, not an error.
     """
     traders = set(ds.trade_columns.trader.tolist())
-    flagged = sorted({s.forecaster_id for s in ds.surveys} - traders)
+    flagged = sorted(set(ds.survey_columns.forecaster.tolist()) - traders)
     for forecaster in flagged:
         report.warnings.append(Violation(
             "surveys", None, "forecaster_id", "forecaster_never_traded",
@@ -744,26 +841,20 @@ def _check_forecasters_traded(ds: Dataset, report: ValidationReport) -> None:
 def validate(ds: Dataset) -> ValidationReport:
     """Audit an in-memory Dataset: every fault the record rules of
     :func:`load_dataset` find in each record, and every trade outside its
-    market's window.
+    market's window. Every earlier record counts as seen.
 
     Pure: the same Dataset always yields an identical report. Violations are
     reported with row provenance where the records carry it; nothing is
     modified or excluded.
     """
     report = ValidationReport()
-
-    def audit(table, record, faults):
-        for fault in faults:
-            report.errors.append(Violation(table, record.source_row, *fault))
-
     by_id: dict[str, Finding] = {}
     for f in ds.findings:
-        audit("outcomes", f, _finding_faults(f, by_id, ds.p_threshold))
+        report.errors += [Violation("outcomes", f.source_row, *fault)
+                          for fault in _finding_faults(f, by_id, ds.p_threshold)]
         by_id.setdefault(f.finding_id, f)
-    pairs: set[tuple[str, str]] = set()
-    for s in ds.surveys:
-        audit("surveys", s, _survey_faults(s, by_id, pairs))
-        pairs.add((s.finding_id, s.forecaster_id))
+    surveys = ds.survey_columns
+    _audit(report, "surveys", surveys, _survey_rule(surveys))
 
     trades = ds.trade_columns
     # a trade's window is that of the first finding with its id
@@ -774,19 +865,15 @@ def validate(ds: Dataset) -> ValidationReport:
     closes = np.array([f.market_close for f in windows], dtype=at.dtype)[group]
     outside = np.zeros(len(trades), dtype=bool)
     outside[known] = ~((opens <= at) & (at <= closes))
-    faults = _trade_rule(trades) + [("timestamp", "outside_window", outside, lambda t: (
-        f"trade at {_instant(t.timestamp)} outside [{_instant(by_id[t.finding_id].market_open)}, "
-        f"{_instant(by_id[t.finding_id].market_close)}]"))]
-    flagged = _faulty_rows(faults)
-    # every fault of a record, the records in load order
-    for i in flagged[np.argsort(trades.load_index[flagged], kind="stable")].tolist():
-        record = trades.record(i)
-        audit("trades", record, [(column, kind, message(record))
-                                 for column, kind, mask, message in faults if mask[i]])
+    _audit(report, "trades", trades, _trade_rule(trades) + [(
+        "timestamp", "outside_window", outside, lambda t: (
+            f"trade at {_instant(t.timestamp)} outside "
+            f"[{_instant(by_id[t.finding_id].market_open)}, "
+            f"{_instant(by_id[t.finding_id].market_close)}]"))])
 
     report.counts = {
         "outcomes": {"records": len(ds.findings)},
-        "surveys": {"records": len(ds.surveys)},
+        "surveys": {"records": len(surveys)},
         "trades": {
             "records": len(trades),
             # whether the export records both sides or is normalized to the
@@ -799,13 +886,32 @@ def validate(ds: Dataset) -> ValidationReport:
     return report
 
 
-def market_rows(ds: Dataset, finding_id: str) -> slice:
-    """The rows of one market's trades in ``ds.trade_columns``, in trade order."""
+def _audit(report: ValidationReport, table: str, columns: _Columns, rule: list[tuple]) -> None:
+    """Report every fault the rule finds in each row, the rows in load order."""
+    flagged = _faulty_rows(rule)
+    for i in flagged[np.argsort(columns.load_index[flagged], kind="stable")].tolist():
+        record = columns.record(i)
+        report.errors += [Violation(table, record.source_row, column, kind, message(record))
+                          for column, kind, mask, message in rule if mask[i]]
+
+
+def _finding_rows(ds: Dataset, finding_id: str, bounds: list[int]) -> slice:
     try:
         k = ds._group[finding_id]
     except KeyError:
         raise UnknownFinding(finding_id) from None
-    return slice(ds._bounds[k], ds._bounds[k + 1])
+    return slice(bounds[k], bounds[k + 1])
+
+
+def market_rows(ds: Dataset, finding_id: str) -> slice:
+    """The rows of one market's trades in ``ds.trade_columns``, in trade order."""
+    return _finding_rows(ds, finding_id, ds._trade_bounds)
+
+
+def survey_rows(ds: Dataset, finding_id: str) -> slice:
+    """The rows of one finding's survey responses in ``ds.survey_columns``, in
+    load order."""
+    return _finding_rows(ds, finding_id, ds._survey_bounds)
 
 
 def closed_rows(ds: Dataset, finding: Finding) -> slice:
@@ -818,7 +924,7 @@ def closed_rows(ds: Dataset, finding: Finding) -> slice:
 
 def trade_counts(ds: Dataset) -> list[int]:
     """The number of trades of each finding, in the order of ``ds.findings``."""
-    sizes = np.diff(ds._bounds).tolist()
+    sizes = np.diff(ds._trade_bounds).tolist()
     return [sizes[ds._group[f.finding_id]] for f in ds.findings]
 
 
@@ -828,10 +934,8 @@ def trades_for(ds: Dataset, finding_id: str) -> list[Trade]:
 
 
 def surveys_for(ds: Dataset, finding_id: str) -> list[SurveyResponse]:
-    """All survey responses for one finding, in load order."""
-    if finding_id not in ds._surveys:
-        raise UnknownFinding(finding_id)
-    return list(ds._surveys[finding_id])
+    """All survey responses for one finding as records, in load order."""
+    return ds.survey_columns.records(survey_rows(ds, finding_id))
 
 
 def write_csv(path: str | Path, header, rows) -> None:

@@ -1,6 +1,7 @@
 """Property tests of the per-finding grouping built with a Dataset, of the
-vectorized error-curve alignment and of the error series and late-trade
-forecasts, each against a plain reference over the records kept here."""
+vectorized error-curve alignment, of the error series and late-trade
+forecasts and of the survey rule, each against a plain reference over the
+records kept here."""
 
 import dataclasses
 import math
@@ -13,9 +14,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from repmarket import dynamics, lmsr, stats  # noqa: E402
-from repmarket.dataset import (Dataset, closed_rows, load_dataset, surveys_for,  # noqa: E402
-                               trades_for, validate, write_dataset)
+from repmarket import aggregate, dynamics, lmsr, stats  # noqa: E402
+from repmarket.dataset import (Dataset, SurveyResponse, closed_rows, load_dataset,  # noqa: E402
+                               surveys_for, trades_for, validate, write_dataset)
 from repmarket.errors import EmptyMarket, ReplayUnavailable, UnknownFinding  # noqa: E402
 from repmarket.synth import synthetic_dataset  # noqa: E402
 
@@ -368,3 +369,85 @@ def test_dangling_trades_between_known_ones_are_reported_and_join_no_market():
     assert trades_for(ds, "F1") == trades[::-2]
     assert lmsr.replay(ds, "F1") == [0.6] * 3
     assert len(ds.trade_columns) == 5
+
+
+def scan_weights(ds):
+    """The variance of each forecaster's beliefs, the records taken in order."""
+    beliefs = {}
+    for s in ds.surveys:
+        beliefs.setdefault(s.forecaster_id, []).append(s.belief)
+    return [aggregate.ForecasterWeight(forecaster, stats.mean_var(beliefs[forecaster])[1])
+            for forecaster in sorted(beliefs)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(valid_datasets())
+# grouped by finding, a's beliefs would read 0.5, 0.2, 0.4: a variance one ulp off
+@example(make_dataset([make_finding(fid) for fid in ("F1", "F2", "F3")], [
+    survey("F2", "a", 0.2), survey("F3", "a", 0.4), survey("F1", "a", 0.5)]))
+def test_a_loaded_dataset_aggregates_the_surveys_it_was_written_from(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        loaded = _write_and_load(ds, Path(tmp))
+    assert loaded.load_report.errors == []
+    for fid in ds.finding_ids():
+        assert surveys_for(loaded, fid) == surveys_for(ds, fid) == scan_surveys(ds, fid)
+    assert (aggregate.aggregate_all(loaded, methods=aggregate.SURVEY_METHODS)
+            == aggregate.aggregate_all(ds, methods=aggregate.SURVEY_METHODS))
+    assert aggregate.forecaster_weights(loaded) == aggregate.forecaster_weights(ds) == (
+        scan_weights(ds))
+
+
+@st.composite
+def surveyed(draw):
+    """Up to three findings and responses by few forecasters, so that pairs
+    repeat: some of unknown findings, some by an empty forecaster id (which
+    only the loader faults), some with beliefs outside [0, 1]."""
+    findings = [make_finding(fid) for fid in IDS[:draw(st.integers(0, 3))]]
+    rows = draw(st.lists(st.tuples(st.sampled_from(IDS[:3] + (UNKNOWN,)),
+                                   st.sampled_from(["a", "b", ""]),
+                                   st.sampled_from([0.0, 1.0, -0.5, 1.5]) | st.floats(-0.5, 1.5)),
+                         max_size=25))
+    return make_dataset(findings, [SurveyResponse(fid, who, belief, source_row=row)
+                                   for row, (fid, who, belief) in enumerate(rows, start=1)])
+
+
+def scan_responses(ds, loaded):
+    """(row, column, kind, message) of each survey fault, the records scanned
+    in order. `validate` counts every earlier record as seen and reports every
+    fault; the loader counts a pair as seen once a row with it is accepted and
+    reports a rejected row's first fault alone."""
+    known = set(ds.finding_ids())
+    seen, expected = set(), []
+    for row, s in enumerate(ds.surveys, start=1):
+        key = (s.finding_id, s.forecaster_id)
+        if loaded and not s.forecaster_id:
+            faults = [("finding_id/forecaster_id", "invalid_value", "empty identifier")]
+        elif s.finding_id not in known:
+            faults = [("finding_id", "dangling_reference", f"unknown finding_id {s.finding_id!r}")]
+        else:
+            faults = ([("forecaster_id", "duplicate_key", f"duplicate response {key!r}")]
+                      if key in seen else [])
+            if not 0.0 <= s.belief <= 1.0:
+                faults.append(("belief", "invalid_value", f"belief {s.belief} outside [0, 1]"))
+        expected += [(row, *fault) for fault in (faults[:1] if loaded else faults)]
+        if not (loaded and faults):
+            seen.add(key)
+    return expected
+
+
+def _survey_errors(report):
+    return [(v.row, v.column, v.kind, v.message) for v in report.errors if v.table == "surveys"]
+
+
+@settings(deadline=None, max_examples=80)
+@given(surveyed())
+@example(make_dataset([make_finding("F1")], [  # a duplicate after a rejected row
+    SurveyResponse("F1", "a", 1.5, source_row=1), SurveyResponse("F1", "a", 0.5, source_row=2),
+    SurveyResponse("F1", "a", 0.2, source_row=3)]))
+def test_validate_and_the_loader_report_responses_as_the_record_scan_says(ds):
+    assert _survey_errors(validate(ds)) == scan_responses(ds, loaded=False)
+    with tempfile.TemporaryDirectory() as tmp:
+        loaded = _write_and_load(ds, Path(tmp))
+    assert _survey_errors(loaded.load_report) == scan_responses(ds, loaded=True)
+    rejected = {row for row, *_ in scan_responses(ds, loaded=True)}
+    assert loaded.surveys == [s for s in ds.surveys if s.source_row not in rejected]

@@ -8,12 +8,15 @@ rows the loader must accept: a blank line, short rows, a repeated column name
 a recategorized and a not recategorized category, an unparsed p-value and a
 trade after close."""
 
+import contextlib
+import io
 import json
 import math
 from pathlib import Path
 
 import pytest
 
+from repmarket.cli import main
 from repmarket.dataset import Finding, SurveyResponse, Trade, load_dataset, validate
 
 from helpers import BASE_MS, DAY_MS, HOUR_MS, make_dataset
@@ -79,6 +82,21 @@ def test_load_and_validate_reports_of_the_malformed_fixture(p_threshold):
     recorded = RECORDED[str(p_threshold)]
     assert ds.load_report.to_dict() == recorded["load"]
     assert validate(ds).to_dict() == recorded["validate"]
+
+
+def test_validate_prints_load_and_validation_warnings_apart(tmp_path):
+    # the load report holds the derived category, the unparsed p-value and the
+    # forecaster who never traded; validation finds the last one again
+    args = ["validate", "--outcomes", str(DATA / "outcomes.csv"), "--surveys",
+            str(DATA / "surveys.csv"), "--trades", str(DATA / "trades.csv"),
+            "--out", str(tmp_path)]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(args) == 1
+    recorded = RECORDED["0.005"]
+    assert (len(recorded["load"]["warnings"]), len(recorded["validate"]["warnings"])) == (3, 1)
+    assert (f"load errors: {len(recorded['load']['errors'])}; load warnings: 3; "
+            f"validation errors: {len(recorded['validate']['errors'])}; "
+            "validation warnings: 1") in out.getvalue().splitlines()
 
 
 def test_validate_report_of_an_in_memory_dataset():

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from repmarket import dynamics  # noqa: E402
 from repmarket.dataset import (  # noqa: E402
     _parse_column,
-    _trade_values,
+    _parse_trades,
     parse_timestamp,
 )
 
@@ -78,10 +78,10 @@ def test_one_unparsed_number_rejects_its_row_alone(texts, data):
     n = len(texts)
     columns = [["F1"] * n, ["t1"] * n, ["2020-01-06T00:00:00.000Z"] * n, ["YES"] * n,
                ["1"] * n, texts]
-    rows, faults = _trade_values(columns)
+    values, faults = _parse_trades(columns)
     assert faults == {bad_row: ("post_trade_price", "invalid_value",
                                 f"cannot parse price {bad!r}")}
-    prices = [row[-1] for row in rows]
+    prices = values[-1]
     assert prices == [None if row == bad_row else float(text)
                       for row, text in enumerate(texts, start=1)]
 
@@ -105,7 +105,7 @@ def test_a_row_gets_its_first_text_fault(n, data):
     for k in broken:
         column, text, _ = TEXT_FAULTS[k]
         columns[column][bad_row - 1] = text
-    _, faults = _trade_values(columns)
+    _, faults = _parse_trades(columns)
     assert faults == {bad_row: TEXT_FAULTS[min(broken)][2]}
 
 

@@ -1,6 +1,7 @@
-"""The trades of a loaded dataset are columns: the analysis commands read them
-as per-market slices and build no `Trade` record, and what they return from
-the columns are Python numbers, not numpy scalars."""
+"""The trades and survey responses of a loaded dataset are columns: the
+analysis commands read them as per-finding slices and build no `Trade` or
+`SurveyResponse` record, and what they return from the columns are Python
+numbers, not numpy scalars."""
 
 import contextlib
 import io
@@ -9,7 +10,7 @@ import pytest
 
 from repmarket import aggregate, dynamics, lmsr
 from repmarket.cli import main
-from repmarket.dataset import Trade, load_dataset
+from repmarket.dataset import SurveyResponse, Trade, load_dataset
 from repmarket.synth import synthetic_dataset, write_fixture
 
 COMMANDS = {
@@ -29,15 +30,19 @@ def paths(tmp_path_factory):
 
 @pytest.fixture()
 def built(monkeypatch):
-    """The number of Trade records built while the test runs."""
-    count = [0]
-    init = Trade.__init__
+    """The number of Trade and of SurveyResponse records built while the test runs."""
+    count = {Trade: 0, SurveyResponse: 0}
 
-    def counting(self, *args, **kwargs):
-        count[0] += 1
-        init(self, *args, **kwargs)
+    def counting(record_type):
+        init = record_type.__init__
 
-    monkeypatch.setattr(Trade, "__init__", counting)
+        def init_counted(self, *args, **kwargs):
+            count[record_type] += 1
+            init(self, *args, **kwargs)
+        return init_counted
+
+    for record_type in count:
+        monkeypatch.setattr(record_type, "__init__", counting(record_type))
     return count
 
 
@@ -50,13 +55,23 @@ def _data_args(paths):
 def test_commands_on_a_loaded_dataset_build_no_trade(paths, tmp_path, built, command):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([*COMMANDS[command], *_data_args(paths), "--out", str(tmp_path)]) == 0
-    assert built[0] == 0
+    assert built[Trade] == 0
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_commands_on_a_loaded_dataset_build_no_survey_response(paths, tmp_path, built,
+                                                               command):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*COMMANDS[command], *_data_args(paths), "--out", str(tmp_path)]) == 0
+    assert built[SurveyResponse] == 0
 
 
 def test_the_count_sees_records_built_on_request(paths, built):
     ds = load_dataset(paths["outcomes"], paths["surveys"], paths["trades"])
-    assert built[0] == 0
-    assert len(ds.trades) == ds.load_report.counts["trades"]["accepted"] == built[0]
+    assert built == {Trade: 0, SurveyResponse: 0}
+    assert len(ds.trades) == ds.load_report.counts["trades"]["accepted"] == built[Trade]
+    assert (len(ds.surveys) == ds.load_report.counts["surveys"]["accepted"]
+            == built[SurveyResponse])
 
 
 def test_values_read_from_the_columns_are_python_floats(paths):
@@ -72,3 +87,6 @@ def test_values_read_from_the_columns_are_python_floats(paths):
     assert type(forecast.value) is float and type(forecast.n_inputs) is int
     assert {type(v) for pair in dynamics.late_trade_forecasts(ds).values()
             for v in pair} == {float}
+    forecasts = aggregate.aggregate_all(ds, methods=aggregate.SURVEY_METHODS)
+    assert {(type(f.value), type(f.n_inputs)) for f in forecasts} == {(float, int)}
+    assert {type(w.weight) for w in aggregate.forecaster_weights(ds)} == {float}
