@@ -315,8 +315,8 @@ def cmd_synth(args) -> int:
                                  n_traders=args.traders,
                                  liquidity_b=args.liquidity_b)
     paths = synth.write_fixture(ds, args.out)
-    print(f"seed {args.seed}: {len(ds.findings)} markets, {len(ds.trades)} trades, "
-          f"{len(ds.surveys)} survey responses")
+    print(f"seed {args.seed}: {len(ds.findings)} markets, {len(ds.trade_columns)} trades, "
+          f"{len(ds.survey_columns)} survey responses")
     for name, path in paths.items():
         print(f"  {name}: {path}")
     return 0

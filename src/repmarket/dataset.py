@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import cached_property
 from operator import attrgetter
@@ -184,23 +184,40 @@ class ValidationReport:
 
 class _Columns:
     """What the two column tables share. A table holds one entry per row in
-    each column its ROWS name, the row's place in load order (`load_index`)
-    and, when it was taken from a record list, that list (`given`)."""
+    each column its ROWS name: every field of the row's record, and its place
+    in load order (`load_index`). `finding` indexes `finding_ids` from 0 and
+    `unknown_ids`, the ids the findings lack, from -1 down."""
 
     def __len__(self) -> int:
         return len(self.load_index)
 
     def __getitem__(self, rows):
         """The given rows, in the given order (a slice gives views)."""
-        return replace(self, **{name: column[rows] for name in self.ROWS
-                                if (column := getattr(self, name)) is not None})
+        return replace(self, **{name: getattr(self, name)[rows] for name in self.ROWS})
+
+    @classmethod
+    def _fields_of(cls, records: list) -> list[list]:
+        """Each field of the records, one list a field."""
+        return [list(map(attrgetter(f.name), records)) for f in fields(cls.RECORD)]
+
+    @cached_property
+    def _bounds(self) -> list[int]:
+        """Finding k's rows are _bounds[k]:_bounds[k + 1] in a table grouped by finding."""
+        return np.searchsorted(self.finding, np.arange(len(self.finding_ids) + 1)).tolist()
+
+    def in_load_order(self):
+        """The rows in load order."""
+        return self[np.argsort(self.load_index)]
+
+    def _finding_id_list(self) -> list[str]:
+        """The finding id of each row."""
+        # index -1 - k reads the k-th unknown id from the end
+        names = np.array([*self.finding_ids, *reversed(self.unknown_ids)], dtype=object)
+        return names[self.finding].tolist()
 
     def records(self, rows=slice(None)) -> list:
-        """The record of each of the given rows: the record the columns were
-        taken from, or one built from a loaded row."""
-        if self.given is not None:
-            return [self.given[i] for i in self.load_index[rows].tolist()]
-        return self[rows]._loaded_records()
+        """The record of each of the given rows."""
+        return list(map(self.RECORD, *self[rows].values()))
 
     def record(self, row: int):
         """The record of one row."""
@@ -213,49 +230,44 @@ class TradeColumns(_Columns):
 
     A Dataset holds its trades so in trade order: grouped by market in the
     order the finding ids first occur, each market's rows sorted by
-    (timestamp, load sequence), and the rows of unknown findings first.
-    `records` gives the rows as `Trade` records.
+    (timestamp, seq), and the rows of unknown findings first. `records`
+    gives the rows as `Trade` records.
     """
-    finding_ids: list[str]    # the distinct finding ids, which `finding` indexes
-    finding: np.ndarray       # int64; -1 for a finding_id the findings lack
+    finding_ids: list[str]    # the distinct ids of the findings
+    unknown_ids: list[str]    # the ids of the rows' findings the findings lack
+    finding: np.ndarray       # int64 index of each row's finding id (see _Columns)
     trader: np.ndarray        # object: the trader ids
-    timestamp: np.ndarray     # int64 ms since epoch; Python ints past _EXACT_MS
+    timestamp: np.ndarray     # int64 ms since epoch; as given when one is past _EXACT_MS
+    side: np.ndarray          # object: the side texts
     yes: np.ndarray           # bool: the side is YES
     no: np.ndarray            # bool: the side is NO (neither: not a side)
     quantity: np.ndarray      # float64; NaN where no quantity is recorded
     has_quantity: np.ndarray  # bool: a quantity (NaN too) is recorded
     price: np.ndarray         # float64 post-trade YES price
+    seq: np.ndarray           # the record's load sequence; load_index for a loaded row
     load_index: np.ndarray    # int64 position of each row in load order
-    source_row: np.ndarray | None = None  # int64 data row of each loaded row
-    given: list[Trade] | None = None      # the records the columns were taken from
+    source_row: np.ndarray    # the data row of each row: int64, or objects with None
 
-    ROWS = ("finding", "trader", "timestamp", "yes", "no", "quantity", "has_quantity",
-            "price", "load_index", "source_row")
+    ROWS = ("finding", "trader", "timestamp", "side", "yes", "no", "quantity",
+            "has_quantity", "price", "seq", "load_index", "source_row")
+    RECORD = Trade
 
     @classmethod
-    def from_records(cls, trades: list[Trade], findings: list[Finding],
-                     group: dict[str, int]) -> TradeColumns:
-        """The columns of the records in trade order; `group` numbers the
-        finding ids. The records are kept."""
-        fids, traders, times, sides, quantities, prices, seqs = (
-            list(map(attrgetter(name), trades)) for name in (
-                "finding_id", "trader_id", "timestamp", "side", "quantity",
-                "post_trade_price", "seq"))
+    def from_records(cls, trades: list[Trade], findings: list[Finding]) -> TradeColumns:
+        """The columns of the records, in trade order."""
+        fids, traders, times, sides, quantities, prices, seqs, rows = cls._fields_of(trades)
+        # the market bounds are instants too: an instant is subtracted from them
         bounds = [ms for f in findings for ms in (f.market_open, f.market_close)]
-        columns = _trade_columns(list(group), [group.get(fid, -1) for fid in fids], traders,
-                                 _ms_column(times, bounds), sides, quantities, prices,
-                                 given=trades)
-        return columns[np.lexsort((np.array(seqs), columns.timestamp, columns.finding))]
+        times = _int_column([*bounds, *times], _EXACT_MS)[len(bounds):]
+        columns = _trade_columns(_ids_of(findings), fids, traders, times, sides, quantities,
+                                 prices, _int_column(seqs), _int_column(rows))
+        return columns[np.lexsort((columns.seq, columns.timestamp, columns.finding))]
 
-    def _loaded_records(self) -> list[Trade]:
-        # a loaded row names a known finding and a side
-        return list(map(Trade, [self.finding_ids[k] for k in self.finding.tolist()],
-                        self.trader.tolist(), self.timestamp.tolist(),
-                        ["YES" if yes else "NO" for yes in self.yes.tolist()],
-                        [q if has else None for q, has in zip(self.quantity.tolist(),
-                                                             self.has_quantity.tolist())],
-                        self.price.tolist(), self.load_index.tolist(),
-                        self.source_row.tolist()))
+    def values(self) -> list[list]:
+        """Each row's value of each field of its `Trade`, one list a field."""
+        return [self._finding_id_list(), self.trader.tolist(), self.timestamp.tolist(),
+                self.side.tolist(), np.where(self.has_quantity, self.quantity, None).tolist(),
+                self.price.tolist(), self.seq.tolist(), self.source_row.tolist()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,95 +279,112 @@ class SurveyColumns(_Columns):
     unknown findings first. `records` gives the rows as `SurveyResponse`
     records.
     """
-    finding_ids: list[str]    # the distinct finding ids, which `finding` indexes
-    finding: np.ndarray       # int64; -1 for a finding_id the findings lack
+    finding_ids: list[str]    # the distinct ids of the findings
+    unknown_ids: list[str]    # the ids of the rows' findings the findings lack
+    finding: np.ndarray       # int64 index of each row's finding id (see _Columns)
     forecaster: np.ndarray    # object: the forecaster ids
     belief: np.ndarray        # float64
     load_index: np.ndarray    # int64 position of each row in load order
-    source_row: np.ndarray | None = None    # int64 data row of each loaded row
-    given: list[SurveyResponse] | None = None  # the records the columns were taken from
+    source_row: np.ndarray    # the data row of each row: int64, or objects with None
 
     ROWS = ("finding", "forecaster", "belief", "load_index", "source_row")
+    RECORD = SurveyResponse
 
     @classmethod
-    def from_records(cls, surveys: list[SurveyResponse], group: dict[str, int]) -> SurveyColumns:
-        """The columns of the records grouped by finding; `group` numbers the
-        finding ids. The records are kept."""
-        fids, forecasters, beliefs = (list(map(attrgetter(name), surveys)) for name in (
-            "finding_id", "forecaster_id", "belief"))
-        columns = cls(list(group), np.array([group.get(fid, -1) for fid in fids], dtype=np.int64),
+    def from_records(cls, surveys: list[SurveyResponse],
+                     findings: list[Finding]) -> SurveyColumns:
+        """The columns of the records, grouped by finding."""
+        fids, forecasters, beliefs, rows = cls._fields_of(surveys)
+        finding_ids = _ids_of(findings)
+        columns = cls(finding_ids, *_codes(fids, finding_ids),
                       np.array(forecasters, dtype=object), np.array(beliefs, dtype=float),
-                      np.arange(len(surveys)), given=surveys)
+                      np.arange(len(surveys)), _int_column(rows))
         return columns[np.argsort(columns.finding, kind="stable")]
 
-    def _loaded_records(self) -> list[SurveyResponse]:
-        # a loaded row names a known finding
-        return list(map(SurveyResponse, [self.finding_ids[k] for k in self.finding.tolist()],
-                        self.forecaster.tolist(), self.belief.tolist(),
-                        self.source_row.tolist()))
+    def values(self) -> list[list]:
+        """Each row's value of each field of its `SurveyResponse`, one list a field."""
+        return [self._finding_id_list(), self.forecaster.tolist(), self.belief.tolist(),
+                self.source_row.tolist()]
 
 
-def _trade_columns(finding_ids: list[str], finding, traders, timestamp: np.ndarray, sides,
-                   quantities, prices, source_row=None, given=None) -> TradeColumns:
+def _ids_of(findings: list[Finding]) -> list[str]:
+    """The distinct finding ids, in the order they first occur."""
+    return list(dict.fromkeys(f.finding_id for f in findings))
+
+
+def _codes(fids: list[str], finding_ids: list[str]) -> tuple[list[str], np.ndarray]:
+    """The ids among fids that finding_ids lacks, in the order they first
+    occur, and each fid's index: into finding_ids, or -1 - k for the k-th
+    lacking id."""
+    group = {fid: k for k, fid in enumerate(finding_ids)}
+    codes = np.array([group.get(fid, -1) for fid in fids], dtype=np.int64)
+    dangling = np.flatnonzero(codes < 0).tolist()
+    unknown = {fid: -1 - k for k, fid in enumerate(dict.fromkeys(fids[i] for i in dangling))}
+    codes[dangling] = [unknown[fids[i]] for i in dangling]
+    return list(unknown), codes
+
+
+def _trade_columns(finding_ids: list[str], fids, traders, timestamp: np.ndarray, sides,
+                   quantities, prices, seq: np.ndarray, source_row: np.ndarray) -> TradeColumns:
     """Columns of the rows' values in the given order; None is no quantity."""
     sides = np.array(sides, dtype=object)
     return TradeColumns(
-        finding_ids, np.array(finding, dtype=np.int64), np.array(traders, dtype=object),
-        timestamp, sides == "YES", sides == "NO", np.array(quantities, dtype=float),
+        finding_ids, *_codes(fids, finding_ids), np.array(traders, dtype=object), timestamp,
+        sides, sides == "YES", sides == "NO", np.array(quantities, dtype=float),
         np.array([q is not None for q in quantities], dtype=bool),
-        np.array(prices, dtype=float), np.arange(len(timestamp)), source_row, given)
+        np.array(prices, dtype=float), seq, np.arange(len(timestamp)), source_row)
 
 
-def _ms_column(times, bounds=()) -> np.ndarray:
-    """The instants as int64, or as Python ints (exact at any size) when one
-    of them or of the market bounds is not an int below _EXACT_MS."""
-    both = np.array([*bounds, *times]) if bounds or times else np.zeros(0, np.int64)
-    if both.dtype == np.int64 and bool(np.all((-_EXACT_MS < both) & (both < _EXACT_MS))):
-        return both[len(bounds):]
-    return np.array(times, dtype=object)
+def _int_column(values: list, limit: int | None = None) -> np.ndarray:
+    """The values as int64, or as given (None, say, or Python ints, exact at
+    any size) when one is not an int64 or, given a limit, not below it in size."""
+    column = np.array(values) if values else np.zeros(0, np.int64)
+    if column.dtype != np.int64 or limit and not np.all((-limit < column) & (column < limit)):
+        return np.array(values, dtype=object)
+    return column
 
 
 class _Records:
-    """A table field of a Dataset, `surveys` or `trades`. It takes a record
-    list, which it keeps, or the columns of a loaded table, whose records it
-    builds on the first read."""
+    """A table field of a Dataset, `surveys` or `trades`. It is set once, to a
+    record list, which it takes as columns, or to a loaded table's columns,
+    and builds its records from the columns on the first read."""
 
-    def __init__(self, columns: str):
-        self.columns = columns  # the Dataset attribute that holds the columns
+    def __init__(self, table: type[_Columns], columns: str):
+        self.table, self.columns = table, columns  # columns: the Dataset attribute
 
     def __set_name__(self, owner, name):
-        self.name, self.kept = name, f"_{name}_records"
+        self.name, self.built = name, f"_{name}_built"
 
     def __get__(self, ds, owner=None):
         if ds is None:
             raise AttributeError(self.name)  # the field has no default
-        if vars(ds)[self.kept] is None:
-            columns = getattr(ds, self.columns)
-            vars(ds)[self.kept] = columns.records(np.argsort(columns.load_index))
-        return vars(ds)[self.kept]
+        if self.built not in vars(ds):
+            vars(ds)[self.built] = getattr(ds, self.columns).in_load_order().records()
+        return vars(ds)[self.built]
 
     def __set__(self, ds, value):
-        if "_group" in vars(ds):
+        if self.columns in vars(ds):
             raise AttributeError(f"a Dataset's {self.name} are grouped when it is built: "
                                  "rebuild it with dataclasses.replace")
-        if isinstance(value, _Columns):
-            vars(ds).update({self.columns: value, self.kept: None})
-        else:
-            vars(ds)[self.kept] = value
+        if not isinstance(value, self.table):
+            # `findings`, the field before this one, is set
+            value = self.table.from_records(list(value), ds.findings)
+        vars(ds)[self.columns] = value
 
 
 @dataclass
 class Dataset:
     """The three tables. Survey responses and trades are held as columns
-    (`survey_columns`, `trade_columns`), each grouped by finding once: a
-    loaded dataset is built from them, and a dataset built from record lists
-    keeps the lists and takes its columns on first use. `surveys`, `trades`,
-    `surveys_for`, `trades_for` and the columns' `records` build records only
-    on request. Rows of unknown findings join no group. A changed dataset
-    must be rebuilt with `dataclasses.replace`, not mutated in place."""
+    only (`survey_columns`, `trade_columns`), each grouped by finding once:
+    a loaded dataset is built from them, and a dataset built from record
+    lists takes the lists as columns and keeps no reference to them.
+    `surveys`, `trades`, `surveys_for`, `trades_for` and the columns'
+    `records` build records from the columns, on request only. Rows of
+    unknown findings join no group. A changed dataset must be rebuilt with
+    `dataclasses.replace`, not mutated in place."""
     findings: list[Finding]
-    surveys: list[SurveyResponse] = _Records("survey_columns")  # or a loaded SurveyColumns
-    trades: list[Trade] = _Records("trade_columns")  # or a loaded table's TradeColumns
+    surveys: list[SurveyResponse] = _Records(SurveyColumns, "survey_columns")
+    trades: list[Trade] = _Records(TradeColumns, "trade_columns")
     load_report: ValidationReport | None = field(default=None, compare=False)
     p_threshold: float = DEFAULT_P_THRESHOLD  # the cut the categories were taken at
 
@@ -365,34 +394,6 @@ class Dataset:
         self._by_id = {f.finding_id: f for f in self.findings}
         # rows are grouped by finding id, in the order the ids first occur
         self._group = {fid: k for k, fid in enumerate(self._by_id)}
-        for name in ("survey_columns", "trade_columns"):
-            if name in vars(self) and vars(self)[name].finding_ids != list(self._group):
-                raise ValueError(f"the {name.replace('_', ' ')} number other findings")
-
-    @cached_property
-    def trade_columns(self) -> TradeColumns:
-        """The trades as columns in trade order, taken from the kept records
-        on first use (a loaded dataset is built with them)."""
-        return TradeColumns.from_records(self._trades_records, self.findings, self._group)
-
-    @cached_property
-    def survey_columns(self) -> SurveyColumns:
-        """The survey responses as columns grouped by finding, taken from the
-        kept records on first use (a loaded dataset is built with them)."""
-        return SurveyColumns.from_records(self._surveys_records, self._group)
-
-    @cached_property
-    def _trade_bounds(self) -> list[int]:
-        """Market k's rows are _trade_bounds[k]:_trade_bounds[k + 1]."""
-        return self._bounds_of(self.trade_columns)
-
-    @cached_property
-    def _survey_bounds(self) -> list[int]:
-        """Finding k's responses are _survey_bounds[k]:_survey_bounds[k + 1]."""
-        return self._bounds_of(self.survey_columns)
-
-    def _bounds_of(self, columns: _Columns) -> list[int]:
-        return np.searchsorted(columns.finding, np.arange(len(self._group) + 1)).tolist()
 
     def finding(self, finding_id: str) -> Finding:
         try:
@@ -617,8 +618,10 @@ def _trade_rule(t: TradeColumns) -> list[tuple]:
          lambda r: _unknown_finding(r.finding_id)),
         ("side", "invalid_value", known & ~(t.yes | t.no),
          lambda r: f"side must be YES or NO, got {r.side!r}"),
-        ("quantity", "invalid_value", known & t.has_quantity & ~(t.quantity > 0),
-         lambda r: f"quantity must be positive, got {r.quantity}"),
+        ("quantity", "invalid_value",
+         known & t.has_quantity & ~((0.0 < t.quantity) & (t.quantity < np.inf)),
+         lambda r: f"quantity must be {'finite' if r.quantity > 0 else 'positive'}, "
+                   f"got {r.quantity}"),
         ("post_trade_price", "invalid_value", known & ~((0.0 < t.price) & (t.price < 1.0)),
          lambda r: f"price {r.post_trade_price} outside (0, 1)"),
         ("timestamp", "invalid_value",
@@ -737,19 +740,17 @@ def _clean_rows(lines: int, text_faults: dict) -> np.ndarray:
     return clean
 
 
-def _accepted(table: str, clean: np.ndarray, text_faults: dict, rule: list[tuple],
-              record, report: ValidationReport) -> np.ndarray:
+def _accepted(table: str, columns: _Columns, clean: np.ndarray, text_faults: dict,
+              rule: list[tuple], report: ValidationReport) -> np.ndarray:
     """The accepted rows of a loaded table. A rejected row gets one error: its
-    first text fault, else its first fault under the rule, worded from
-    record(i), the record of its row i."""
+    first text fault, else its first fault under the rule, worded from the
+    record of its row."""
     rejected = ~clean
     rejected[_faulty_rows(rule)] = True
-    for i in np.flatnonzero(rejected).tolist():
-        fault = text_faults.get(i + 1)
-        if fault is None:
-            faulty = record(i)
-            fault = next((column, kind, message(faulty))
-                         for column, kind, mask, message in rule if mask[i])
+    rows = np.flatnonzero(rejected)
+    for i, faulty in zip(rows.tolist(), columns.records(rows)):
+        fault = text_faults.get(i + 1) or next((column, kind, message(faulty))
+                                               for column, kind, mask, message in rule if mask[i])
         report.errors.append(Violation(table, i + 1, *fault))
     kept = np.flatnonzero(~rejected)
     report.counts[table] = {"lines": len(clean), "accepted": len(kept),
@@ -766,19 +767,17 @@ def _load_surveys(columns: list[list[str]], finding_ids: list[str],
     faults = _empty_ids(fids, forecasters, "forecaster_id")
     beliefs = _parse_column(float, beliefs, "belief", "belief", faults)
     lines = len(fids)
-    group = {fid: k for k, fid in enumerate(finding_ids)}
     # a belief that did not parse reads as NaN, and the row is rejected on its text alone
-    table = SurveyColumns(finding_ids,
-                          np.array([group.get(fid, -1) for fid in fids], dtype=np.int64),
+    table = SurveyColumns(finding_ids, *_codes(fids, finding_ids),
                           np.array(list(map(sys.intern, forecasters)), dtype=object),
                           np.array(beliefs, dtype=float), np.arange(lines),
                           np.arange(1, lines + 1))
+    del fids, forecasters, beliefs
     clean = _clean_rows(lines, faults)
-    kept = _accepted("surveys", clean, faults, _survey_rule(table, clean),
-                     lambda i: SurveyResponse(fids[i], forecasters[i], beliefs[i]), report)
+    kept = _accepted("surveys", table, clean, faults, _survey_rule(table, clean), report)
     # an accepted row's load index is its place among the accepted rows
     order = np.argsort(table.finding[kept], kind="stable")
-    return replace(table[kept[order]], load_index=order)
+    return replace(table[kept[order]], unknown_ids=[], load_index=order)
 
 
 def _parse_trades(columns: list[list[str]]) -> tuple[list[list], dict]:
@@ -793,8 +792,9 @@ def _parse_trades(columns: list[list[str]]) -> tuple[list[list], dict]:
     quantities = _parse_column(float if all(quantities) else _optional_float, quantities,
                                "quantity", "quantity", faults)
     prices = _parse_column(float, prices, "post_trade_price", "price", faults)
-    return [fids, traders, timestamps, [s.upper() or "YES" for s in sides], quantities,
-            prices], faults
+    # one string per side text, as per trader id: the texts read can go
+    return [fids, list(map(sys.intern, traders)), timestamps,
+            [sys.intern(s.upper() or "YES") for s in sides], quantities, prices], faults
 
 
 def _load_trades(columns: list[list[str]], finding_ids: list[str],
@@ -802,25 +802,21 @@ def _load_trades(columns: list[list[str]], finding_ids: list[str],
     """The accepted rows of a trades table as columns in trade order."""
     values, faults = _parse_trades(columns)
     fids, traders, timestamps, sides, quantities, prices = values
-    lines = len(fids)
-    group = {fid: k for k, fid in enumerate(finding_ids)}
+    rows = np.arange(len(fids))
     # loaded instants lie in the years 0001-9999, well inside _EXACT_MS; a
     # timestamp that did not parse reads as 0 and a price as NaN, and the row
     # is rejected on its text alone
     table = _trade_columns(
-        finding_ids, [group.get(fid, -1) for fid in fids],
-        list(map(sys.intern, traders)),  # one string per trader id: the texts read can go
+        finding_ids, fids, traders,
         np.array([0 if ms is None else ms for ms in timestamps] if faults else timestamps,
-                 dtype=np.int64), sides, quantities, prices,
-        source_row=np.arange(1, lines + 1))
-    kept = _accepted("trades", _clean_rows(lines, faults), faults, _trade_rule(table),
-                     lambda i: Trade(fids[i], traders[i], timestamps[i], sides[i],
-                                     quantities[i], prices[i]), report)
+                 dtype=np.int64), sides, quantities, prices, rows, rows + 1)
     # the parsed values go before the accepted rows are copied
     del values, fids, traders, timestamps, sides, quantities, prices
+    kept = _accepted("trades", table, _clean_rows(len(rows), faults), faults,
+                     _trade_rule(table), report)
     # an accepted row's load sequence is its place among the accepted rows
     order = np.lexsort((table.timestamp[kept], table.finding[kept]))
-    return replace(table[kept[order]], load_index=order)
+    return replace(table[kept[order]], unknown_ids=[], seq=order, load_index=order)
 
 
 def _check_forecasters_traded(ds: Dataset, report: ValidationReport) -> None:
@@ -889,29 +885,29 @@ def validate(ds: Dataset) -> ValidationReport:
 def _audit(report: ValidationReport, table: str, columns: _Columns, rule: list[tuple]) -> None:
     """Report every fault the rule finds in each row, the rows in load order."""
     flagged = _faulty_rows(rule)
-    for i in flagged[np.argsort(columns.load_index[flagged], kind="stable")].tolist():
-        record = columns.record(i)
+    flagged = flagged[np.argsort(columns.load_index[flagged], kind="stable")]
+    for i, record in zip(flagged.tolist(), columns.records(flagged)):
         report.errors += [Violation(table, record.source_row, column, kind, message(record))
                           for column, kind, mask, message in rule if mask[i]]
 
 
-def _finding_rows(ds: Dataset, finding_id: str, bounds: list[int]) -> slice:
+def _finding_rows(ds: Dataset, finding_id: str, columns: _Columns) -> slice:
     try:
         k = ds._group[finding_id]
     except KeyError:
         raise UnknownFinding(finding_id) from None
-    return slice(bounds[k], bounds[k + 1])
+    return slice(columns._bounds[k], columns._bounds[k + 1])
 
 
 def market_rows(ds: Dataset, finding_id: str) -> slice:
     """The rows of one market's trades in ``ds.trade_columns``, in trade order."""
-    return _finding_rows(ds, finding_id, ds._trade_bounds)
+    return _finding_rows(ds, finding_id, ds.trade_columns)
 
 
 def survey_rows(ds: Dataset, finding_id: str) -> slice:
     """The rows of one finding's survey responses in ``ds.survey_columns``, in
     load order."""
-    return _finding_rows(ds, finding_id, ds._survey_bounds)
+    return _finding_rows(ds, finding_id, ds.survey_columns)
 
 
 def closed_rows(ds: Dataset, finding: Finding) -> slice:
@@ -924,7 +920,7 @@ def closed_rows(ds: Dataset, finding: Finding) -> slice:
 
 def trade_counts(ds: Dataset) -> list[int]:
     """The number of trades of each finding, in the order of ``ds.findings``."""
-    sizes = np.diff(ds._trade_bounds).tolist()
+    sizes = np.diff(ds.trade_columns._bounds).tolist()
     return [sizes[ds._group[f.finding_id]] for f in ds.findings]
 
 
@@ -958,8 +954,9 @@ def write_dataset(ds: Dataset, outcomes_path: str | Path, surveys_path: str | Pa
               ([f.finding_id, f.project, f.outcome, f.p_value_category,
                 f.original_p_value, format_timestamp(f.market_open),
                 format_timestamp(f.market_close)] for f in ds.findings))
+    # the rows are written from the columns in load order, and no record is built
     write_csv(surveys_path, SURVEY_FIELDS,
-              ([s.finding_id, s.forecaster_id, s.belief] for s in ds.surveys))
+              zip(*ds.survey_columns.in_load_order().values()[:len(SURVEY_FIELDS)]))
+    fids, traders, times, *rest = ds.trade_columns.in_load_order().values()[:len(TRADE_FIELDS)]
     write_csv(trades_path, TRADE_FIELDS,
-              ([t.finding_id, t.trader_id, format_timestamp(t.timestamp),
-                t.side, t.quantity, t.post_trade_price] for t in ds.trades))
+              zip(fids, traders, map(format_timestamp, times), *rest))

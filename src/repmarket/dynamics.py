@@ -165,13 +165,12 @@ def loess_fit(curve: ErrorCurve, cfg: LoessConfig = LoessConfig()) -> ErrorCurve
     return ErrorCurve(curve.axis, x.copy(), smoothed, curve.n_contributing.copy())
 
 
-def reduction_milestone(curve: ErrorCurve, fraction: float,
-                        total_rule: str = "min") -> Milestone:
+def reduction_milestone(curve: ErrorCurve, fraction: float) -> Milestone:
     """Smallest x at which `fraction` of the total error reduction is reached.
 
-    Total reduction is first value minus curve minimum ("min", default,
-    robust to end-of-market fluctuation) or minus final value ("final").
-    Crossings are located by linear interpolation between grid points.
+    Total reduction is first value minus curve minimum, which is robust to
+    end-of-market fluctuation. Crossings are located by linear interpolation
+    between grid points.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
@@ -179,12 +178,7 @@ def reduction_milestone(curve: ErrorCurve, fraction: float,
     if len(y) == 0:
         raise NoReduction("empty curve")
     first = y[0]
-    if total_rule == "min":
-        floor = float(np.min(y))
-    elif total_rule == "final":
-        floor = float(y[-1])
-    else:
-        raise ValueError(f"total_rule must be 'min' or 'final', got {total_rule!r}")
+    floor = float(np.min(y))
     total = first - floor
     if total <= 0.0:
         raise NoReduction("curve does not decrease")

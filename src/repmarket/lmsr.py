@@ -209,7 +209,8 @@ def replay(ds: Dataset, finding_id: str, mode: str = PRICE_TAKING,
     price_taking returns the recorded post-trade prices verbatim. simulated
     returns the maker's YES price, at the given liquidity, after each running
     sum of the recorded YES and NO buys: with unbounded endowments no ledger
-    can refuse a buy, so none is kept. It needs recorded quantities and buys.
+    can refuse a buy, so none is kept. It needs recorded, finite quantities
+    and buys.
     """
     rows = market_rows(ds, finding_id)
     if rows.start == rows.stop:
@@ -226,7 +227,8 @@ def replay(ds: Dataset, finding_id: str, mode: str = PRICE_TAKING,
     # every trade is checked before any is priced; the first that is not a
     # recorded buy is named
     missing = ~trades.has_quantity[rows]
-    unfit = np.flatnonzero(missing | ~(yes | trades.no[rows]) | ~(quantity > 0))
+    unfit = np.flatnonzero(missing | ~(yes | trades.no[rows])
+                           | ~((0.0 < quantity) & (quantity < np.inf)))
     if len(unfit):
         if missing[unfit[0]]:
             raise ReplayUnavailable(f"simulated replay needs recorded quantities; market "

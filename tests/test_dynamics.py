@@ -197,13 +197,10 @@ def test_milestone_no_reduction():
         dynamics.reduction_milestone(_curve([0.0, 1.0], [0.3, 0.5]), 0.9)
 
 
-def test_milestone_total_rule_final():
-    # dips to 0.1 then rises to 0.2: "min" and "final" totals differ
+def test_milestone_total_is_taken_from_the_minimum():
+    # dips to 0.1 then rises to 0.2: the whole reduction is reached at the dip
     curve = _curve([0.0, 1.0, 2.0], [0.5, 0.1, 0.2])
-    by_min = dynamics.reduction_milestone(curve, 1.0, total_rule="min")
-    by_final = dynamics.reduction_milestone(curve, 1.0, total_rule="final")
-    assert by_min.x_at_fraction == pytest.approx(1.0)
-    assert by_final.x_at_fraction < 1.0
+    assert dynamics.reduction_milestone(curve, 1.0).x_at_fraction == pytest.approx(1.0)
 
 
 def test_late_trade_forecasts_single_post_cutoff_trade():

@@ -21,7 +21,7 @@ from repmarket.errors import EmptyMarket, ReplayUnavailable, UnknownFinding  # n
 from repmarket.synth import synthetic_dataset  # noqa: E402
 
 from helpers import BASE_MS, HOUR_MS, make_dataset, make_finding, make_trade, survey  # noqa: E402
-from test_load_laws import valid_datasets  # noqa: E402
+from test_load_laws import valid_datasets, valid_tables  # noqa: E402
 
 # ten markets: numpy sums eight or more terms pairwise, so a change of
 # summation order in the curve shows in the last bits
@@ -31,10 +31,10 @@ HALF_HOUR_MS = HOUR_MS // 2
 
 
 @st.composite
-def datasets(draw):
-    """Up to ten markets with coarse timestamps (so ties are common), a
-    shuffled load sequence, trades before open and after close, and records
-    of unknown findings."""
+def tables(draw):
+    """The findings, survey responses and trades of up to ten markets with
+    coarse timestamps (so ties are common), a shuffled load sequence, trades
+    before open and after close, and records of unknown findings."""
     findings = []
     for fid in IDS[:draw(st.integers(0, len(IDS)))]:
         open_ms = BASE_MS + draw(st.integers(0, 4)) * HALF_HOUR_MS
@@ -51,7 +51,11 @@ def datasets(draw):
     surveys = [survey(fid, forecaster, belief) for fid, forecaster, belief in draw(
         st.lists(st.tuples(any_id, st.sampled_from("abc"), st.floats(0.0, 1.0)),
                  max_size=20))]
-    return make_dataset(findings, surveys, trades)
+    return findings, surveys, trades
+
+
+def datasets():
+    return tables().map(lambda tables: make_dataset(*tables))
 
 
 def scan_trades(ds, fid):
@@ -118,6 +122,20 @@ def test_curve_sums_each_grid_point_in_market_order(axis):
 def _keyed(records):
     # Trade equality ignores seq, so compare the load sequence as well
     return [(getattr(r, "seq", None), r) for r in records]
+
+
+@settings(deadline=None, max_examples=80)
+@given(tables() | valid_tables(), st.data())
+def test_records_are_the_records_the_dataset_was_built_from(given_tables, data):
+    # a dataset keeps columns only: the records it builds from them carry
+    # every field of the given ones, seq and source_row too
+    findings, surveys, trades = ([dataclasses.replace(r, source_row=data.draw(
+        st.none() | st.integers(1, 10**6))) for r in records] for records in given_tables)
+    ds = Dataset(findings, surveys, trades)
+    assert _keyed(ds.trades) == _keyed(trades)
+    assert ds.surveys == surveys
+    assert ([r.source_row for r in ds.trades + ds.surveys]
+            == [r.source_row for r in trades + surveys])
 
 
 @settings(deadline=None, max_examples=80)

@@ -293,7 +293,7 @@ def test_simulated_replay_refuses_a_liquidity_that_is_not_positive(b):
 
 
 @pytest.mark.parametrize("side, quantity", [
-    ("BUY", 1.0), ("YES", 0.0), ("NO", -2.0), ("YES", math.nan)])
+    ("BUY", 1.0), ("YES", 0.0), ("NO", -2.0), ("YES", math.nan), ("YES", math.inf)])
 def test_simulated_replay_refuses_a_trade_that_is_not_a_buy(side, quantity):
     trades = [make_trade("F1", side="NO", quantity=2.0, seq=0),
               make_trade("F1", side=side, quantity=quantity, seq=1)]

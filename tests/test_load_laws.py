@@ -54,15 +54,19 @@ def valid_finding(draw, fid):
 
 
 @st.composite
-def valid_datasets(draw):
+def valid_tables(draw):
+    """The findings, survey responses and trades of a dataset without faults."""
     fids = draw(st.lists(IDS, min_size=1, max_size=5, unique=True))
     known = st.sampled_from(fids)
     pairs = draw(st.lists(st.tuples(known, IDS), max_size=10, unique=True))
     trades = draw(st.lists(st.builds(Trade, known, IDS, TIMES, st.sampled_from(SIDES),
                                      QUANTITIES, PRICES), max_size=12))
-    return Dataset([draw(valid_finding(fid)) for fid in fids],
-                   [SurveyResponse(fid, who, draw(UNIT)) for fid, who in pairs],
-                   trades)
+    return ([draw(valid_finding(fid)) for fid in fids],
+            [SurveyResponse(fid, who, draw(UNIT)) for fid, who in pairs], trades)
+
+
+def valid_datasets():
+    return valid_tables().map(lambda tables: Dataset(*tables))
 
 
 def _replace(**changes):
@@ -80,8 +84,9 @@ FINDING_FAULTS = (
 SURVEY_FAULTS = (_replace(belief=1.5), _replace(belief=-0.25), _replace(belief=float("nan")),
                  _replace(finding_id="gone"))
 TRADE_FAULTS = (_replace(side="BUY"), _replace(quantity=0.0), _replace(quantity=-1.0),
-                _replace(post_trade_price=0.0), _replace(post_trade_price=1.0),
-                _replace(post_trade_price=1.5), _replace(finding_id="gone"))
+                _replace(quantity=float("inf")), _replace(post_trade_price=0.0),
+                _replace(post_trade_price=1.0), _replace(post_trade_price=1.5),
+                _replace(finding_id="gone"))
 
 
 @st.composite
