@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 # trades_for stays bound here: code that reads or patches aggregate.trades_for relies on it
 from .dataset import Dataset, closed_rows, survey_rows, trades_for, write_csv  # noqa: F401
 from .errors import AllWeightsZero, EmptyMarket, NoSurveyResponses, OutOfRange, or_null
@@ -94,11 +92,9 @@ def forecaster_weights(ds: Dataset) -> list[ForecasterWeight]:
 
     Forecasters with fewer than two responses get weight 0.
     """
-    surveys = ds.survey_columns
-    order = np.argsort(surveys.load_index)
+    surveys = ds.survey_columns.in_load_order()
     beliefs: dict[str, list[float]] = {}
-    for forecaster, belief in zip(surveys.forecaster[order].tolist(),
-                                  surveys.belief[order].tolist()):
+    for forecaster, belief in zip(surveys.forecaster.tolist(), surveys.belief.tolist()):
         beliefs.setdefault(forecaster, []).append(belief)
     return [ForecasterWeight(forecaster, mean_var(beliefs[forecaster])[1])
             for forecaster in sorted(beliefs)]

@@ -20,7 +20,7 @@ from . import aggregate, dynamics, evaluate, lmsr, reference, stats, synth
 # trades_for stays bound here: code that reads or patches cli.trades_for relies on it
 from .dataset import (DEFAULT_P_THRESHOLD, load_dataset, load_mapping, trade_counts,  # noqa: F401
                       trades_for, validate, write_csv)
-from .errors import RepmarketError, or_null
+from .errors import NoInputPath, RepmarketError, or_null
 
 DATA_DIR_ENV = "REPMARKET_DATA_DIR"
 
@@ -56,9 +56,8 @@ def _resolve_path(explicit: str | None, default_name: str) -> Path:
     data_dir = os.environ.get(DATA_DIR_ENV)
     if data_dir:
         return Path(data_dir) / default_name
-    raise SystemExit(
-        f"no path for {default_name}: pass --{default_name.split('.')[0]} "
-        f"or set {DATA_DIR_ENV}")
+    raise NoInputPath(f"no path for {default_name}: pass --{default_name.split('.')[0]} "
+                      f"or set {DATA_DIR_ENV}")
 
 
 def _load(args):
@@ -224,13 +223,15 @@ def cmd_replay(args) -> int:
     ds = _load(args)
     fids = [args.finding] if args.finding else ds.finding_ids()
     # every market is replayed first so that a failure leaves no partial file
-    rows = []
+    rows, replayed = [], 0
     for fid in fids:
-        prices = lmsr.replay(ds, fid, mode=args.mode, liquidity_b=args.liquidity_b)
-        rows += ([fid, i, p] for i, p in enumerate(prices, start=1))
+        prices = or_null(lmsr.replay, ds, fid, mode=args.mode, liquidity_b=args.liquidity_b)
+        if prices is not None:  # an untraded market has no prices and gets no rows
+            replayed += 1
+            rows += ([fid, i, p] for i, p in enumerate(prices, start=1))
     path = _out_dir(args) / "replay.csv"
     write_csv(path, ["finding_id", "trade_index", "price"], rows)
-    print(f"replayed {len(fids)} markets ({args.mode}) -> {path}")
+    print(f"replayed {replayed} markets ({args.mode}) -> {path}")
     return 0
 
 

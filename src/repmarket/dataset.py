@@ -183,58 +183,57 @@ class ValidationReport:
 
 
 class _Columns:
-    """What the two column tables share. A table holds one entry per row in
-    each column its ROWS name: every field of the row's record, and its place
-    in load order (`load_index`). `finding` indexes `finding_ids` from 0 and
-    `unknown_ids`, the ids the findings lack, from -1 down."""
+    """What the two column tables share. A table holds the distinct ids of
+    the findings (`finding_ids`) and one column per field of its rows: each
+    field of the row's record, the index of its finding id in `finding_ids`
+    (`finding`, -1 for an id the findings lack) and its place in load order
+    (`load_index`). One builder a table (`_trade_columns`, `_survey_columns`)
+    serves `load_dataset` and `from_records`, and `grouped` sorts the built
+    rows by the table's ORDER, the finding first."""
 
     def __len__(self) -> int:
         return len(self.load_index)
 
     def __getitem__(self, rows):
         """The given rows, in the given order (a slice gives views)."""
-        return replace(self, **{name: getattr(self, name)[rows] for name in self.ROWS})
+        # every field but finding_ids is a column
+        return replace(self, **{f.name: getattr(self, f.name)[rows] for f in fields(self)[1:]})
 
     @classmethod
     def _fields_of(cls, records: list) -> list[list]:
         """Each field of the records, one list a field."""
         return [list(map(attrgetter(f.name), records)) for f in fields(cls.RECORD)]
 
+    def grouped(self):
+        """The rows sorted by ORDER: grouped by finding in the order of
+        `finding_ids`, and the rows of unknown findings first."""
+        return self[np.lexsort([getattr(self, name) for name in reversed(self.ORDER)])]
+
     @cached_property
     def _bounds(self) -> list[int]:
-        """Finding k's rows are _bounds[k]:_bounds[k + 1] in a table grouped by finding."""
+        """Finding k's rows are _bounds[k]:_bounds[k + 1] in a grouped table."""
         return np.searchsorted(self.finding, np.arange(len(self.finding_ids) + 1)).tolist()
 
     def in_load_order(self):
         """The rows in load order."""
         return self[np.argsort(self.load_index)]
 
-    def _finding_id_list(self) -> list[str]:
-        """The finding id of each row."""
-        # index -1 - k reads the k-th unknown id from the end
-        names = np.array([*self.finding_ids, *reversed(self.unknown_ids)], dtype=object)
-        return names[self.finding].tolist()
-
     def records(self, rows=slice(None)) -> list:
         """The record of each of the given rows."""
         return list(map(self.RECORD, *self[rows].values()))
-
-    def record(self, row: int):
-        """The record of one row."""
-        return self.records(slice(row, row + 1))[0]
 
 
 @dataclass(frozen=True, eq=False)
 class TradeColumns(_Columns):
     """A trades table as columns, one entry per trade.
 
-    A Dataset holds its trades so in trade order: grouped by market in the
+    A Dataset holds its trades grouped, in trade order: by market in the
     order the finding ids first occur, each market's rows sorted by
     (timestamp, seq), and the rows of unknown findings first. `records`
     gives the rows as `Trade` records.
     """
     finding_ids: list[str]    # the distinct ids of the findings
-    unknown_ids: list[str]    # the ids of the rows' findings the findings lack
+    finding_id: np.ndarray    # object: each row's finding id
     finding: np.ndarray       # int64 index of each row's finding id (see _Columns)
     trader: np.ndarray        # object: the trader ids
     timestamp: np.ndarray     # int64 ms since epoch; as given when one is past _EXACT_MS
@@ -248,8 +247,7 @@ class TradeColumns(_Columns):
     load_index: np.ndarray    # int64 position of each row in load order
     source_row: np.ndarray    # the data row of each row: int64, or objects with None
 
-    ROWS = ("finding", "trader", "timestamp", "side", "yes", "no", "quantity",
-            "has_quantity", "price", "seq", "load_index", "source_row")
+    ORDER = ("finding", "timestamp", "seq")
     RECORD = Trade
 
     @classmethod
@@ -259,13 +257,12 @@ class TradeColumns(_Columns):
         # the market bounds are instants too: an instant is subtracted from them
         bounds = [ms for f in findings for ms in (f.market_open, f.market_close)]
         times = _int_column([*bounds, *times], _EXACT_MS)[len(bounds):]
-        columns = _trade_columns(_ids_of(findings), fids, traders, times, sides, quantities,
-                                 prices, _int_column(seqs), _int_column(rows))
-        return columns[np.lexsort((columns.seq, columns.timestamp, columns.finding))]
+        return _trade_columns(_ids_of(findings), fids, traders, times, sides, quantities,
+                              prices, _int_column(seqs), _int_column(rows)).grouped()
 
     def values(self) -> list[list]:
         """Each row's value of each field of its `Trade`, one list a field."""
-        return [self._finding_id_list(), self.trader.tolist(), self.timestamp.tolist(),
+        return [self.finding_id.tolist(), self.trader.tolist(), self.timestamp.tolist(),
                 self.side.tolist(), np.where(self.has_quantity, self.quantity, None).tolist(),
                 self.price.tolist(), self.seq.tolist(), self.source_row.tolist()]
 
@@ -274,20 +271,20 @@ class TradeColumns(_Columns):
 class SurveyColumns(_Columns):
     """A surveys table as columns, one entry per response.
 
-    A Dataset holds its responses grouped by finding in the order the finding
-    ids first occur, each finding's rows in load order, and the rows of
-    unknown findings first. `records` gives the rows as `SurveyResponse`
+    A Dataset holds its responses grouped: by finding in the order the
+    finding ids first occur, each finding's rows in load order, and the rows
+    of unknown findings first. `records` gives the rows as `SurveyResponse`
     records.
     """
     finding_ids: list[str]    # the distinct ids of the findings
-    unknown_ids: list[str]    # the ids of the rows' findings the findings lack
+    finding_id: np.ndarray    # object: each row's finding id
     finding: np.ndarray       # int64 index of each row's finding id (see _Columns)
     forecaster: np.ndarray    # object: the forecaster ids
     belief: np.ndarray        # float64
     load_index: np.ndarray    # int64 position of each row in load order
     source_row: np.ndarray    # the data row of each row: int64, or objects with None
 
-    ROWS = ("finding", "forecaster", "belief", "load_index", "source_row")
+    ORDER = ("finding", "load_index")
     RECORD = SurveyResponse
 
     @classmethod
@@ -295,15 +292,12 @@ class SurveyColumns(_Columns):
                      findings: list[Finding]) -> SurveyColumns:
         """The columns of the records, grouped by finding."""
         fids, forecasters, beliefs, rows = cls._fields_of(surveys)
-        finding_ids = _ids_of(findings)
-        columns = cls(finding_ids, *_codes(fids, finding_ids),
-                      np.array(forecasters, dtype=object), np.array(beliefs, dtype=float),
-                      np.arange(len(surveys)), _int_column(rows))
-        return columns[np.argsort(columns.finding, kind="stable")]
+        return _survey_columns(_ids_of(findings), fids, forecasters, beliefs,
+                               _int_column(rows)).grouped()
 
     def values(self) -> list[list]:
         """Each row's value of each field of its `SurveyResponse`, one list a field."""
-        return [self._finding_id_list(), self.forecaster.tolist(), self.belief.tolist(),
+        return [self.finding_id.tolist(), self.forecaster.tolist(), self.belief.tolist(),
                 self.source_row.tolist()]
 
 
@@ -312,25 +306,29 @@ def _ids_of(findings: list[Finding]) -> list[str]:
     return list(dict.fromkeys(f.finding_id for f in findings))
 
 
-def _codes(fids: list[str], finding_ids: list[str]) -> tuple[list[str], np.ndarray]:
-    """The ids among fids that finding_ids lacks, in the order they first
-    occur, and each fid's index: into finding_ids, or -1 - k for the k-th
-    lacking id."""
+def _codes(fids: list[str], finding_ids: list[str]) -> np.ndarray:
+    """Each fid's index into finding_ids, or -1 where finding_ids lacks it."""
     group = {fid: k for k, fid in enumerate(finding_ids)}
-    codes = np.array([group.get(fid, -1) for fid in fids], dtype=np.int64)
-    dangling = np.flatnonzero(codes < 0).tolist()
-    unknown = {fid: -1 - k for k, fid in enumerate(dict.fromkeys(fids[i] for i in dangling))}
-    codes[dangling] = [unknown[fids[i]] for i in dangling]
-    return list(unknown), codes
+    return np.array([group.get(fid, -1) for fid in fids], dtype=np.int64)
+
+
+def _survey_columns(finding_ids: list[str], fids, forecasters, beliefs,
+                    source_row: np.ndarray) -> SurveyColumns:
+    """Columns of the rows' values, numbered 0...n-1 in load order as given."""
+    return SurveyColumns(
+        finding_ids, np.array(fids, dtype=object), _codes(fids, finding_ids),
+        np.array(forecasters, dtype=object), np.array(beliefs, dtype=float),
+        np.arange(len(fids)), source_row)
 
 
 def _trade_columns(finding_ids: list[str], fids, traders, timestamp: np.ndarray, sides,
                    quantities, prices, seq: np.ndarray, source_row: np.ndarray) -> TradeColumns:
-    """Columns of the rows' values in the given order; None is no quantity."""
+    """Columns of the rows' values, numbered 0...n-1 in load order as given."""
     sides = np.array(sides, dtype=object)
     return TradeColumns(
-        finding_ids, *_codes(fids, finding_ids), np.array(traders, dtype=object), timestamp,
-        sides, sides == "YES", sides == "NO", np.array(quantities, dtype=float),
+        finding_ids, np.array(fids, dtype=object), _codes(fids, finding_ids),
+        np.array(traders, dtype=object), timestamp, sides, sides == "YES", sides == "NO",
+        np.array(quantities, dtype=float),
         np.array([q is not None for q in quantities], dtype=bool),
         np.array(prices, dtype=float), seq, np.arange(len(timestamp)), source_row)
 
@@ -377,10 +375,11 @@ class Dataset:
     """The three tables. Survey responses and trades are held as columns
     only (`survey_columns`, `trade_columns`), each grouped by finding once:
     a loaded dataset is built from them, and a dataset built from record
-    lists takes the lists as columns and keeps no reference to them.
-    `surveys`, `trades`, `surveys_for`, `trades_for` and the columns'
-    `records` build records from the columns, on request only. Rows of
-    unknown findings join no group. A changed dataset must be rebuilt with
+    lists takes the lists as columns, through the builder the loader uses,
+    and keeps no reference to them. `surveys`, `trades`, `surveys_for`,
+    `trades_for` and the columns' `records` build records from the columns,
+    on request only. An id names the first finding with it; rows of unknown
+    findings join no group. A changed dataset must be rebuilt with
     `dataclasses.replace`, not mutated in place."""
     findings: list[Finding]
     surveys: list[SurveyResponse] = _Records(SurveyColumns, "survey_columns")
@@ -391,9 +390,10 @@ class Dataset:
     def __post_init__(self):
         if not 0.0 < self.p_threshold < 1.0:
             raise OutOfRange(f"p-value threshold must be in (0, 1), got {self.p_threshold}")
-        self._by_id = {f.finding_id: f for f in self.findings}
-        # rows are grouped by finding id, in the order the ids first occur
-        self._group = {fid: k for k, fid in enumerate(self._by_id)}
+        # an id names the first finding with it, as in the loader; rows are
+        # grouped by finding id, in the order the ids first occur
+        self._by_id = {f.finding_id: f for f in reversed(self.findings)}
+        self._group = {fid: k for k, fid in enumerate(_ids_of(self.findings))}
 
     def finding(self, finding_id: str) -> Finding:
         try:
@@ -768,16 +768,14 @@ def _load_surveys(columns: list[list[str]], finding_ids: list[str],
     beliefs = _parse_column(float, beliefs, "belief", "belief", faults)
     lines = len(fids)
     # a belief that did not parse reads as NaN, and the row is rejected on its text alone
-    table = SurveyColumns(finding_ids, *_codes(fids, finding_ids),
-                          np.array(list(map(sys.intern, forecasters)), dtype=object),
-                          np.array(beliefs, dtype=float), np.arange(lines),
-                          np.arange(1, lines + 1))
+    table = _survey_columns(finding_ids, list(map(sys.intern, fids)),
+                            list(map(sys.intern, forecasters)), beliefs,
+                            np.arange(1, lines + 1))
     del fids, forecasters, beliefs
     clean = _clean_rows(lines, faults)
     kept = _accepted("surveys", table, clean, faults, _survey_rule(table, clean), report)
     # an accepted row's load index is its place among the accepted rows
-    order = np.argsort(table.finding[kept], kind="stable")
-    return replace(table[kept[order]], unknown_ids=[], load_index=order)
+    return replace(table[kept], load_index=np.arange(len(kept))).grouped()
 
 
 def _parse_trades(columns: list[list[str]]) -> tuple[list[list], dict]:
@@ -792,8 +790,8 @@ def _parse_trades(columns: list[list[str]]) -> tuple[list[list], dict]:
     quantities = _parse_column(float if all(quantities) else _optional_float, quantities,
                                "quantity", "quantity", faults)
     prices = _parse_column(float, prices, "post_trade_price", "price", faults)
-    # one string per side text, as per trader id: the texts read can go
-    return [fids, list(map(sys.intern, traders)), timestamps,
+    # one string per finding id, trader id and side text: the texts read can go
+    return [list(map(sys.intern, fids)), list(map(sys.intern, traders)), timestamps,
             [sys.intern(s.upper() or "YES") for s in sides], quantities, prices], faults
 
 
@@ -815,8 +813,8 @@ def _load_trades(columns: list[list[str]], finding_ids: list[str],
     kept = _accepted("trades", table, _clean_rows(len(rows), faults), faults,
                      _trade_rule(table), report)
     # an accepted row's load sequence is its place among the accepted rows
-    order = np.lexsort((table.timestamp[kept], table.finding[kept]))
-    return replace(table[kept[order]], unknown_ids=[], seq=order, load_index=order)
+    number = np.arange(len(kept))
+    return replace(table[kept], seq=number, load_index=number).grouped()
 
 
 def _check_forecasters_traded(ds: Dataset, report: ValidationReport) -> None:
@@ -844,17 +842,17 @@ def validate(ds: Dataset) -> ValidationReport:
     modified or excluded.
     """
     report = ValidationReport()
-    by_id: dict[str, Finding] = {}
+    seen: set[str] = set()
     for f in ds.findings:
         report.errors += [Violation("outcomes", f.source_row, *fault)
-                          for fault in _finding_faults(f, by_id, ds.p_threshold)]
-        by_id.setdefault(f.finding_id, f)
+                          for fault in _finding_faults(f, seen, ds.p_threshold)]
+        seen.add(f.finding_id)
     surveys = ds.survey_columns
     _audit(report, "surveys", surveys, _survey_rule(surveys))
 
     trades = ds.trade_columns
-    # a trade's window is that of the first finding with its id
-    windows = [by_id[fid] for fid in trades.finding_ids]
+    # a trade's window is that of its finding: the first finding with its id
+    windows = [ds.finding(fid) for fid in trades.finding_ids]
     known = np.flatnonzero(trades.finding >= 0)
     group, at = trades.finding[known], trades.timestamp[known]
     opens = np.array([f.market_open for f in windows], dtype=at.dtype)[group]
@@ -864,8 +862,8 @@ def validate(ds: Dataset) -> ValidationReport:
     _audit(report, "trades", trades, _trade_rule(trades) + [(
         "timestamp", "outside_window", outside, lambda t: (
             f"trade at {_instant(t.timestamp)} outside "
-            f"[{_instant(by_id[t.finding_id].market_open)}, "
-            f"{_instant(by_id[t.finding_id].market_close)}]"))])
+            f"[{_instant(ds.finding(t.finding_id).market_open)}, "
+            f"{_instant(ds.finding(t.finding_id).market_close)}]"))])
 
     report.counts = {
         "outcomes": {"records": len(ds.findings)},

@@ -34,6 +34,10 @@ class MissingInput(RepmarketError, FileNotFoundError):
         super().__init__(f"{what} file {str(path)!r} does not exist")
 
 
+class NoInputPath(RepmarketError):
+    """Neither an input table's option nor the data directory gives its path."""
+
+
 class InvalidMapping(RepmarketError, ValueError):
     """A column mapping names a table, or a field of a table, that the schema lacks."""
 

@@ -233,7 +233,7 @@ def replay(ds: Dataset, finding_id: str, mode: str = PRICE_TAKING,
         if missing[unfit[0]]:
             raise ReplayUnavailable(f"simulated replay needs recorded quantities; market "
                                     f"{finding_id!r} has a trade without one")
-        t = trades.record(rows.start + int(unfit[0]))
+        t = trades.records([rows.start + int(unfit[0])])[0]
         raise ReplayUnavailable(f"simulated replay needs buys; market {finding_id!r} "
                                 f"has a trade of {t.quantity} {t.side!r}")
     q_yes = q_no = 0.0

@@ -349,3 +349,25 @@ def test_in_memory_dangling_records_build_and_are_reported():
         trades_for(ds, "F9")
     with pytest.raises(UnknownFinding):
         surveys_for(ds, "F9")
+
+
+def test_an_id_with_two_findings_names_the_first_one_everywhere():
+    from repmarket import aggregate, dynamics
+    from repmarket.errors import EmptyMarket
+
+    from helpers import DAY_MS
+
+    first = make_finding("F1", close_ms=BASE_MS + 2 * DAY_MS)
+    second = make_finding("F1", close_ms=BASE_MS + 10 * DAY_MS)
+    early = make_trade("F1", ts=BASE_MS + DAY_MS, price=0.3, seq=0)
+    late = make_trade("F1", ts=BASE_MS + 5 * DAY_MS, price=0.9, seq=1)
+    ds = make_dataset([first, second], trades=[early, late])
+    assert ds.finding("F1") is first
+    # the late trade is outside the first finding's window, so no step takes it
+    assert [v.kind for v in validate(ds).errors] == ["duplicate_key", "outside_window"]
+    final = aggregate.market_final_price(ds, "F1")
+    assert (final.value, final.n_inputs) == (0.3, 1)
+    assert len(dynamics.error_series(ds, "F1")) == 1
+    only_late = make_dataset([first, second], trades=[late])
+    with pytest.raises(EmptyMarket):
+        aggregate.market_final_price(only_late, "F1")

@@ -323,3 +323,33 @@ def test_discrepancies_of_an_empty_report_name_every_metric_without_a_value(synt
     assert all(r["computed"] is None and r["delta"] is None for r in empty)
     assert [r["published"] for r in empty] == [r["published"] for r in full]
     assert [r["note"] for r in empty] == [r["note"] for r in full]
+
+
+def test_cli_without_an_input_path_exits_2_naming_the_option_and_variable(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("REPMARKET_DATA_DIR", raising=False)
+    paths = write_fixture_files(tmp_path / "data")
+    rc = main(["validate", "--surveys", str(paths["surveys"]), "--trades", str(paths["trades"]),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: NoInputPath: ") and err.count("\n") == 1
+    assert "--outcomes" in err and "REPMARKET_DATA_DIR" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode", [[], ["--mode", "simulated", "--liquidity-b", "100"]],
+                         ids=["price_taking", "simulated"])
+def test_cli_replay_skips_a_market_without_trades(tmp_path, capsys, mode):
+    data = tmp_path / "data"
+    assert main(["synth", "--seed", "3", "--out", str(data)]) == 0
+    with open(data / "outcomes.csv", "a", encoding="utf-8") as fh:
+        fh.write("F099,RPP,1,above,,2020-01-06T00:00:00.000Z,2020-01-20T00:00:00.000Z\n")
+    capsys.readouterr()
+    rc = main(["replay", "--outcomes", str(data / "outcomes.csv"),
+               "--surveys", str(data / "surveys.csv"), "--trades", str(data / "trades.csv"),
+               *mode, "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("replayed 12 markets ")
+    rows = (tmp_path / "out" / "replay.csv").read_text().splitlines()[1:]
+    assert len(rows) == 351 and not any(row.startswith("F099,") for row in rows)
