@@ -210,8 +210,8 @@ class _Columns:
         return self[np.lexsort([getattr(self, name) for name in reversed(self.ORDER)])]
 
     @cached_property
-    def _bounds(self) -> list[int]:
-        """Finding k's rows are _bounds[k]:_bounds[k + 1] in a grouped table."""
+    def bounds(self) -> list[int]:
+        """Finding k's rows are bounds[k]:bounds[k + 1] in a grouped table."""
         return np.searchsorted(self.finding, np.arange(len(self.finding_ids) + 1)).tolist()
 
     def in_load_order(self):
@@ -401,8 +401,32 @@ class Dataset:
         except KeyError:
             raise UnknownFinding(finding_id) from None
 
+    def group(self, finding_id: str) -> int:
+        """The index of the finding id in `finding_ids`: the group of its rows
+        in both column tables."""
+        try:
+            return self._group[finding_id]
+        except KeyError:
+            raise UnknownFinding(finding_id) from None
+
     def finding_ids(self) -> list[str]:
-        return [f.finding_id for f in self.findings]
+        """The finding ids, each once, in the order they first occur: the
+        order of the groups of both column tables."""
+        return list(self._group)
+
+    def markets(self) -> list[Finding]:
+        """The finding each id names, in the order of `finding_ids`: the
+        findings the analysis reads, one a market."""
+        return [self._by_id[fid] for fid in self._group]
+
+    @cached_property
+    def closed_ends(self) -> np.ndarray:
+        """The end row of each market's closed window in `trade_columns`, in
+        the order of `finding_ids`. A market's rows are sorted by time, so its
+        closed window, its trades at or before its close, is a prefix of them."""
+        trades = self.trade_columns
+        starts = np.array(trades.bounds[:-1], dtype=np.int64)
+        return starts + np.bincount(trades.finding[_closed(self)], minlength=len(starts))
 
 
 def load_mapping(path: str | Path) -> dict:
@@ -851,14 +875,8 @@ def validate(ds: Dataset) -> ValidationReport:
     _audit(report, "surveys", surveys, _survey_rule(surveys))
 
     trades = ds.trade_columns
-    # a trade's window is that of its finding: the first finding with its id
-    windows = [ds.finding(fid) for fid in trades.finding_ids]
-    known = np.flatnonzero(trades.finding >= 0)
-    group, at = trades.finding[known], trades.timestamp[known]
-    opens = np.array([f.market_open for f in windows], dtype=at.dtype)[group]
-    closes = np.array([f.market_close for f in windows], dtype=at.dtype)[group]
-    outside = np.zeros(len(trades), dtype=bool)
-    outside[known] = ~((opens <= at) & (at <= closes))
+    opened = _market_edge(ds, "market_open") <= trades.timestamp
+    outside = (trades.finding >= 0) & ~(opened & _closed(ds))
     _audit(report, "trades", trades, _trade_rule(trades) + [(
         "timestamp", "outside_window", outside, lambda t: (
             f"trade at {_instant(t.timestamp)} outside "
@@ -889,12 +907,25 @@ def _audit(report: ValidationReport, table: str, columns: _Columns, rule: list[t
                           for column, kind, mask, message in rule if mask[i]]
 
 
+def _market_edge(ds: Dataset, edge: str) -> np.ndarray:
+    """The `edge` (market_open or market_close) of each trade's market, in
+    the dtype of the timestamp column; 0 for a trade of an unknown finding. A
+    trade's market is that of the first finding with its id."""
+    trades = ds.trade_columns
+    edges = [0] + [getattr(f, edge) for f in ds.markets()]
+    return np.array(edges, dtype=trades.timestamp.dtype)[trades.finding + 1]
+
+
+def _closed(ds: Dataset) -> np.ndarray:
+    """The mask of the trades in their market's closed window: the trades of a
+    known finding at or before its market's close."""
+    trades = ds.trade_columns
+    return (trades.finding >= 0) & (trades.timestamp <= _market_edge(ds, "market_close"))
+
+
 def _finding_rows(ds: Dataset, finding_id: str, columns: _Columns) -> slice:
-    try:
-        k = ds._group[finding_id]
-    except KeyError:
-        raise UnknownFinding(finding_id) from None
-    return slice(columns._bounds[k], columns._bounds[k + 1])
+    k = ds.group(finding_id)
+    return slice(columns.bounds[k], columns.bounds[k + 1])
 
 
 def market_rows(ds: Dataset, finding_id: str) -> slice:
@@ -909,17 +940,22 @@ def survey_rows(ds: Dataset, finding_id: str) -> slice:
 
 
 def closed_rows(ds: Dataset, finding: Finding) -> slice:
-    """The rows of one market's trades at or before its close: the window its
-    final price and its error curve are taken from."""
-    rows = market_rows(ds, finding.finding_id)
-    end = np.searchsorted(ds.trade_columns.timestamp[rows], finding.market_close, side="right")
-    return slice(rows.start, rows.start + int(end))
+    """The rows of the closed window of the finding's market (that of the
+    first finding with its id): the window its final price and its error
+    curve are taken from (see ``Dataset.closed_ends``)."""
+    k = ds.group(finding.finding_id)
+    return slice(ds.trade_columns.bounds[k], int(ds.closed_ends[k]))
+
+
+def closed_windows(ds: Dataset, markets: slice) -> tuple[np.ndarray, np.ndarray]:
+    """The start and end rows in ``ds.trade_columns`` of the closed windows of
+    a run of markets, given as a slice of the indexes of ``ds.finding_ids()``."""
+    return np.array(ds.trade_columns.bounds[markets], dtype=np.int64), ds.closed_ends[markets]
 
 
 def trade_counts(ds: Dataset) -> list[int]:
-    """The number of trades of each finding, in the order of ``ds.findings``."""
-    sizes = np.diff(ds.trade_columns._bounds).tolist()
-    return [sizes[ds._group[f.finding_id]] for f in ds.findings]
+    """The number of trades of each market, in the order of ``ds.finding_ids()``."""
+    return np.diff(ds.trade_columns.bounds).tolist()
 
 
 def trades_for(ds: Dataset, finding_id: str) -> list[Trade]:

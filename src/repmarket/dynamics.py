@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, Finding, MS_PER_HOUR, closed_rows, write_csv
+from .dataset import Dataset, MS_PER_HOUR, closed_windows, write_csv
 from .errors import EmptyMarket, InsufficientPoints, NoReduction, OutOfRange
 from . import stats
 
@@ -67,20 +67,27 @@ def _check_axis(axis: str) -> None:
         raise ValueError(f"unknown axis {axis!r}")
 
 
-def _market_errors(ds: Dataset, finding: Finding, axis: str,
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """The x and error arrays of :func:`error_series`, empty for a market
-    without trades up to its close."""
-    rows = closed_rows(ds, finding)
-    prices = ds.trade_columns.price[rows]
+def _closed_errors(ds: Dataset, groups: slice, axis: str,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, |outcome - price|, market) of each trade in the closed windows of a
+    run of markets (a slice of finding indexes, see Dataset.group), in trade
+    order; `market` counts the markets from the first of the run."""
+    trades = ds.trade_columns
+    markets = [ds.finding(fid) for fid in trades.finding_ids[groups]]
+    start, end = closed_windows(ds, groups)
+    n = end - start
+    market = np.repeat(np.arange(len(n)), n)
+    rank = np.arange(len(market)) - (np.cumsum(n) - n)[market]  # 0 at a market's first trade
+    rows = start[market] + rank
     if axis == AXIS_TRADES:
-        x = np.arange(1.0, len(prices) + 1.0)
+        x = rank + 1.0
     else:
         # exact as the Python ints' quotient: an int64 column's differences
         # stay below 2**53, and a column past that holds Python ints
-        x = ((ds.trade_columns.timestamp[rows] - finding.market_open)
-             / MS_PER_HOUR).astype(float)
-    return x, np.abs(finding.outcome - prices)
+        opens = np.array([f.market_open for f in markets], dtype=trades.timestamp.dtype)
+        x = ((trades.timestamp[rows] - opens[market]) / MS_PER_HOUR).astype(float)
+    outcomes = np.array([f.outcome for f in markets])
+    return x, np.abs(outcomes[market] - trades.price[rows]), market
 
 
 def error_series(ds: Dataset, finding_id: str, axis: str = AXIS_TRADES,
@@ -88,7 +95,8 @@ def error_series(ds: Dataset, finding_id: str, axis: str = AXIS_TRADES,
     """(x, |outcome - price|) after each trade of one market up to its close,
     the window `aggregate.market_final_price` takes the final price from."""
     _check_axis(axis)
-    x, errors = _market_errors(ds, ds.finding(finding_id), axis)
+    k = ds.group(finding_id)
+    x, errors, _ = _closed_errors(ds, slice(k, k + 1), axis)
     if not len(x):
         raise EmptyMarket(finding_id)
     return list(zip(x.tolist(), errors.tolist()))
@@ -104,29 +112,37 @@ def mean_error_curve(ds: Dataset, axis: str = AXIS_TRADES,
     markets whose value comes from an actual trade.
     """
     _check_axis(axis)
-    per_market = [_market_errors(ds, ds.finding(fid), axis) for fid in ds.finding_ids()]
+    n_markets = len(ds.finding_ids())
+    x, errors, market = _closed_errors(ds, slice(0, n_markets), axis)
     if grid is None:
         if axis == AXIS_TRADES:
-            top = max((len(xs) for xs, _ in per_market), default=0)
+            # x is the trade number: the longest closed window's is the largest
+            top = x.max() if len(x) else 0.0
             grid = np.arange(0.0, top + 1.0)
         else:
             # hour grid spans the union of market durations
             durations = [(f.market_close - f.market_open) / MS_PER_HOUR
-                         for f in ds.findings]
+                         for f in ds.markets()]
             top = max(durations) if durations else 0.0
             grid = np.arange(0.0, math.ceil(top) + 1.0)
     grid = np.asarray(sorted(grid), dtype=float)
 
-    # one column per market; each grid row is summed in market order
-    values = np.full((len(grid), len(per_market)), PRE_MARKET_ERROR)
-    n_contrib = np.zeros(len(grid), dtype=int)
-    for mi, (xs, errs) in enumerate(per_market):
-        n_traded = np.searchsorted(xs, grid, side="right")
-        traded = n_traded > 0
-        values[traded, mi] = errs[n_traded[traded] - 1]
-        n_contrib += traded
-    mean_err = values.mean(axis=1) if per_market else np.zeros(len(grid))
-    return ErrorCurve(axis, grid, mean_err, n_contrib)
+    # one column per market; each grid row is summed in market order. A trade
+    # counts from the first grid point at or past its x, so it is placed
+    # there, the last of a market's trades placed at one point winning, and a
+    # running maximum carries each market's latest trade down the grid (a
+    # market's trades come in the order of their x)
+    at = np.searchsorted(grid, x, side="left")
+    last = np.ones(len(x), dtype=bool)
+    last[:-1] = (at[1:] != at[:-1]) | (market[1:] != market[:-1])
+    placed = last & (at < len(grid))
+    latest = np.full((len(grid), n_markets), -1)
+    latest[at[placed], market[placed]] = np.flatnonzero(placed)
+    np.maximum.accumulate(latest, axis=0, out=latest)
+    # a market without a trade yet reads -1: the pre-market error
+    values = np.append(errors, PRE_MARKET_ERROR)[latest]
+    mean_err = values.mean(axis=1) if n_markets else np.zeros(len(grid))
+    return ErrorCurve(axis, grid, mean_err, np.count_nonzero(latest >= 0, axis=1))
 
 
 def loess_fit(curve: ErrorCurve, cfg: LoessConfig = LoessConfig()) -> ErrorCurve:
@@ -204,28 +220,32 @@ def late_trade_forecasts(ds: Dataset, cutoff_hours: float = 168.0,
     markets without post-cutoff trades keep their final price.
     """
     trades = ds.trade_columns
+    markets = ds.markets()
+    cutoffs = [f.market_open + cutoff_hours * MS_PER_HOUR for f in markets]
+    # a window's times are sorted, so its trades after the cutoff follow the
+    # market's trades at or before it (an unknown finding's rows, at -1, read
+    # the padding and are left out)
+    cutoff_of = np.array(cutoffs + [0.0])[trades.finding]
+    before = np.bincount(trades.finding[(trades.finding >= 0) & (trades.timestamp <= cutoff_of)],
+                         minlength=len(markets))
+    starts, ends = closed_windows(ds, slice(0, len(markets)))
+    posts = np.minimum(starts + before, ends)
     out = {}
-    for f in ds.findings:
-        rows = closed_rows(ds, f)
-        if rows.start == rows.stop:
+    for f, cutoff_ms, start, first, stop in zip(markets, cutoffs, starts.tolist(),
+                                                posts.tolist(), ends.tolist()):
+        if start == stop:
             continue
-        final_price = float(trades.price[rows.stop - 1])
-        cutoff_ms = f.market_open + cutoff_hours * MS_PER_HOUR
-        # the trades after the cutoff: a market's times are sorted
-        after = np.searchsorted(trades.timestamp[rows], cutoff_ms, side="right")
-        post = slice(rows.start + int(after), rows.stop)
+        final_price = float(trades.price[stop - 1])
         span = f.market_close - cutoff_ms
-        if post.start < post.stop and span > 0:
-            weights = [(t - cutoff_ms) / span for t in trades.timestamp[post].tolist()]
+        alt = final_price
+        if first < stop and span > 0:
+            weights = [(t - cutoff_ms) / span for t in trades.timestamp[first:stop].tolist()]
             total = stats.left_sum(weights)
-            # anchored at the final price so identical prices stay exact
-            alt = (final_price
-                   + stats.left_sum(w * (p - final_price)
-                                    for w, p in zip(weights, trades.price[post].tolist()))
-                   / total
-                   if total > 0 else final_price)
-        else:
-            alt = final_price
+            if total > 0:
+                # anchored at the final price so identical prices stay exact
+                alt = final_price + stats.left_sum(
+                    w * (p - final_price)
+                    for w, p in zip(weights, trades.price[first:stop].tolist())) / total
         out[f.finding_id] = (final_price, alt)
     return out
 

@@ -12,6 +12,8 @@ import math
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateInput, DegenerateTable, DomainError
 
 _EPS = 1e-15
@@ -201,18 +203,18 @@ def pearson(x, y) -> float:
 
 def average_ranks(values) -> list[float]:
     """Ranks 1..n, giving tied values the mean of their rank positions."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        mean_rank = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = mean_rank
-        i = j + 1
-    return ranks
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    # the sorted positions i..j of each run of tied values rank (i + j) / 2 + 1;
+    # the runs start where the sorted value changes, and the last ends at n
+    edge = np.ones(len(values) + 1, dtype=bool)
+    edge[1:-1] = ordered[1:] != ordered[:-1]
+    edges = np.flatnonzero(edge)
+    first, stop = edges[:-1], edges[1:]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((first + stop - 1) / 2.0 + 1.0, stop - first)
+    return ranks.tolist()
 
 
 def spearman(x, y) -> float:

@@ -371,3 +371,33 @@ def test_an_id_with_two_findings_names_the_first_one_everywhere():
     only_late = make_dataset([first, second], trades=[late])
     with pytest.raises(EmptyMarket):
         aggregate.market_final_price(only_late, "F1")
+
+
+def test_an_id_with_two_findings_is_read_once(tmp_path, monkeypatch):
+    # the first finding with the id names its market: one forecast, one curve
+    # column, one trade count, one late forecast and one replay each
+    from repmarket import aggregate, cli, dynamics
+    from repmarket.dataset import trade_counts
+
+    first = make_finding("F1", outcome=1)
+    second = make_finding("F1", outcome=0, open_ms=BASE_MS + 2 * HOUR_MS)
+    trades = [make_trade("F1", ts=BASE_MS + HOUR_MS, price=0.3, seq=0),
+              make_trade("F1", ts=BASE_MS + 3 * HOUR_MS, price=0.5, seq=1)]
+    ds = make_dataset([first, second], trades=trades)
+    assert ds.finding_ids() == ["F1"]
+    assert aggregate.aggregate_all(ds, methods=(aggregate.METHOD_MARKET,)) == [
+        aggregate.AggregateForecast("F1", aggregate.METHOD_MARKET, 0.5, 2)]
+    curve = dynamics.mean_error_curve(ds)
+    assert curve.n_contributing.tolist() == [0, 1, 1]
+    assert curve.mean_abs_error.tolist() == [0.5, 0.7, 0.5]
+    assert trade_counts(ds) == [2]
+    # from the first finding's open both trades are late, from the second's one
+    span = first.market_close - (BASE_MS + 0.5 * HOUR_MS)
+    weights = [(0.5 * HOUR_MS) / span, (2.5 * HOUR_MS) / span]
+    assert dynamics.late_trade_forecasts(ds, 0.5) == {
+        "F1": (0.5, 0.5 + weights[0] * (0.3 - 0.5) / (weights[0] + weights[1]))}
+
+    monkeypatch.setattr(cli, "_load", lambda args: ds)
+    assert cli.main(["replay", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "replay.csv").read_text().splitlines() == [
+        "finding_id,trade_index,price", "F1,1,0.3", "F1,2,0.5"]

@@ -1,11 +1,12 @@
 """Property tests of the per-finding grouping built with a Dataset, of the
 vectorized error-curve alignment, of the error series and late-trade
-forecasts and of the survey rule, each against a plain reference over the
-records kept here."""
+forecasts, of the grouped aggregators and of the survey rule, each against a
+plain reference over the records kept here."""
 
 import dataclasses
 import math
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from repmarket import aggregate, dynamics, lmsr, stats  # noqa: E402
 from repmarket.dataset import (Dataset, SurveyResponse, closed_rows, load_dataset,  # noqa: E402
                                surveys_for, trades_for, validate, write_dataset)
-from repmarket.errors import EmptyMarket, ReplayUnavailable, UnknownFinding  # noqa: E402
+from repmarket.errors import EmptyMarket, ReplayUnavailable, UnknownFinding, or_null  # noqa: E402
 from repmarket.synth import synthetic_dataset  # noqa: E402
 
 from helpers import BASE_MS, HOUR_MS, make_dataset, make_finding, make_trade, survey  # noqa: E402
@@ -413,6 +414,79 @@ def test_a_loaded_dataset_aggregates_the_surveys_it_was_written_from(ds):
             == aggregate.aggregate_all(ds, methods=aggregate.SURVEY_METHODS))
     assert aggregate.forecaster_weights(loaded) == aggregate.forecaster_weights(ds) == (
         scan_weights(ds))
+
+
+def walk_per_finding(ds, threshold):
+    """Every (finding id, method) pair through or_null and the per-finding
+    functions, the findings in order and the methods in ALL_METHODS order."""
+    weights = {w.forecaster_id: w.weight for w in aggregate.forecaster_weights(ds)}
+    rules = {
+        aggregate.METHOD_MARKET: aggregate.market_final_price,
+        aggregate.METHOD_MEAN: aggregate.survey_mean,
+        aggregate.METHOD_MEDIAN: aggregate.survey_median,
+        aggregate.METHOD_VOTING: partial(aggregate.survey_voting, threshold=threshold),
+        aggregate.METHOD_VAR_WEIGHTED: partial(aggregate.survey_var_weighted, weights=weights),
+    }
+    forecasts = (or_null(rules[method], ds, f.finding_id)
+                 for f in ds.findings for method in aggregate.ALL_METHODS)
+    return [f for f in forecasts if f is not None]
+
+
+def walk_records(ds, threshold):
+    """Each method's forecast of each finding computed from its records: the
+    last price at or before close and the survey rules over the responses in
+    record order, a finding skipped where the method is undefined."""
+    weights = {w.forecaster_id: w.weight for w in scan_weights(ds)}
+    out = []
+    for f in ds.findings:
+        closed = [t for t in scan_trades(ds, f.finding_id) if t.timestamp <= f.market_close]
+        responses = scan_surveys(ds, f.finding_id)
+        beliefs = [s.belief for s in responses]
+        w = [weights[s.forecaster_id] for s in responses]
+        n, ordered = len(beliefs), sorted(beliefs)
+        values = {aggregate.METHOD_MARKET: (closed[-1].post_trade_price, len(closed))
+                  if closed else None}
+        if n:
+            values[aggregate.METHOD_MEAN] = stats.left_sum(beliefs) / n, n
+            values[aggregate.METHOD_MEDIAN] = (
+                ordered[n // 2] if n % 2 else (ordered[n // 2 - 1] + ordered[n // 2]) / 2.0), n
+            values[aggregate.METHOD_VOTING] = sum(b >= threshold for b in beliefs) / n, n
+            if stats.left_sum(w) > 0:
+                values[aggregate.METHOD_VAR_WEIGHTED] = stats.left_sum(
+                    wi * b for wi, b in zip(w, beliefs)) / stats.left_sum(w), n
+        out += [aggregate.AggregateForecast(f.finding_id, method, *values[method])
+                for method in aggregate.ALL_METHODS if values.get(method)]
+    return out
+
+
+def _bits(forecasts):
+    # equal floats may differ in sign (0.0 and -0.0): compare the bits and the types
+    return [(f.finding_id, f.method, f.value.hex(), type(f.value), f.n_inputs, type(f.n_inputs))
+            for f in forecasts]
+
+
+def _every_case():
+    """A market traded before, at and after close, an empty market, a finding
+    without responses, one whose respondents all weigh 0, and records of an
+    unknown finding."""
+    findings = [make_finding(fid, close_ms=BASE_MS + 4 * HOUR_MS) for fid in ("F1", "F2", "F3")]
+    trades = [make_trade(fid, ts=BASE_MS + step * HOUR_MS, price=price, seq=k)
+              for k, (fid, step, price) in enumerate(
+                  [("F1", 1, 0.3), ("F1", 4, 0.45), ("F1", 6, 0.9), (UNKNOWN, 1, 0.2)])]
+    # F2 has no trades and no responses; F3's one respondent answered once
+    surveys = [survey("F1", "a", 0.2), survey("F1", "b", 0.5), survey("F3", "c", 0.9),
+               survey(UNKNOWN, "a", 0.4), survey(UNKNOWN, "b", 0.1)]
+    return findings, surveys, trades
+
+
+@settings(deadline=None, max_examples=80)
+@given(tables() | valid_tables(), st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+@example(_every_case(), 0.5)
+def test_aggregate_all_equals_the_walk_over_every_pair(given_tables, threshold):
+    ds = make_dataset(*given_tables)
+    forecasts = aggregate.aggregate_all(ds, threshold=threshold)
+    assert _bits(forecasts) == _bits(walk_per_finding(ds, threshold))
+    assert _bits(forecasts) == _bits(walk_records(ds, threshold))
 
 
 @st.composite

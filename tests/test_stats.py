@@ -103,6 +103,32 @@ def test_average_ranks_ties():
     assert stats.average_ranks([5.0, 5.0, 5.0]) == [2.0, 2.0, 2.0]
 
 
+def _loop_ranks(values):
+    """Average ranks walked tie run by tie run in a stable sort."""
+    order = sorted(range(len(values)), key=lambda i: values[i])
+    ranks = [0.0] * len(values)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        for k in range(i, j + 1):
+            ranks[order[k]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def test_average_ranks_equal_the_tie_run_walk():
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(0, 60)
+        spread = rng.choice([1, 3, 10, 10**6])
+        values = [rng.randrange(spread) / 8.0 for _ in range(n)]
+        if rng.random() < 0.3:
+            values = [v if rng.random() < 0.5 else rng.random() for v in values]
+        assert stats.average_ranks(values) == _loop_ranks(values)
+
+
 def test_spearman_monotone_transform():
     rng = random.Random(4)
     x = [rng.random() for _ in range(30)]

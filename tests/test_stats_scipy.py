@@ -69,3 +69,20 @@ def test_ols_coef_test_matches_scipy():
         fit = stats.ols_simple(x.tolist(), y.tolist())
         _agree(stats.ols_coef_test(fit.slope, fit.se_slope, fit.n).p_value, reference)
     assert tails >= 20
+
+
+def test_average_ranks_match_rankdata():
+    """Average ranks against `rankdata(method="average")` on samples where
+    most values tie: ranks are halves, so the two agree exactly."""
+    rng = np.random.default_rng(6)
+    tied = 0
+    for _ in range(300):
+        n = int(rng.integers(0, 80))
+        # a few distinct values each, some samples with continuous values mixed in
+        values = rng.integers(0, int(rng.integers(1, 8)), n) / 4.0
+        if rng.random() < 0.3:
+            values = np.where(rng.random(n) < 0.5, values, rng.random(n))
+        tied += len(np.unique(values)) < n
+        assert stats.average_ranks(values.tolist()) == scipy_stats.rankdata(
+            values, method="average").tolist()
+    assert tied >= 200
