@@ -154,7 +154,7 @@ def run_pipeline(ds, threshold: float = 0.5, yates: bool = False,
     """
     loess_cfg = loess_cfg or dynamics.LoessConfig()
     forecasts, scores, evaluation = forecast_stage(ds, threshold=threshold, yates=yates)
-    table2 = or_null(evaluate.build_table2, ds.findings, ds.p_threshold)
+    table2 = or_null(evaluate.build_table2, ds.markets(), ds.p_threshold)
 
     aggregators = {}
     for method in aggregate.SURVEY_METHODS:
@@ -185,7 +185,7 @@ def run_pipeline(ds, threshold: float = 0.5, yates: bool = False,
         dyn["first_hour_reduction_fraction"] = None
 
     report = {
-        "counts": {"findings": len(ds.findings), "trades": len(ds.trade_columns),
+        "counts": {"findings": len(ds.finding_ids()), "trades": len(ds.trade_columns),
                    "surveys": len(ds.survey_columns)},
         "config": {"threshold": threshold, "p_threshold": ds.p_threshold,
                    "yates": yates, "loess_span": loess_cfg.span,
@@ -274,7 +274,7 @@ def cmd_dynamics(args) -> int:
 
 def cmd_pvalue(args) -> int:
     ds = _load(args)
-    table2 = evaluate.build_table2(ds.findings, ds.p_threshold)
+    table2 = evaluate.build_table2(ds.markets(), ds.p_threshold)
     out = _out_dir(args)
     evaluate.write_table2_csv(table2, out / "table2.csv")
     _write_json(table2, out / "table2.json")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from collections import UserList
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import cached_property
@@ -257,7 +258,7 @@ class TradeColumns(_Columns):
         # the market bounds are instants too: an instant is subtracted from them
         bounds = [ms for f in findings for ms in (f.market_open, f.market_close)]
         times = _int_column([*bounds, *times], _EXACT_MS)[len(bounds):]
-        return _trade_columns(_ids_of(findings), fids, traders, times, sides, quantities,
+        return _trade_columns(list(first_by_id(findings)), fids, traders, times, sides, quantities,
                               prices, _int_column(seqs), _int_column(rows)).grouped()
 
     def values(self) -> list[list]:
@@ -292,7 +293,7 @@ class SurveyColumns(_Columns):
                      findings: list[Finding]) -> SurveyColumns:
         """The columns of the records, grouped by finding."""
         fids, forecasters, beliefs, rows = cls._fields_of(surveys)
-        return _survey_columns(_ids_of(findings), fids, forecasters, beliefs,
+        return _survey_columns(list(first_by_id(findings)), fids, forecasters, beliefs,
                                _int_column(rows)).grouped()
 
     def values(self) -> list[list]:
@@ -301,9 +302,13 @@ class SurveyColumns(_Columns):
                 self.source_row.tolist()]
 
 
-def _ids_of(findings: list[Finding]) -> list[str]:
-    """The distinct finding ids, in the order they first occur."""
-    return list(dict.fromkeys(f.finding_id for f in findings))
+def first_by_id(findings: list[Finding]) -> dict[str, Finding]:
+    """The finding each id names, the first with it, keyed in the order the
+    ids first occur: how every stage reads a list of findings."""
+    by_id: dict[str, Finding] = {}
+    for f in findings:
+        by_id.setdefault(f.finding_id, f)
+    return by_id
 
 
 def _codes(fids: list[str], finding_ids: list[str]) -> np.ndarray:
@@ -342,35 +347,22 @@ def _int_column(values: list, limit: int | None = None) -> np.ndarray:
     return column
 
 
-class _Records:
-    """A table field of a Dataset, `surveys` or `trades`. It is set once, to a
-    record list, which it takes as columns, or to a loaded table's columns,
-    and builds its records from the columns on the first read."""
+class _RecordList(UserList):
+    """The records of a Dataset's column table (`surveys` or `trades`), built
+    from the columns on first use; `findings` are those the columns were
+    grouped by."""
 
-    def __init__(self, table: type[_Columns], columns: str):
-        self.table, self.columns = table, columns  # columns: the Dataset attribute
+    def __init__(self, records=(), columns=None, findings=()):
+        if columns is None:
+            super().__init__(records)
+        self.columns, self.findings = columns, list(findings)
 
-    def __set_name__(self, owner, name):
-        self.name, self.built = name, f"_{name}_built"
-
-    def __get__(self, ds, owner=None):
-        if ds is None:
-            raise AttributeError(self.name)  # the field has no default
-        if self.built not in vars(ds):
-            vars(ds)[self.built] = getattr(ds, self.columns).in_load_order().records()
-        return vars(ds)[self.built]
-
-    def __set__(self, ds, value):
-        if self.columns in vars(ds):
-            raise AttributeError(f"a Dataset's {self.name} are grouped when it is built: "
-                                 "rebuild it with dataclasses.replace")
-        if not isinstance(value, self.table):
-            # `findings`, the field before this one, is set
-            value = self.table.from_records(list(value), ds.findings)
-        vars(ds)[self.columns] = value
+    @cached_property
+    def data(self) -> list:
+        return self.columns.in_load_order().records()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
     """The three tables. Survey responses and trades are held as columns
     only (`survey_columns`, `trade_columns`), each grouped by finding once:
@@ -379,21 +371,39 @@ class Dataset:
     and keeps no reference to them. `surveys`, `trades`, `surveys_for`,
     `trades_for` and the columns' `records` build records from the columns,
     on request only. An id names the first finding with it; rows of unknown
-    findings join no group. A changed dataset must be rebuilt with
-    `dataclasses.replace`, not mutated in place."""
+    findings join no group. A changed dataset is rebuilt with
+    `dataclasses.replace`: its fields cannot be set."""
     findings: list[Finding]
-    surveys: list[SurveyResponse] = _Records(SurveyColumns, "survey_columns")
-    trades: list[Trade] = _Records(TradeColumns, "trade_columns")
+    surveys: list[SurveyResponse]
+    trades: list[Trade]
     load_report: ValidationReport | None = field(default=None, compare=False)
     p_threshold: float = DEFAULT_P_THRESHOLD  # the cut the categories were taken at
 
     def __post_init__(self):
         if not 0.0 < self.p_threshold < 1.0:
             raise OutOfRange(f"p-value threshold must be in (0, 1), got {self.p_threshold}")
-        # an id names the first finding with it, as in the loader; rows are
-        # grouped by finding id, in the order the ids first occur
-        self._by_id = {f.finding_id: f for f in reversed(self.findings)}
-        self._group = {fid: k for k, fid in enumerate(_ids_of(self.findings))}
+        # each table is taken as columns once, and written past the frozen
+        # fields: an unbuilt record list of columns grouped by equal findings
+        # gives its columns back and builds no record
+        for name, table in (("surveys", SurveyColumns), ("trades", TradeColumns)):
+            value = getattr(self, name)
+            if (isinstance(value, _RecordList) and "data" not in vars(value)
+                    and value.findings == self.findings):
+                value = value.columns
+            elif not isinstance(value, table):
+                value = table.from_records(list(value), self.findings)
+            vars(self)[name] = _RecordList(columns=value, findings=self.findings)
+        by_id = first_by_id(self.findings)
+        # rows are grouped by finding id, in the order the ids first occur
+        vars(self).update(_by_id=by_id, _group={fid: k for k, fid in enumerate(by_id)})
+
+    @property
+    def survey_columns(self) -> SurveyColumns:
+        return self.surveys.columns
+
+    @property
+    def trade_columns(self) -> TradeColumns:
+        return self.trades.columns
 
     def finding(self, finding_id: str) -> Finding:
         try:
@@ -417,16 +427,23 @@ class Dataset:
     def markets(self) -> list[Finding]:
         """The finding each id names, in the order of `finding_ids`: the
         findings the analysis reads, one a market."""
-        return [self._by_id[fid] for fid in self._group]
+        return list(self._by_id.values())
+
+    @cached_property
+    def market_columns(self) -> dict[str, np.ndarray]:
+        """The market_open, market_close and outcome of each market, one array
+        a field in the order of `finding_ids`. The instants take the dtype of
+        the trade timestamps: past _EXACT_MS both hold exact Python ints."""
+        instants = self.trade_columns.timestamp.dtype
+        return {name: np.array([getattr(f, name) for f in self.markets()], dtype=dtype)
+                for name, dtype in (("market_open", instants), ("market_close", instants),
+                                    ("outcome", None))}
 
     @cached_property
     def closed_ends(self) -> np.ndarray:
-        """The end row of each market's closed window in `trade_columns`, in
-        the order of `finding_ids`. A market's rows are sorted by time, so its
-        closed window, its trades at or before its close, is a prefix of them."""
-        trades = self.trade_columns
-        starts = np.array(trades.bounds[:-1], dtype=np.int64)
-        return starts + np.bincount(trades.finding[_closed(self)], minlength=len(starts))
+        """The end row of each market's closed window in `trade_columns`, its
+        trades at or before its close, in the order of `finding_ids`."""
+        return window_ends(self, self.market_columns["market_close"])
 
 
 def load_mapping(path: str | Path) -> dict:
@@ -725,9 +742,7 @@ def load_dataset(outcomes_path: str | Path, surveys_path: str | Path,
                             finding_ids, report)
     trades = _load_trades(_read_columns(trades_path, "trades", TRADE_FIELDS, mapping),
                           finding_ids, report)
-    ds = Dataset(findings, surveys, trades, load_report=report, p_threshold=p_threshold)
-    _check_forecasters_traded(ds, report)
-    return ds
+    return Dataset(findings, surveys, trades, load_report=report, p_threshold=p_threshold)
 
 
 def _load_findings(columns: list[list[str]], p_threshold: float,
@@ -841,25 +856,13 @@ def _load_trades(columns: list[list[str]], finding_ids: list[str],
     return replace(table[kept], seq=number, load_index=number).grouped()
 
 
-def _check_forecasters_traded(ds: Dataset, report: ValidationReport) -> None:
-    """Warn about survey forecasters with no trades anywhere.
-
-    In the pooled studies every surveyed forecaster traded in at least one
-    market, so a non-trading forecaster signals schema drift; tolerated as a
-    warning, not an error.
-    """
-    traders = set(ds.trade_columns.trader.tolist())
-    flagged = sorted(set(ds.survey_columns.forecaster.tolist()) - traders)
-    for forecaster in flagged:
-        report.warnings.append(Violation(
-            "surveys", None, "forecaster_id", "forecaster_never_traded",
-            f"forecaster {forecaster!r} has survey responses but no trades"))
-
-
 def validate(ds: Dataset) -> ValidationReport:
     """Audit an in-memory Dataset: every fault the record rules of
     :func:`load_dataset` find in each record, and every trade outside its
-    market's window. Every earlier record counts as seen.
+    market's window. Every earlier record counts as seen. A survey forecaster
+    with no trades anywhere gets a warning: in the pooled studies every
+    surveyed forecaster traded in some market, so one who did not signals
+    schema drift.
 
     Pure: the same Dataset always yields an identical report. Violations are
     reported with row provenance where the records carry it; nothing is
@@ -875,8 +878,10 @@ def validate(ds: Dataset) -> ValidationReport:
     _audit(report, "surveys", surveys, _survey_rule(surveys))
 
     trades = ds.trade_columns
-    opened = _market_edge(ds, "market_open") <= trades.timestamp
-    outside = (trades.finding >= 0) & ~(opened & _closed(ds))
+    # a trade before its market opens, or past its market's closed window
+    outside = (trades.finding >= 0) & (
+        (trades.timestamp < _by_trade(ds, ds.market_columns["market_open"]))
+        | (np.arange(len(trades)) >= _by_trade(ds, ds.closed_ends)))
     _audit(report, "trades", trades, _trade_rule(trades) + [(
         "timestamp", "outside_window", outside, lambda t: (
             f"trade at {_instant(t.timestamp)} outside "
@@ -894,7 +899,10 @@ def validate(ds: Dataset) -> ValidationReport:
             "no_side": int(np.count_nonzero(trades.no)),
         },
     }
-    _check_forecasters_traded(ds, report)
+    for forecaster in sorted(set(surveys.forecaster.tolist()) - set(trades.trader.tolist())):
+        report.warnings.append(Violation(
+            "surveys", None, "forecaster_id", "forecaster_never_traded",
+            f"forecaster {forecaster!r} has survey responses but no trades"))
     return report
 
 
@@ -907,20 +915,20 @@ def _audit(report: ValidationReport, table: str, columns: _Columns, rule: list[t
                           for column, kind, mask, message in rule if mask[i]]
 
 
-def _market_edge(ds: Dataset, edge: str) -> np.ndarray:
-    """The `edge` (market_open or market_close) of each trade's market, in
-    the dtype of the timestamp column; 0 for a trade of an unknown finding. A
-    trade's market is that of the first finding with its id."""
-    trades = ds.trade_columns
-    edges = [0] + [getattr(f, edge) for f in ds.markets()]
-    return np.array(edges, dtype=trades.timestamp.dtype)[trades.finding + 1]
+def _by_trade(ds: Dataset, per_market: np.ndarray) -> np.ndarray:
+    """Each trade's market's entry of an array with one entry a market, in the
+    order of `finding_ids`; 0 for a trade of an unknown finding."""
+    return np.concatenate(([0], per_market))[ds.trade_columns.finding + 1]
 
 
-def _closed(ds: Dataset) -> np.ndarray:
-    """The mask of the trades in their market's closed window: the trades of a
-    known finding at or before its market's close."""
+def window_ends(ds: Dataset, instants: np.ndarray) -> np.ndarray:
+    """The end row in ``ds.trade_columns`` of each market's trades at or before
+    its instant (one a market, in the order of ``ds.finding_ids()``). A
+    market's rows are sorted by time, so these trades are a prefix of them."""
     trades = ds.trade_columns
-    return (trades.finding >= 0) & (trades.timestamp <= _market_edge(ds, "market_close"))
+    starts = np.array(trades.bounds[:-1], dtype=np.int64)
+    before = (trades.finding >= 0) & (trades.timestamp <= _by_trade(ds, instants))
+    return starts + np.bincount(trades.finding[before], minlength=len(starts))
 
 
 def _finding_rows(ds: Dataset, finding_id: str, columns: _Columns) -> slice:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, MS_PER_HOUR, closed_windows, write_csv
+from .dataset import Dataset, MS_PER_HOUR, closed_windows, window_ends, write_csv
 from .errors import EmptyMarket, InsufficientPoints, NoReduction, OutOfRange
 from . import stats
 
@@ -73,7 +73,7 @@ def _closed_errors(ds: Dataset, groups: slice, axis: str,
     run of markets (a slice of finding indexes, see Dataset.group), in trade
     order; `market` counts the markets from the first of the run."""
     trades = ds.trade_columns
-    markets = [ds.finding(fid) for fid in trades.finding_ids[groups]]
+    markets = {name: column[groups] for name, column in ds.market_columns.items()}
     start, end = closed_windows(ds, groups)
     n = end - start
     market = np.repeat(np.arange(len(n)), n)
@@ -84,10 +84,8 @@ def _closed_errors(ds: Dataset, groups: slice, axis: str,
     else:
         # exact as the Python ints' quotient: an int64 column's differences
         # stay below 2**53, and a column past that holds Python ints
-        opens = np.array([f.market_open for f in markets], dtype=trades.timestamp.dtype)
-        x = ((trades.timestamp[rows] - opens[market]) / MS_PER_HOUR).astype(float)
-    outcomes = np.array([f.outcome for f in markets])
-    return x, np.abs(outcomes[market] - trades.price[rows]), market
+        x = ((trades.timestamp[rows] - markets["market_open"][market]) / MS_PER_HOUR).astype(float)
+    return x, np.abs(markets["outcome"][market] - trades.price[rows]), market
 
 
 def error_series(ds: Dataset, finding_id: str, axis: str = AXIS_TRADES,
@@ -121,9 +119,9 @@ def mean_error_curve(ds: Dataset, axis: str = AXIS_TRADES,
             grid = np.arange(0.0, top + 1.0)
         else:
             # hour grid spans the union of market durations
-            durations = [(f.market_close - f.market_open) / MS_PER_HOUR
-                         for f in ds.markets()]
-            top = max(durations) if durations else 0.0
+            markets = ds.market_columns
+            durations = (markets["market_close"] - markets["market_open"]) / MS_PER_HOUR
+            top = durations.max() if len(durations) else 0.0
             grid = np.arange(0.0, math.ceil(top) + 1.0)
     grid = np.asarray(sorted(grid), dtype=float)
 
@@ -220,23 +218,19 @@ def late_trade_forecasts(ds: Dataset, cutoff_hours: float = 168.0,
     markets without post-cutoff trades keep their final price.
     """
     trades = ds.trade_columns
-    markets = ds.markets()
-    cutoffs = [f.market_open + cutoff_hours * MS_PER_HOUR for f in markets]
-    # a window's times are sorted, so its trades after the cutoff follow the
-    # market's trades at or before it (an unknown finding's rows, at -1, read
-    # the padding and are left out)
-    cutoff_of = np.array(cutoffs + [0.0])[trades.finding]
-    before = np.bincount(trades.finding[(trades.finding >= 0) & (trades.timestamp <= cutoff_of)],
-                         minlength=len(markets))
-    starts, ends = closed_windows(ds, slice(0, len(markets)))
-    posts = np.minimum(starts + before, ends)
+    markets = ds.market_columns
+    cutoffs = markets["market_open"] + cutoff_hours * MS_PER_HOUR
+    starts, ends = closed_windows(ds, slice(0, len(cutoffs)))
+    # a window's trades after the cutoff follow the market's trades at or before it
+    posts = np.minimum(window_ends(ds, cutoffs), ends)
     out = {}
-    for f, cutoff_ms, start, first, stop in zip(markets, cutoffs, starts.tolist(),
-                                                posts.tolist(), ends.tolist()):
+    for fid, cutoff_ms, close, start, first, stop in zip(
+            ds.finding_ids(), cutoffs.tolist(), markets["market_close"].tolist(), starts.tolist(),
+            posts.tolist(), ends.tolist()):
         if start == stop:
             continue
         final_price = float(trades.price[stop - 1])
-        span = f.market_close - cutoff_ms
+        span = close - cutoff_ms
         alt = final_price
         if first < stop and span > 0:
             weights = [(t - cutoff_ms) / span for t in trades.timestamp[first:stop].tolist()]
@@ -246,7 +240,7 @@ def late_trade_forecasts(ds: Dataset, cutoff_hours: float = 168.0,
                 alt = final_price + stats.left_sum(
                     w * (p - final_price)
                     for w, p in zip(weights, trades.price[first:stop].tolist())) / total
-        out[f.finding_id] = (final_price, alt)
+        out[fid] = (final_price, alt)
     return out
 
 
@@ -261,13 +255,9 @@ def late_trade_smoothing(ds: Dataset, cutoff_hours: float = 168.0,
     if not 0.0 <= cutoff_hours < math.inf:
         raise OutOfRange(f"cutoff must be finite and at least 0 hours, got {cutoff_hours}")
     forecasts = late_trade_forecasts(ds, cutoff_hours)
-    final_errors = []
-    smoothed_errors = []
-    for fid, (final_price, alt) in forecasts.items():
-        outcome = ds.finding(fid).outcome
-        final_errors.append(abs(outcome - final_price))
-        smoothed_errors.append(abs(outcome - alt))
-    return stats.paired_t(final_errors, smoothed_errors)
+    outcome = dict(zip(ds.finding_ids(), ds.market_columns["outcome"].tolist()))
+    return stats.paired_t([abs(outcome[fid] - final) for fid, (final, _) in forecasts.items()],
+                          [abs(outcome[fid] - alt) for fid, (_, alt) in forecasts.items()])
 
 
 def write_curves(raw: ErrorCurve, smoothed: ErrorCurve, path: str | Path) -> None:

@@ -18,7 +18,7 @@ from .aggregate import (
     check_threshold,
 )
 from .dataset import (CATEGORY_ABOVE, CATEGORY_AT_OR_BELOW, DEFAULT_P_THRESHOLD, Dataset,
-                      Finding, PROJECTS, write_csv)
+                      Finding, PROJECTS, first_by_id, write_csv)
 from .errors import MissingOutcome, or_null
 from . import stats
 
@@ -81,9 +81,9 @@ class ConfusionQuadrants:
 
 
 def _findings_by_id(findings) -> dict[str, Finding]:
-    if isinstance(findings, Dataset):
-        findings = findings.findings
-    return {f.finding_id: f for f in findings}
+    """The finding each id names, as a Dataset reads its findings: the first
+    with the id, in the order of `finding_ids`."""
+    return first_by_id(findings.findings if isinstance(findings, Dataset) else findings)
 
 
 def score(forecasts: list[AggregateForecast], findings,
@@ -114,14 +114,14 @@ def score(forecasts: list[AggregateForecast], findings,
 
 
 def _rows_by_id(scores, method: str) -> dict[str, ScoreRow]:
-    """The method's score row of each finding, in finding-id order."""
-    return dict(sorted(((s.finding_id, s) for s in scores if s.method == method),
-                       key=lambda item: item[0]))
+    """The method's score row of each finding, in the order of the rows."""
+    return {s.finding_id: s for s in scores if s.method == method}
 
 
 def paired_scores(scores) -> tuple[list[ScoreRow], list[ScoreRow]]:
     """The market's and the survey mean's score rows on the findings both
-    scored, in finding-id order."""
+    scored, in the order of the market's score rows (in the pipeline, the
+    order of `Dataset.finding_ids`)."""
     market, survey = (_rows_by_id(scores, method) for method in COMPARED)
     both = [i for i in market if i in survey]
     return [market[i] for i in both], [survey[i] for i in both]

@@ -85,16 +85,16 @@ def test_load_and_validate_reports_of_the_malformed_fixture(p_threshold):
 
 
 def test_validate_prints_load_and_validation_warnings_apart(tmp_path):
-    # the load report holds the derived category, the unparsed p-value and the
-    # forecaster who never traded; validation finds the last one again
+    # the load report holds the derived category and the unparsed p-value;
+    # validation alone warns of the forecaster who never traded
     args = ["validate", "--outcomes", str(DATA / "outcomes.csv"), "--surveys",
             str(DATA / "surveys.csv"), "--trades", str(DATA / "trades.csv"),
             "--out", str(tmp_path)]
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert main(args) == 1
     recorded = RECORDED["0.005"]
-    assert (len(recorded["load"]["warnings"]), len(recorded["validate"]["warnings"])) == (3, 1)
-    assert (f"load errors: {len(recorded['load']['errors'])}; load warnings: 3; "
+    assert (len(recorded["load"]["warnings"]), len(recorded["validate"]["warnings"])) == (2, 1)
+    assert (f"load errors: {len(recorded['load']['errors'])}; load warnings: 2; "
             f"validation errors: {len(recorded['validate']['errors'])}; "
             "validation warnings: 1") in out.getvalue().splitlines()
 
@@ -145,3 +145,15 @@ def test_a_rejected_row_gets_its_first_text_fault_and_no_warnings(tmp_path):
         ("trades", 1, "post_trade_price", "cannot parse price 'cheap'"),
     ]
     assert report.warnings == []
+
+
+def test_validate_lists_each_forecaster_who_never_traded_once(tmp_path):
+    args = ["validate", "--outcomes", str(DATA / "outcomes.csv"), "--surveys",
+            str(DATA / "surveys.csv"), "--trades", str(DATA / "trades.csv"),
+            "--out", str(tmp_path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(args) == 1
+    written = json.loads((tmp_path / "validation.json").read_text(encoding="utf-8"))
+    assert [w["message"] for part in written.values() for w in part["warnings"]
+            if w["kind"] == "forecaster_never_traded"] == [
+        "forecaster 'ghost' has survey responses but no trades"]

@@ -4,13 +4,14 @@ analysis commands read them as per-finding slices and build no `Trade` or
 numbers, not numpy scalars."""
 
 import contextlib
+import dataclasses
 import io
 
 import pytest
 
 from repmarket import aggregate, dynamics, lmsr
 from repmarket.cli import main
-from repmarket.dataset import SurveyResponse, Trade, load_dataset
+from repmarket.dataset import Dataset, SurveyResponse, Trade, load_dataset
 from repmarket.synth import synthetic_dataset, write_fixture
 
 COMMANDS = {
@@ -90,3 +91,13 @@ def test_values_read_from_the_columns_are_python_floats(paths):
     forecasts = aggregate.aggregate_all(ds, methods=aggregate.SURVEY_METHODS)
     assert {(type(f.value), type(f.n_inputs)) for f in forecasts} == {(float, int)}
     assert {type(w.weight) for w in aggregate.forecaster_weights(ds)} == {float}
+
+
+def test_replacing_the_trades_builds_no_survey_response(built):
+    # the `paper` workload's shape: 103 findings, about 7,400 survey responses
+    ds = synthetic_dataset(seed=1, n_markets=103, n_traders=89, min_trades=26, max_trades=126)
+    built[SurveyResponse] = 0
+    smaller = dataclasses.replace(ds, trades=[])
+    assert built[SurveyResponse] == 0
+    assert len(smaller.trade_columns) == 0
+    assert smaller == Dataset(ds.findings, ds.surveys, [])
