@@ -156,16 +156,13 @@ def run_pipeline(ds, threshold: float = 0.5, yates: bool = False,
     forecasts, scores, evaluation = forecast_stage(ds, threshold=threshold, yates=yates)
     table2 = or_null(evaluate.build_table2, ds.markets(), ds.p_threshold)
 
-    aggregators = {}
+    aggregators, index = {}, evaluate.rows_by_method(scores)
     for method in aggregate.SURVEY_METHODS:
-        values = [s.forecast for s in scores if s.method == method]
-        errors = [s.abs_error for s in scores if s.method == method]
-        if not values:
-            continue
-        n = len(values)
-        mean, var = stats.mean_var(values)
-        aggregators[method] = {"mean": mean, "sd": var ** 0.5,
-                               "mae": stats.left_sum(errors) / n, "n": n}
+        rows = index[method].values()
+        if rows:
+            mean, var = stats.mean_var([r.forecast for r in rows])
+            aggregators[method] = {"mean": mean, "sd": var ** 0.5, "n": len(rows),
+                                   "mae": stats.left_sum(r.abs_error for r in rows) / len(rows)}
 
     counts = trade_counts(ds)
     curves, convergence = dynamics_stage(ds, loess_cfg, (0.9,), cutoff_hours=168.0)

@@ -219,6 +219,11 @@ class _Columns:
         """The rows in load order."""
         return self[np.argsort(self.load_index)]
 
+    def fits(self, findings: list[Finding]) -> bool:
+        """Whether `from_records` would build these columns from their records
+        and these findings: the findings have the same distinct ids, in order."""
+        return self.finding_ids == list(first_by_id(findings))
+
     def records(self, rows=slice(None)) -> list:
         """The record of each of the given rows."""
         return list(map(self.RECORD, *self[rows].values()))
@@ -255,11 +260,16 @@ class TradeColumns(_Columns):
     def from_records(cls, trades: list[Trade], findings: list[Finding]) -> TradeColumns:
         """The columns of the records, in trade order."""
         fids, traders, times, sides, quantities, prices, seqs, rows = cls._fields_of(trades)
-        # the market bounds are instants too: an instant is subtracted from them
-        bounds = [ms for f in findings for ms in (f.market_open, f.market_close)]
-        times = _int_column([*bounds, *times], _EXACT_MS)[len(bounds):]
-        return _trade_columns(list(first_by_id(findings)), fids, traders, times, sides, quantities,
-                              prices, _int_column(seqs), _int_column(rows)).grouped()
+        return _trade_columns(list(first_by_id(findings)), fids, traders,
+                              _instants(times, findings), sides, quantities, prices,
+                              _int_column(seqs), _int_column(rows)).grouped()
+
+    def fits(self, findings: list[Finding]) -> bool:
+        """Whether `from_records` would build these columns: the findings have
+        the same distinct ids, in order, and their market bounds leave the
+        timestamps' dtype as it is."""
+        return (super().fits(findings)
+                and _instants(self.timestamp.tolist(), findings).dtype == self.timestamp.dtype)
 
     def values(self) -> list[list]:
         """Each row's value of each field of its `Trade`, one list a field."""
@@ -338,6 +348,14 @@ def _trade_columns(finding_ids: list[str], fids, traders, timestamp: np.ndarray,
         np.array(prices, dtype=float), seq, np.arange(len(timestamp)), source_row)
 
 
+def _instants(times: list, findings: list[Finding]) -> np.ndarray:
+    """The trade timestamps as a column: int64 only when every timestamp and
+    every market bound lies within +-_EXACT_MS (the bounds are instants too:
+    an instant is subtracted from them), else exact Python ints."""
+    bounds = [ms for f in findings for ms in (f.market_open, f.market_close)]
+    return _int_column([*bounds, *times], _EXACT_MS)[len(bounds):]
+
+
 def _int_column(values: list, limit: int | None = None) -> np.ndarray:
     """The values as int64, or as given (None, say, or Python ints, exact at
     any size) when one is not an int64 or, given a limit, not below it in size."""
@@ -349,13 +367,12 @@ def _int_column(values: list, limit: int | None = None) -> np.ndarray:
 
 class _RecordList(UserList):
     """The records of a Dataset's column table (`surveys` or `trades`), built
-    from the columns on first use; `findings` are those the columns were
-    grouped by."""
+    from the columns on first use."""
 
-    def __init__(self, records=(), columns=None, findings=()):
+    def __init__(self, records=(), columns=None):
         if columns is None:
             super().__init__(records)
-        self.columns, self.findings = columns, list(findings)
+        self.columns = columns
 
     @cached_property
     def data(self) -> list:
@@ -383,16 +400,16 @@ class Dataset:
         if not 0.0 < self.p_threshold < 1.0:
             raise OutOfRange(f"p-value threshold must be in (0, 1), got {self.p_threshold}")
         # each table is taken as columns once, and written past the frozen
-        # fields: an unbuilt record list of columns grouped by equal findings
-        # gives its columns back and builds no record
+        # fields: an unbuilt record list gives its columns back, and builds no
+        # record, when they are the columns its records would give
         for name, table in (("surveys", SurveyColumns), ("trades", TradeColumns)):
             value = getattr(self, name)
             if (isinstance(value, _RecordList) and "data" not in vars(value)
-                    and value.findings == self.findings):
+                    and value.columns.fits(self.findings)):
                 value = value.columns
             elif not isinstance(value, table):
                 value = table.from_records(list(value), self.findings)
-            vars(self)[name] = _RecordList(columns=value, findings=self.findings)
+            vars(self)[name] = _RecordList(columns=value)
         by_id = first_by_id(self.findings)
         # rows are grouped by finding id, in the order the ids first occur
         vars(self).update(_by_id=by_id, _group={fid: k for k, fid in enumerate(by_id)})

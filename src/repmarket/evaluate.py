@@ -7,7 +7,7 @@ quadrants, and the p-value-category regression.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -113,16 +113,21 @@ def score(forecasts: list[AggregateForecast], findings,
     return rows
 
 
-def _rows_by_id(scores, method: str) -> dict[str, ScoreRow]:
-    """The method's score row of each finding, in the order of the rows."""
-    return {s.finding_id: s for s in scores if s.method == method}
+def rows_by_method(scores) -> dict[str, dict[str, ScoreRow]]:
+    """{method: {finding_id: score row}} in row order, each (finding, method) pair
+    once, as its first row (`dataset.first_by_id`'s rule); a method without rows is {}."""
+    index: dict[str, dict[str, ScoreRow]] = defaultdict(dict)
+    for s in scores:
+        index[s.method].setdefault(s.finding_id, s)
+    return index
 
 
 def paired_scores(scores) -> tuple[list[ScoreRow], list[ScoreRow]]:
-    """The market's and the survey mean's score rows on the findings both
-    scored, in the order of the market's score rows (in the pipeline, the
-    order of `Dataset.finding_ids`)."""
-    market, survey = (_rows_by_id(scores, method) for method in COMPARED)
+    """The market's and the survey mean's score rows (each pair's first) on
+    the findings both scored, in the order of the market's score rows (in the
+    pipeline, the order of `Dataset.finding_ids`)."""
+    index = rows_by_method(scores)
+    market, survey = (index[method] for method in COMPARED)
     both = [i for i in market if i in survey]
     return [market[i] for i in both], [survey[i] for i in both]
 
@@ -130,7 +135,7 @@ def paired_scores(scores) -> tuple[list[ScoreRow], list[ScoreRow]]:
 def summarize(scores: list[ScoreRow], findings,
               group_by: str = "project") -> list[ProjectSummary]:
     """Per-project summaries (`group_by="project"`) or one pooled row of the
-    two compared methods."""
+    two compared methods, each group a selection of `rows_by_method`."""
     by_id = _findings_by_id(findings)
     if group_by == "pooled":
         groups = [(POOLED, list(by_id.values()))]
@@ -141,7 +146,8 @@ def summarize(scores: list[ScoreRow], findings,
     else:
         raise ValueError(f"group_by must be 'project' or 'pooled', got {group_by!r}")
 
-    market, survey = paired_scores(scores)
+    index = rows_by_method(scores)
+    market, survey = (index[method] for method in COMPARED)
     summaries = []
     for name, members in groups:
         ids = {f.finding_id for f in members}
@@ -151,7 +157,7 @@ def summarize(scores: list[ScoreRow], findings,
             project=name, n_findings=n, n_replicated=n_rep,
             replication_rate=n_rep / n if n else 0.0)
         for method in COMPARED:
-            rows = [s for s in scores if s.method == method and s.finding_id in ids]
+            rows = [r for i, r in index[method].items() if i in ids]
             if not rows:
                 continue
             summary.mean_belief[method] = stats.left_sum(r.forecast for r in rows) / len(rows)
@@ -159,8 +165,8 @@ def summarize(scores: list[ScoreRow], findings,
             summary.mae[method] = stats.left_sum(r.abs_error for r in rows) / len(rows)
             summary.spearman_outcome[method] = or_null(
                 stats.spearman, [r.outcome for r in rows], [r.forecast for r in rows])
-        both = [(m.forecast, s.forecast) for m, s in zip(market, survey)
-                if m.finding_id in ids]
+        both = [(m.forecast, survey[i].forecast) for i, m in market.items()
+                if i in ids and i in survey]
         if len(both) >= 3:
             summary.spearman_market_survey = or_null(stats.spearman, *zip(*both))
         summaries.append(summary)
@@ -171,9 +177,10 @@ def asymmetry_tests(scores: list[ScoreRow], methods: tuple[str, ...] = tuple(COM
                     yates: bool = False) -> dict[str, tuple[ConfusionQuadrants, stats.TestResult]]:
     """Is each method more accurate on predicted failures than on predicted
     replications? Chi-square on the (predicted class x correctness) table."""
+    index = rows_by_method(scores)
     out = {}
     for method in methods:
-        cells = Counter((s.predicted, s.outcome) for s in scores if s.method == method)
+        cells = Counter((s.predicted, s.outcome) for s in index[method].values())
         quad = ConfusionQuadrants(
             method=method,
             predicted_fail_replicated=cells[0, 1],
@@ -181,10 +188,7 @@ def asymmetry_tests(scores: list[ScoreRow], methods: tuple[str, ...] = tuple(COM
             predicted_replicate_replicated=cells[1, 1],
             predicted_replicate_not_replicated=cells[1, 0],
         )
-        table = [
-            [quad.predicted_fail_not_replicated, quad.predicted_fail_replicated],
-            [quad.predicted_replicate_replicated, quad.predicted_replicate_not_replicated],
-        ]
+        table = [[cells[0, 0], cells[0, 1]], [cells[1, 1], cells[1, 0]]]
         out[method] = (quad, stats.chi_square_1df(table, yates=yates))
     return out
 
@@ -192,28 +196,25 @@ def asymmetry_tests(scores: list[ScoreRow], methods: tuple[str, ...] = tuple(COM
 def accuracy_comparison_test(scores: list[ScoreRow], yates: bool = False) -> stats.TestResult:
     """Chi-square comparing the correct/incorrect counts of the market's
     final price (first row) and the survey mean (second row)."""
-    def counts(method):
-        rows = [s for s in scores if s.method == method]
-        correct = sum(s.correct for s in rows)
-        return [correct, len(rows) - correct]
-
-    return stats.chi_square_1df([counts(method) for method in COMPARED], yates=yates)
+    index = rows_by_method(scores)
+    correct = {method: sum(s.correct for s in index[method].values()) for method in COMPARED}
+    return stats.chi_square_1df([[correct[m], len(index[m]) - correct[m]] for m in COMPARED],
+                                yates=yates)
 
 
 def overestimation_tests(forecasts: list[AggregateForecast],
                          findings) -> dict[str, stats.TestResult]:
-    """Paired t-tests of outcomes against the forecasts of the market's final
-    price and of the survey mean, keyed by method.
+    """Paired t-tests of outcomes against the market's final price and the survey
+    mean, keyed by method, over the score rows of the forecasts with an outcome.
 
     Negative t means the forecasts overestimate the replication rate.
     """
     by_id = _findings_by_id(findings)
-    out = {}
-    for method in COMPARED:
-        pairs = [(by_id[f.finding_id].outcome, f.value)
-                 for f in forecasts if f.method == method and f.finding_id in by_id]
-        out[method] = stats.paired_t([p[0] for p in pairs], [p[1] for p in pairs])
-    return out
+    compared = [f for f in forecasts if f.method in COMPARED and f.finding_id in by_id]
+    index = rows_by_method(score(compared, findings))
+    return {method: stats.paired_t([s.outcome for s in index[method].values()],
+                                   [s.forecast for s in index[method].values()])
+            for method in COMPARED}
 
 
 def error_difference_test(scores: list[ScoreRow]) -> stats.TestResult:
@@ -236,9 +237,10 @@ def extremeness_test(scores: list[ScoreRow]) -> stats.TestResult:
 def forecast_correlations(scores: list[ScoreRow]) -> dict[str, float | None]:
     """Each compared method's outcome/forecast correlation over the findings
     it scored, and the market/survey correlations on the findings both scored."""
+    index = rows_by_method(scores)
     out: dict[str, float | None] = {}
     for method, name in COMPARED.items():
-        rows = _rows_by_id(scores, method).values()
+        rows = index[method].values()
         out[f"pearson_outcome_{name}"] = or_null(
             stats.pearson, [r.outcome for r in rows], [r.forecast for r in rows])
     market, survey = paired_scores(scores)

@@ -42,6 +42,8 @@ def synthetic_dataset(seed: int, n_markets: int = 12, n_traders: int = 8,
         raise OutOfRange("need at least 2 markets (one per p-value category)")
     if n_traders < 1:
         raise OutOfRange(f"need at least 1 trader, got {n_traders}")
+    if not 0 <= min_trades <= max_trades:
+        raise OutOfRange(f"need 0 <= min_trades <= max_trades, got {min_trades} and {max_trades}")
     rng = random.Random(seed)
     trader_ids = [f"trader{j + 1:02d}" for j in range(n_traders)]
 

@@ -34,6 +34,19 @@ def test_synth_different_seeds_differ(tmp_path):
     assert _read_all(tmp_path / "a") != _read_all(tmp_path / "b")
 
 
+@pytest.mark.parametrize("min_trades, max_trades", [(5, 4), (-1, 3), (-3, -1)])
+def test_synth_refuses_trade_counts_outside_their_domain(min_trades, max_trades):
+    from repmarket.errors import OutOfRange
+
+    with pytest.raises(OutOfRange, match="0 <= min_trades <= max_trades"):
+        synthetic_dataset(seed=1, min_trades=min_trades, max_trades=max_trades)
+
+
+def test_synth_allows_untraded_markets_when_asked():
+    ds = synthetic_dataset(seed=1, min_trades=0, max_trades=0)
+    assert len(ds.trade_columns) == 0 and len(ds.findings) == 12
+
+
 def test_synth_fixture_loads_clean(tmp_path):
     paths = write_fixture(synthetic_dataset(seed=3, n_markets=6), tmp_path)
     ds = load_dataset(paths["outcomes"], paths["surveys"], paths["trades"])

@@ -7,6 +7,7 @@ import contextlib
 import dataclasses
 import io
 
+import numpy as np
 import pytest
 
 from repmarket import aggregate, dynamics, lmsr
@@ -101,3 +102,47 @@ def test_replacing_the_trades_builds_no_survey_response(built):
     assert built[SurveyResponse] == 0
     assert len(smaller.trade_columns) == 0
     assert smaller == Dataset(ds.findings, ds.surveys, [])
+
+
+def _assert_same_columns(columns, expected):
+    for f in dataclasses.fields(columns):
+        value, want = getattr(columns, f.name), getattr(expected, f.name)
+        if f.name == "finding_ids":
+            assert value == want
+        else:
+            assert value.dtype == want.dtype, f.name
+            np.testing.assert_array_equal(value, want, err_msg=f.name)
+
+
+@pytest.mark.parametrize("source", ["built", "loaded"])
+def test_an_outcome_flip_takes_both_tables_back_and_builds_no_record(paths, built, source):
+    ds = (synthetic_dataset(seed=1, n_markets=12, n_traders=10) if source == "built"
+          else load_dataset(paths["outcomes"], paths["surveys"], paths["trades"]))
+    flipped = [dataclasses.replace(f, outcome=1 - f.outcome) for f in ds.findings]
+    built.update({Trade: 0, SurveyResponse: 0})
+    new = dataclasses.replace(ds, findings=flipped)
+    assert built == {Trade: 0, SurveyResponse: 0}
+    assert new.trade_columns is ds.trade_columns
+    assert new.survey_columns is ds.survey_columns
+    rebuilt = Dataset(flipped, list(ds.surveys), list(ds.trades))
+    _assert_same_columns(new.trade_columns, rebuilt.trade_columns)
+    _assert_same_columns(new.survey_columns, rebuilt.survey_columns)
+
+
+def test_a_close_moved_past_2_to_the_52_keeps_the_timestamps_exact(built):
+    ds = synthetic_dataset(seed=1, n_markets=12, n_traders=10)
+    assert ds.trade_columns.timestamp.dtype == np.int64
+    last = 2**52 + 1  # ms: an int64 column of instants holds none this large
+    moved = ds.findings[:-1] + [dataclasses.replace(ds.findings[-1], market_close=last)]
+    new = dataclasses.replace(ds, findings=moved)
+    assert new.trade_columns.timestamp.dtype == object
+    assert new.trade_columns.timestamp.tolist() == ds.trade_columns.timestamp.tolist()
+    assert new.market_columns["market_close"][-1] == last
+    assert {type(ms) for ms in new.market_columns["market_close"]} == {int}
+    _assert_same_columns(new.trade_columns,
+                         Dataset(moved, list(ds.surveys), list(ds.trades)).trade_columns)
+    # and back: bounds inside the limit give int64 columns again
+    back = dataclasses.replace(new, findings=ds.findings)
+    assert back.trade_columns.timestamp.dtype == np.int64
+    # the survey responses were taken back each time
+    assert new.survey_columns is back.survey_columns is ds.survey_columns
