@@ -74,28 +74,26 @@ def _final_prices(ds: Dataset, groups: slice) -> tuple:
     return price, n, traded
 
 
-def _responses(ds: Dataset, groups: slice) -> tuple[slice, list[int]]:
-    """The rows of the groups' survey responses in ``ds.survey_columns``, and
-    the bounds of each group's rows among them."""
+def _responses(ds: Dataset, groups: slice) -> tuple[slice, list[int], np.ndarray]:
+    """The rows of the groups' survey responses in ``ds.survey_columns``, the
+    bounds of each group's rows among them, and each group's count of rows."""
     bounds = ds.survey_columns.bounds[groups.start:groups.stop + 1]
-    return slice(bounds[0], bounds[-1]), [b - bounds[0] for b in bounds]
+    return slice(bounds[0], bounds[-1]), [b - bounds[0] for b in bounds], np.diff(bounds)
 
 
 def _mean(ds: Dataset, groups: slice) -> tuple:
-    rows, bounds = _responses(ds, groups)
-    n = np.diff(bounds)
+    rows, bounds, n = _responses(ds, groups)
     answered = n > 0
     return _quotient(_left_sums(ds.survey_columns.belief[rows].tolist(), bounds), n,
                      answered), n, answered
 
 
 def _median(ds: Dataset, groups: slice) -> tuple:
-    rows, bounds = _responses(ds, groups)
+    rows, bounds, n = _responses(ds, groups)
     surveys = ds.survey_columns
     # each group's beliefs in a stable sort, the groups in place
     beliefs = surveys.belief[rows]
     ordered = beliefs[np.lexsort((beliefs, surveys.finding[rows]))]
-    n = np.diff(bounds)
     answered = n > 0
     mid = (np.array(bounds[:-1], dtype=np.int64) + n // 2)[answered]
     median = np.full(len(n), np.nan)
@@ -106,9 +104,8 @@ def _median(ds: Dataset, groups: slice) -> tuple:
 
 def _voting(ds: Dataset, groups: slice, threshold: float) -> tuple:
     """The share of each group's responses at or above the threshold."""
-    rows, bounds = _responses(ds, groups)
+    rows, bounds, n = _responses(ds, groups)
     votes = np.concatenate(([0], np.cumsum(ds.survey_columns.belief[rows] >= threshold)))
-    n = np.diff(bounds)
     answered = n > 0
     return _quotient(np.diff(votes[bounds]), n, answered), n, answered
 
@@ -116,12 +113,12 @@ def _voting(ds: Dataset, groups: slice, threshold: float) -> tuple:
 def _var_weighted(ds: Dataset, groups: slice, weight_of) -> tuple:
     """The weighted mean of each group's beliefs, with `weight_of` giving the
     weights of a slice of survey rows."""
-    rows, bounds = _responses(ds, groups)
+    rows, bounds, n = _responses(ds, groups)
     w = weight_of(rows)
     total = _left_sums(w.tolist(), bounds)
     weighted = ~(total <= 0.0)  # a group without responses weighs 0 too
     return (_quotient(_left_sums((w * ds.survey_columns.belief[rows]).tolist(), bounds), total,
-                      weighted), np.diff(bounds), weighted)
+                      weighted), n, weighted)
 
 
 def _one(method: str, rule, ds: Dataset, finding_id: str) -> AggregateForecast:
@@ -208,10 +205,11 @@ def check_threshold(threshold: float) -> None:
 
 def aggregate_all(ds: Dataset, methods=ALL_METHODS,
                   threshold: float = 0.5) -> list[AggregateForecast]:
-    """One forecast per (finding id, method), skipping findings a method cannot
-    aggregate (empty market / no responses / all-zero weights): exactly the
-    findings whose per-finding function raises."""
+    """One forecast per (finding id, method), each method once, where it first occurs,
+    skipping findings a method cannot aggregate (empty market / no responses / all-zero
+    weights): exactly the findings whose per-finding function raises."""
     check_threshold(threshold)
+    methods = tuple(dict.fromkeys(methods))
     rules = {
         METHOD_MARKET: _final_prices,
         METHOD_MEAN: _mean,

@@ -9,6 +9,7 @@ are for humans and plotting.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -84,10 +85,7 @@ def _write_json(obj, path: Path) -> None:
 
 
 def _test_dict(result) -> dict | None:
-    if result is None:
-        return None
-    return {"statistic": result.statistic, "df": result.df,
-            "p_value": result.p_value, "kind": result.kind}
+    return None if result is None else dataclasses.asdict(result)
 
 
 # ----------------------------------------------------------------------
@@ -100,7 +98,7 @@ def forecast_stage(ds, threshold: float = 0.5, yates: bool = False) -> tuple:
     forecasts = aggregate.aggregate_all(ds, threshold=threshold)
     scores = evaluate.score(forecasts, ds, threshold=threshold)
 
-    over = or_null(evaluate.overestimation_tests, forecasts, ds) or {}
+    over = evaluate.overestimation_tests(forecasts, ds)
     tests = {
         "error_difference": _test_dict(or_null(evaluate.error_difference_test, scores)),
         "extremeness": _test_dict(or_null(evaluate.extremeness_test, scores)),
@@ -111,7 +109,7 @@ def forecast_stage(ds, threshold: float = 0.5, yates: bool = False) -> tuple:
     asymmetry = or_null(evaluate.asymmetry_tests, scores, yates=yates) or {}
     quadrants = {}
     for method, name in evaluate.COMPARED.items():
-        tests[f"overestimation_{name}"] = _test_dict(over.get(method))
+        tests[f"overestimation_{name}"] = _test_dict(over[method])
         quad, result = asymmetry.get(method, (None, None))
         tests[f"asymmetry_{name}"] = _test_dict(result)
         if quad is not None:
@@ -239,7 +237,7 @@ def cmd_aggregate(args) -> int:
                                         threshold=args.threshold)
     out = _out_dir(args)
     aggregate.write_aggregates(forecasts, out / "aggregates.csv")
-    print(f"{len(forecasts)} forecasts ({len(methods)} methods) -> "
+    print(f"{len(forecasts)} forecasts ({len(set(methods))} methods) -> "
           f"{out / 'aggregates.csv'}")
     return 0
 

@@ -114,7 +114,7 @@ def score(forecasts: list[AggregateForecast], findings,
 
 
 def rows_by_method(scores) -> dict[str, dict[str, ScoreRow]]:
-    """{method: {finding_id: score row}} in row order, each (finding, method) pair
+    """{method: {finding_id: row}} of score rows or forecasts in row order, each pair
     once, as its first row (`dataset.first_by_id`'s rule); a method without rows is {}."""
     index: dict[str, dict[str, ScoreRow]] = defaultdict(dict)
     for s in scores:
@@ -165,10 +165,9 @@ def summarize(scores: list[ScoreRow], findings,
             summary.mae[method] = stats.left_sum(r.abs_error for r in rows) / len(rows)
             summary.spearman_outcome[method] = or_null(
                 stats.spearman, [r.outcome for r in rows], [r.forecast for r in rows])
-        both = [(m.forecast, survey[i].forecast) for i, m in market.items()
-                if i in ids and i in survey]
-        if len(both) >= 3:
-            summary.spearman_market_survey = or_null(stats.spearman, *zip(*both))
+        both = [i for i in market if i in ids and i in survey]
+        summary.spearman_market_survey = or_null(
+            stats.spearman, [market[i].forecast for i in both], [survey[i].forecast for i in both])
         summaries.append(summary)
     return summaries
 
@@ -203,17 +202,17 @@ def accuracy_comparison_test(scores: list[ScoreRow], yates: bool = False) -> sta
 
 
 def overestimation_tests(forecasts: list[AggregateForecast],
-                         findings) -> dict[str, stats.TestResult]:
+                         findings) -> dict[str, stats.TestResult | None]:
     """Paired t-tests of outcomes against the market's final price and the survey
-    mean, keyed by method, over the score rows of the forecasts with an outcome.
+    mean, keyed by method, each over the method's first forecast of every finding
+    with an outcome; None where a method's own pairs leave its test undefined.
 
     Negative t means the forecasts overestimate the replication rate.
     """
     by_id = _findings_by_id(findings)
-    compared = [f for f in forecasts if f.method in COMPARED and f.finding_id in by_id]
-    index = rows_by_method(score(compared, findings))
-    return {method: stats.paired_t([s.outcome for s in index[method].values()],
-                                   [s.forecast for s in index[method].values()])
+    index = rows_by_method(f for f in forecasts if f.finding_id in by_id)
+    return {method: or_null(stats.paired_t, [by_id[i].outcome for i in index[method]],
+                            [f.value for f in index[method].values()])
             for method in COMPARED}
 
 

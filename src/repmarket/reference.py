@@ -123,12 +123,8 @@ NOTES = {
 
 
 def _row(metric: str, computed, published, note: str) -> dict:
-    delta = None
-    if computed is not None and published is not None:
-        try:
-            delta = float(computed) - float(published)
-        except (TypeError, ValueError):
-            delta = None
+    delta = (float(computed) - float(published)
+             if computed is not None and published is not None else None)
     return {"metric": metric, "computed": computed, "published": published,
             "delta": delta, "note": note}
 

@@ -35,8 +35,7 @@ def _logit(p: float) -> float:
 
 def synthetic_dataset(seed: int, n_markets: int = 12, n_traders: int = 8,
                       liquidity_b: float = lmsr.DEFAULT_LIQUIDITY,
-                      min_trades: int = 15, max_trades: int = 45,
-                      endowment: float = 1e9) -> Dataset:
+                      min_trades: int = 15, max_trades: int = 45) -> Dataset:
     """Generate an in-memory dataset of LMSR-driven markets and surveys."""
     if n_markets < 2:
         raise OutOfRange("need at least 2 markets (one per p-value category)")
@@ -78,7 +77,8 @@ def synthetic_dataset(seed: int, n_markets: int = 12, n_traders: int = 8,
 
         beliefs = {t: min(max(true_p + rng.gauss(0.0, 0.12), 0.02), 0.98)
                    for t in trader_ids}
-        market = lmsr.new_market(liquidity_b, endowment, trader_ids)
+        # an endowment no synth trade can exhaust, so the ledger never refuses one
+        market = lmsr.new_market(liquidity_b, 1e9, trader_ids)
         n_trades = rng.randint(min_trades, max_trades)
         # front-loaded trading times, matching how real markets behave
         times = sorted(int(market_open + (market_close - market_open) * rng.random() ** 2)
