@@ -15,8 +15,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import aggregate, dynamics, evaluate, lmsr, reference, stats, synth
 # trades_for stays bound here: code that reads or patches cli.trades_for relies on it
 from .dataset import (DEFAULT_P_THRESHOLD, load_dataset, load_mapping, trade_counts,  # noqa: F401
@@ -169,15 +167,9 @@ def run_pipeline(ds, threshold: float = 0.5, yates: bool = False,
         "trades_per_market_max": max(counts) if counts else None,
         "trades_per_market_mean": sum(counts) / len(counts) if counts else None,
         **convergence,
+        "first_hour_reduction_fraction": or_null(dynamics.reduction_share,
+                                                 curves["hours"][1], 1.0),
     }
-    hours_smoothed = curves["hours"][1]
-    y = hours_smoothed.mean_abs_error
-    total = float(y[0] - np.min(y))
-    if total > 0:
-        at_one = float(np.interp(1.0, hours_smoothed.x, y))
-        dyn["first_hour_reduction_fraction"] = float(y[0] - at_one) / total
-    else:
-        dyn["first_hour_reduction_fraction"] = None
 
     report = {
         "counts": {"findings": len(ds.finding_ids()), "trades": len(ds.trade_columns),

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from collections import UserList
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import cached_property
@@ -189,8 +189,8 @@ class _Columns:
     field of the row's record, the index of its finding id in `finding_ids`
     (`finding`, -1 for an id the findings lack) and its place in load order
     (`load_index`). One builder a table (`_trade_columns`, `_survey_columns`)
-    serves `load_dataset` and `from_records`, and `grouped` sorts the built
-    rows by the table's ORDER, the finding first."""
+    serves `load_dataset`, `from_records` and `for_findings`, and `grouped`
+    sorts the built rows by the table's ORDER, the finding first."""
 
     def __len__(self) -> int:
         return len(self.load_index)
@@ -199,11 +199,6 @@ class _Columns:
         """The given rows, in the given order (a slice gives views)."""
         # every field but finding_ids is a column
         return replace(self, **{f.name: getattr(self, f.name)[rows] for f in fields(self)[1:]})
-
-    @classmethod
-    def _fields_of(cls, records: list) -> list[list]:
-        """Each field of the records, one list a field."""
-        return [list(map(attrgetter(f.name), records)) for f in fields(cls.RECORD)]
 
     def grouped(self):
         """The rows sorted by ORDER: grouped by finding in the order of
@@ -219,10 +214,25 @@ class _Columns:
         """The rows in load order."""
         return self[np.argsort(self.load_index)]
 
-    def fits(self, findings: list[Finding]) -> bool:
-        """Whether `from_records` would build these columns from their records
-        and these findings: the findings have the same distinct ids, in order."""
-        return self.finding_ids == list(first_by_id(findings))
+    @classmethod
+    def from_records(cls, records: list, findings: list[Finding]):
+        """The columns of the records, grouped for the findings."""
+        return cls._built([list(map(attrgetter(f.name), records)) for f in fields(cls.RECORD)],
+                          findings)
+
+    def for_findings(self, findings: list[Finding]):
+        """The rows grouped for the findings: these columns when they were
+        grouped for them (the findings' distinct ids, in order, and the
+        timestamps' dtype), else the rows coded and grouped again, taken in
+        load order. No record is built."""
+        if self.finding_ids == list(first_by_id(findings)) and self._keeps_instants(findings):
+            return self
+        return self._built(self.in_load_order().values(), findings)
+
+    def _keeps_instants(self, findings: list[Finding]) -> bool:
+        """Whether the findings leave the dtypes as they are: only a trades
+        table has instants."""
+        return True
 
     def records(self, rows=slice(None)) -> list:
         """The record of each of the given rows."""
@@ -257,19 +267,21 @@ class TradeColumns(_Columns):
     RECORD = Trade
 
     @classmethod
-    def from_records(cls, trades: list[Trade], findings: list[Finding]) -> TradeColumns:
-        """The columns of the records, in trade order."""
-        fids, traders, times, sides, quantities, prices, seqs, rows = cls._fields_of(trades)
+    def _built(cls, values: list[list], findings: list[Finding]) -> TradeColumns:
+        """The columns of each field's values, one list a field as `values`
+        gives them, in trade order."""
+        fids, traders, times, sides, quantities, prices, seqs, rows = values
         return _trade_columns(list(first_by_id(findings)), fids, traders,
                               _instants(times, findings), sides, quantities, prices,
                               _int_column(seqs), _int_column(rows)).grouped()
 
-    def fits(self, findings: list[Finding]) -> bool:
-        """Whether `from_records` would build these columns: the findings have
-        the same distinct ids, in order, and their market bounds leave the
-        timestamps' dtype as it is."""
-        return (super().fits(findings)
-                and _instants(self.timestamp.tolist(), findings).dtype == self.timestamp.dtype)
+    def _keeps_instants(self, findings: list[Finding]) -> bool:
+        """Whether `_instants` gives the timestamps' dtype for these findings.
+        An int64 column holds no timestamp past _EXACT_MS, so only the market
+        bounds can move it, and its timestamps are not read."""
+        times = self.timestamp
+        return _instants([] if times.dtype == np.int64 else times.tolist(),
+                         findings).dtype == times.dtype
 
     def values(self) -> list[list]:
         """Each row's value of each field of its `Trade`, one list a field."""
@@ -299,10 +311,10 @@ class SurveyColumns(_Columns):
     RECORD = SurveyResponse
 
     @classmethod
-    def from_records(cls, surveys: list[SurveyResponse],
-                     findings: list[Finding]) -> SurveyColumns:
-        """The columns of the records, grouped by finding."""
-        fids, forecasters, beliefs, rows = cls._fields_of(surveys)
+    def _built(cls, values: list[list], findings: list[Finding]) -> SurveyColumns:
+        """The columns of each field's values, one list a field as `values`
+        gives them, grouped by finding."""
+        fids, forecasters, beliefs, rows = values
         return _survey_columns(list(first_by_id(findings)), fids, forecasters, beliefs,
                                _int_column(rows)).grouped()
 
@@ -365,30 +377,49 @@ def _int_column(values: list, limit: int | None = None) -> np.ndarray:
     return column
 
 
-class _RecordList(UserList):
-    """The records of a Dataset's column table (`surveys` or `trades`), built
-    from the columns on first use."""
+class _Records(Sequence):
+    """The records of a Dataset's column table (`surveys` or `trades`), in load
+    order: a read-only list of them, built from the columns on first use."""
 
-    def __init__(self, records=(), columns=None):
-        if columns is None:
-            super().__init__(records)
+    def __init__(self, columns: _Columns):
         self.columns = columns
 
     @cached_property
-    def data(self) -> list:
+    def _records(self) -> list:
         return self.columns.in_load_order().records()
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, rows):
+        return self._records[rows]
+
+    def __eq__(self, other) -> bool:
+        return self._records == (other._records if isinstance(other, _Records) else other)
+
+    def __add__(self, other) -> list:
+        return self._records + list(other)
+
+    def __radd__(self, other) -> list:
+        return list(other) + self._records
+
+    def __repr__(self) -> str:
+        return repr(self._records)
 
 
 @dataclass(frozen=True)
 class Dataset:
     """The three tables. Survey responses and trades are held as columns
-    only (`survey_columns`, `trade_columns`), each grouped by finding once:
-    a loaded dataset is built from them, and a dataset built from record
-    lists takes the lists as columns, through the builder the loader uses,
-    and keeps no reference to them. `surveys`, `trades`, `surveys_for`,
-    `trades_for` and the columns' `records` build records from the columns,
-    on request only. An id names the first finding with it; rows of unknown
-    findings join no group. A changed dataset is rebuilt with
+    only (`survey_columns`, `trade_columns`), each grouped by finding once.
+    Each table is taken one way, whether it is given as a record list (taken
+    as columns through the builder the loader uses, keeping no reference to
+    the list), as another dataset's `surveys` or `trades`, or as columns: the
+    columns are kept when they were grouped for these findings, and are
+    otherwise coded and grouped again (`for_findings`), building no record.
+    `surveys` and `trades` are read-only record views that build their
+    records from the columns on first use, as `surveys_for`, `trades_for` and
+    the columns' `records` do. An id names the first finding with it; rows
+    of unknown findings join no group. A changed dataset is rebuilt with
     `dataclasses.replace`: its fields cannot be set."""
     findings: list[Finding]
     surveys: list[SurveyResponse]
@@ -399,17 +430,15 @@ class Dataset:
     def __post_init__(self):
         if not 0.0 < self.p_threshold < 1.0:
             raise OutOfRange(f"p-value threshold must be in (0, 1), got {self.p_threshold}")
-        # each table is taken as columns once, and written past the frozen
-        # fields: an unbuilt record list gives its columns back, and builds no
-        # record, when they are the columns its records would give
+        # each table is taken as columns grouped for the findings, and written
+        # past the frozen fields: a record view gives its columns back
         for name, table in (("surveys", SurveyColumns), ("trades", TradeColumns)):
             value = getattr(self, name)
-            if (isinstance(value, _RecordList) and "data" not in vars(value)
-                    and value.columns.fits(self.findings)):
+            if isinstance(value, _Records):
                 value = value.columns
             elif not isinstance(value, table):
                 value = table.from_records(list(value), self.findings)
-            vars(self)[name] = _RecordList(columns=value)
+            vars(self)[name] = _Records(value.for_findings(self.findings))
         by_id = first_by_id(self.findings)
         # rows are grouped by finding id, in the order the ids first occur
         vars(self).update(_by_id=by_id, _group={fid: k for k, fid in enumerate(by_id)})
@@ -467,7 +496,7 @@ def load_mapping(path: str | Path) -> dict:
     """Read a column-mapping file: {table: {canonical_field: source_column}}.
     :func:`load_dataset` checks it against the schema."""
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, encoding="utf-8-sig")
     except FileNotFoundError:
         raise MissingInput("mapping", path) from None
     with fh:
@@ -704,7 +733,7 @@ def _read_columns(path: str | Path, table: str, fields: tuple[str, ...],
     """
     names = (mapping or {}).get(table, {})
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except FileNotFoundError:
         raise MissingInput(f"{table} table", path) from None
     with fh:

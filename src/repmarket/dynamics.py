@@ -179,34 +179,45 @@ def loess_fit(curve: ErrorCurve, cfg: LoessConfig = LoessConfig()) -> ErrorCurve
     return ErrorCurve(curve.axis, x.copy(), smoothed, curve.n_contributing.copy())
 
 
+def _total_reduction(y: np.ndarray) -> tuple[float, float]:
+    """(floor, total reduction) of an error curve's values: the total is the
+    first value minus the curve's minimum, the floor, which is robust to
+    end-of-market fluctuation. A curve without a positive, finite total has
+    no reduction."""
+    if len(y) == 0:
+        raise NoReduction("empty curve")
+    floor = float(np.min(y))
+    total = y[0] - floor
+    if not 0.0 < total < math.inf:
+        raise NoReduction("curve does not decrease")
+    return floor, total
+
+
 def reduction_milestone(curve: ErrorCurve, fraction: float) -> Milestone:
     """Smallest x at which `fraction` of the total error reduction is reached.
 
-    Total reduction is first value minus curve minimum, which is robust to
-    end-of-market fluctuation. Crossings are located by linear interpolation
-    between grid points.
+    Crossings are located by linear interpolation between grid points.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    y = curve.mean_abs_error
-    if len(y) == 0:
-        raise NoReduction("empty curve")
-    first = y[0]
-    floor = float(np.min(y))
-    total = first - floor
-    if total <= 0.0:
-        raise NoReduction("curve does not decrease")
+    x, y = curve.x, curve.mean_abs_error
+    floor, total = _total_reduction(y)
     # clamp: rounding must not push the target below the reachable floor
-    target = max(first - fraction * total, floor)
-    for i, yi in enumerate(y):
-        if yi <= target:
-            if i == 0:
-                return Milestone(fraction, float(curve.x[0]))
-            x0, x1 = curve.x[i - 1], curve.x[i]
-            y0, y1 = y[i - 1], y[i]
-            x_at = x0 + (y0 - target) / (y0 - y1) * (x1 - x0)
-            return Milestone(fraction, float(x_at))
-    raise NoReduction(f"target level {target} never reached")  # pragma: no cover
+    target = max(y[0] - fraction * total, floor)
+    # the floor is on the curve, so some point is at or below the target
+    i = int(np.argmax(y <= target))
+    if i == 0:  # a fraction so small that y[0] - fraction * total rounds to y[0]
+        return Milestone(fraction, float(x[0]))
+    x_at = x[i - 1] + (y[i - 1] - target) / (y[i - 1] - y[i]) * (x[i] - x[i - 1])
+    return Milestone(fraction, float(x_at))
+
+
+def reduction_share(curve: ErrorCurve, x: float) -> float:
+    """The share of the total error reduction reached at x, the curve read
+    between grid points by linear interpolation."""
+    y = curve.mean_abs_error
+    _, total = _total_reduction(y)
+    return float(y[0] - np.interp(x, curve.x, y)) / float(total)
 
 
 def late_trade_forecasts(ds: Dataset, cutoff_hours: float = 168.0,

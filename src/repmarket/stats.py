@@ -182,21 +182,34 @@ def student_t_two_tailed(t: float, df: float) -> float:
 # correlations
 # ----------------------------------------------------------------------
 
-def pearson(x, y) -> float:
-    """Pearson product-moment correlation."""
+def _paired(x, y, least: int, what: str) -> tuple[list[float], list[float], int]:
+    """x and y as floats, and the number of pairs, refused unless x and y are
+    equal in length and hold at least `least` pairs (`what` names them in the
+    message)."""
     x, y = list(map(float, x)), list(map(float, y))
     n = len(x)
     if n != len(y):
         raise ValueError("sequences must have equal length")
-    if n < 3:
-        raise DegenerateInput(f"need at least 3 pairs, got {n}")
-    mx = left_sum(x) / n
-    my = left_sum(y) / n
+    if n < least:
+        raise DegenerateInput(f"need at least {least} {what}, got {n}")
+    return x, y, n
+
+
+def _centred_sums(x: list[float], y: list[float], n: int) -> tuple[float, ...]:
+    """(mean x, mean y, sum of squares of x, of y, sum of cross products) of
+    n pairs, the sums taken about the means, each summed left to right."""
+    mx, my = left_sum(x) / n, left_sum(y) / n
     sxx = left_sum((v - mx) ** 2 for v in x)
     syy = left_sum((v - my) ** 2 for v in y)
+    sxy = left_sum((a - mx) * (b - my) for a, b in zip(x, y))
+    return mx, my, sxx, syy, sxy
+
+
+def pearson(x, y) -> float:
+    """Pearson product-moment correlation."""
+    *_, sxx, syy, sxy = _centred_sums(*_paired(x, y, 3, "pairs"))
     if sxx == 0.0 or syy == 0.0:
         raise DegenerateInput("constant input vector")
-    sxy = left_sum((a - mx) * (b - my) for a, b in zip(x, y))
     r = sxy / math.sqrt(sxx * syy)
     return min(max(r, -1.0), 1.0)
 
@@ -232,12 +245,7 @@ def paired_t(x, y) -> TestResult:
     All-zero differences return (t=0, p=1); constant nonzero differences
     have zero variance but nonzero mean and raise DegenerateInput.
     """
-    x, y = list(map(float, x)), list(map(float, y))
-    n = len(x)
-    if n != len(y):
-        raise ValueError("sequences must have equal length")
-    if n < 2:
-        raise DegenerateInput(f"need at least 2 pairs, got {n}")
+    x, y, n = _paired(x, y, 2, "pairs")
     mean, var = mean_var(a - b for a, b in zip(x, y))
     df = n - 1
     if var == 0.0:
@@ -280,22 +288,13 @@ def ols_simple(x, y) -> OLSFit:
 
     With a zero-variance response, R-squared is defined as 0.
     """
-    x, y = list(map(float, x)), list(map(float, y))
-    n = len(x)
-    if n != len(y):
-        raise ValueError("sequences must have equal length")
-    if n < 3:
-        raise DegenerateInput(f"need at least 3 observations, got {n}")
-    mx = left_sum(x) / n
-    my = left_sum(y) / n
-    sxx = left_sum((v - mx) ** 2 for v in x)
+    x, y, n = _paired(x, y, 3, "observations")
+    mx, my, sxx, sst, sxy = _centred_sums(x, y, n)
     if sxx == 0.0:
         raise DegenerateInput("constant regressor")
-    sxy = left_sum((a - mx) * (b - my) for a, b in zip(x, y))
     slope = sxy / sxx
     intercept = my - slope * mx
     ssr = left_sum((b - intercept - slope * a) ** 2 for a, b in zip(x, y))
-    sst = left_sum((b - my) ** 2 for b in y)
     r_squared = 1.0 - ssr / sst if sst > 0.0 else 0.0
     s2 = ssr / (n - 2)
     se_slope = math.sqrt(s2 / sxx)
