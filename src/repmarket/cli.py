@@ -172,8 +172,9 @@ def run_pipeline(ds, threshold: float = 0.5, yates: bool = False,
     }
 
     report = {
-        "counts": {"findings": len(ds.finding_ids()), "trades": len(ds.trade_columns),
-                   "surveys": len(ds.survey_columns)},
+        # the rows the analysis reads: those of the findings' groups
+        "counts": {"findings": len(ds.finding_ids()), "trades": sum(counts),
+                   "surveys": ds.survey_columns.bounds[-1] - ds.survey_columns.bounds[0]},
         "config": {"threshold": threshold, "p_threshold": ds.p_threshold,
                    "yates": yates, "loess_span": loess_cfg.span,
                    "loess_degree": loess_cfg.degree},

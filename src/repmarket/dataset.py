@@ -118,10 +118,14 @@ def _instant(ms: int) -> str:
 
 
 def format_timestamp(ms: int) -> str:
-    """Render epoch milliseconds as a canonical ISO-8601 UTC string."""
-    seconds, millis = divmod(int(ms), 1000)
-    # isoformat pads a year before 1000 to four digits; strftime's %Y may not
-    return datetime.fromtimestamp(seconds, tz=timezone.utc).isoformat()[:19] + f".{millis:03d}Z"
+    """Render epoch milliseconds as a canonical ISO-8601 UTC string. An
+    instant outside the years 0001-9999 UTC, which parse_timestamp refuses,
+    is refused."""
+    if not _writable(ms):
+        raise ValueError(f"timestamp {ms} {_OUTSIDE_YEARS}")
+    # numpy writes the year in four digits, padded before 1000, and the
+    # milliseconds in three; it takes a Python int, not a numpy one
+    return str(np.datetime64(int(ms), "ms")) + "Z"
 
 
 @dataclass(frozen=True)
@@ -189,7 +193,8 @@ class _Columns:
     field of the row's record, the index of its finding id in `finding_ids`
     (`finding`, -1 for an id the findings lack) and its place in load order
     (`load_index`). One builder a table (`_trade_columns`, `_survey_columns`)
-    serves `load_dataset`, `from_records` and `for_findings`, and `grouped`
+    serves `load_dataset` and `from_fields`, which takes each field's values
+    as lists for `from_records`, `for_findings` and synth, and `grouped`
     sorts the built rows by the table's ORDER, the finding first."""
 
     def __len__(self) -> int:
@@ -217,8 +222,8 @@ class _Columns:
     @classmethod
     def from_records(cls, records: list, findings: list[Finding]):
         """The columns of the records, grouped for the findings."""
-        return cls._built([list(map(attrgetter(f.name), records)) for f in fields(cls.RECORD)],
-                          findings)
+        return cls.from_fields([list(map(attrgetter(f.name), records))
+                                 for f in fields(cls.RECORD)], findings)
 
     def for_findings(self, findings: list[Finding]):
         """The rows grouped for the findings: these columns when they were
@@ -227,7 +232,7 @@ class _Columns:
         load order. No record is built."""
         if self.finding_ids == list(first_by_id(findings)) and self._keeps_instants(findings):
             return self
-        return self._built(self.in_load_order().values(), findings)
+        return self.from_fields(self.in_load_order().values(), findings)
 
     def _keeps_instants(self, findings: list[Finding]) -> bool:
         """Whether the findings leave the dtypes as they are: only a trades
@@ -267,9 +272,9 @@ class TradeColumns(_Columns):
     RECORD = Trade
 
     @classmethod
-    def _built(cls, values: list[list], findings: list[Finding]) -> TradeColumns:
-        """The columns of each field's values, one list a field as `values`
-        gives them, in trade order."""
+    def from_fields(cls, values: list[list], findings: list[Finding]) -> TradeColumns:
+        """The columns of the values of each field of `Trade`, one list a
+        field in load order, grouped for the findings in trade order."""
         fids, traders, times, sides, quantities, prices, seqs, rows = values
         return _trade_columns(list(first_by_id(findings)), fids, traders,
                               _instants(times, findings), sides, quantities, prices,
@@ -311,9 +316,9 @@ class SurveyColumns(_Columns):
     RECORD = SurveyResponse
 
     @classmethod
-    def _built(cls, values: list[list], findings: list[Finding]) -> SurveyColumns:
-        """The columns of each field's values, one list a field as `values`
-        gives them, grouped by finding."""
+    def from_fields(cls, values: list[list], findings: list[Finding]) -> SurveyColumns:
+        """The columns of the values of each field of `SurveyResponse`, one
+        list a field in load order, grouped for the findings."""
         fids, forecasters, beliefs, rows = values
         return _survey_columns(list(first_by_id(findings)), fids, forecasters, beliefs,
                                _int_column(rows)).grouped()
@@ -395,7 +400,18 @@ class _Records(Sequence):
         return self._records[rows]
 
     def __eq__(self, other) -> bool:
-        return self._records == (other._records if isinstance(other, _Records) else other)
+        """Whether the records are equal. Two views of one record type
+        compare the columns of the record's compared fields in load order,
+        building no record: the values of one field, as lists, compare item
+        by item as the records' fields do."""
+        if self is other:
+            return True
+        if not (isinstance(other, _Records) and other.columns.RECORD is self.columns.RECORD):
+            return self._records == (other._records if isinstance(other, _Records) else other)
+        compared = [f.compare for f in fields(self.columns.RECORD)]
+        return all(mine == theirs for mine, theirs, used in zip(
+            self.columns.in_load_order().values(), other.columns.in_load_order().values(),
+            compared) if used)
 
     def __add__(self, other) -> list:
         return self._records + list(other)

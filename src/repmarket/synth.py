@@ -3,7 +3,8 @@
 Produces a full three-table dataset by running informed traders through the
 market engine, so fixtures carry internally consistent prices, quantities,
 and timestamps. Deterministic for a given seed: two runs write byte-identical
-files.
+files. The survey responses and trades are built as columns: no record is
+made but the engine's own `Trade` per trade.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .dataset import (
     Dataset,
     Finding,
     PROJECTS,
-    SurveyResponse,
-    Trade,
+    SurveyColumns,
+    TradeColumns,
     write_dataset,
 )
 
@@ -47,9 +48,9 @@ def synthetic_dataset(seed: int, n_markets: int = 12, n_traders: int = 8,
     trader_ids = [f"trader{j + 1:02d}" for j in range(n_traders)]
 
     findings: list[Finding] = []
-    trades: list[Trade] = []
+    # each field of the trades and of the survey responses, one list a field
+    trade_fids, traders, timestamps, sides, quantities, prices = [], [], [], [], [], []
     true_probs: dict[str, float] = {}
-    seq = 0
     for i in range(n_markets):
         fid = f"F{i + 1:03d}"
         project = PROJECTS[i % len(PROJECTS)]
@@ -98,19 +99,30 @@ def synthetic_dataset(seed: int, n_markets: int = 12, n_traders: int = 8,
             market, trade = lmsr.execute_trade(market, trader, side, quantity, ts)
             # the post-trade price is the quote lmsr.price gives the new state
             current = trade.post_trade_price
-            trades.append(Trade(fid, trader, ts, trade.side, trade.quantity, current,
-                                seq=seq))
-            seq += 1
+            trade_fids.append(fid)
+            traders.append(trader)
+            timestamps.append(ts)
+            sides.append(trade.side)
+            quantities.append(trade.quantity)
+            prices.append(current)
 
-    traded = sorted({t.trader_id for t in trades})
-    surveys: list[SurveyResponse] = []
+    traded = sorted(set(traders))
+    survey_fids, forecasters, survey_beliefs = [], [], []
     for f in findings:
         for j, trader in enumerate(traded):
             if j > 0 and rng.random() >= 0.8:
                 continue
-            belief = min(max(true_probs[f.finding_id] + rng.gauss(0.0, 0.15), 0.0), 1.0)
-            surveys.append(SurveyResponse(f.finding_id, trader, belief))
+            survey_fids.append(f.finding_id)
+            forecasters.append(trader)
+            survey_beliefs.append(
+                min(max(true_probs[f.finding_id] + rng.gauss(0.0, 0.15), 0.0), 1.0))
 
+    surveys = SurveyColumns.from_fields(
+        [survey_fids, forecasters, survey_beliefs, [None] * len(survey_fids)], findings)
+    # a trade's load sequence is its place in generation order; no row has a source row
+    trades = TradeColumns.from_fields(
+        [trade_fids, traders, timestamps, sides, quantities, prices,
+         list(range(len(trade_fids))), [None] * len(trade_fids)], findings)
     return Dataset(findings, surveys, trades)
 
 

@@ -12,7 +12,7 @@ import pytest
 from repmarket import dynamics
 from repmarket.cli import run_pipeline
 from repmarket.dataset import (Dataset, SurveyResponse, Trade, load_dataset, load_mapping,
-                               trades_for)
+                               surveys_for, trades_for, validate)
 from repmarket.errors import NoReduction
 from repmarket.synth import synthetic_dataset, write_fixture
 
@@ -109,6 +109,20 @@ def test_a_project_subset_builds_no_record(paper, built):  # noqa: F811
     sub = dataclasses.replace(paper, findings=rpp)
     assert built == {Trade: 0, SurveyResponse: 0}
     assert sub.finding_ids() == [f.finding_id for f in rpp]
+
+
+def test_report_counts_the_rows_of_its_findings_alone(seed3):
+    rpp = [f for f in seed3.findings if f.project == "RPP"]
+    sub = dataclasses.replace(seed3, findings=rpp)
+    trades = sum(len(trades_for(sub, fid)) for fid in sub.finding_ids())
+    surveys = sum(len(surveys_for(sub, fid)) for fid in sub.finding_ids())
+    assert 0 < trades < len(seed3.trade_columns)
+    assert run_pipeline(sub)["report"]["counts"] == {
+        "findings": len(rpp), "trades": trades, "surveys": surveys}
+    # validate counts every row, those of unknown findings too
+    counts = validate(sub).counts
+    assert counts["trades"]["records"] == len(seed3.trade_columns)
+    assert counts["surveys"]["records"] == len(seed3.survey_columns)
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,10 @@
 """Golden digests of every file the CLI writes on two synthetic fixtures.
 
 Each command runs through `cli.main` on two `synth` fixtures, and the test
-asserts the exact set of files it writes and the SHA-256 of each. A change
-meant to keep behaviour must keep every digest. The curves go through
+asserts the exact set of files it writes and the SHA-256 of each. The three
+tables `synth` writes for the fixtures are pinned too, so a change to their
+text that loads to the same values still shows. A change meant to keep
+behaviour must keep every digest. The curves go through
 numpy's least-squares solver, so another numpy or BLAS build may move their
 last digits.
 """
@@ -31,6 +33,26 @@ COMMANDS = {
     "replay": ["replay"],
     "replay_simulated": ["replay", "--mode", "simulated", "--liquidity-b", "50"],
     "validate": ["validate"],
+}
+
+# the tables write_fixture writes for each fixture
+FIXTURE_GOLDEN = {
+    "seed3": {
+        "outcomes.csv":
+            "442baf1caeb484605a1bb286568c41c1012926bd1101b64bb74aeb250905ecd1",
+        "surveys.csv":
+            "0361fcd30f9e11169c94cd79708065912934d88ea6acf7914337711be2029bcf",
+        "trades.csv":
+            "c2b2c184adb4da15dad1a4dfda188c541b1171c41f4c74fc0bb3de528d90ab23",
+    },
+    "seed11": {
+        "outcomes.csv":
+            "69fae7233cbf4fe6d60e55985799ef8edc1a424d7cce341465e72501509ac56c",
+        "surveys.csv":
+            "3cb97a880c01c554b3d7a9175a9762e09a3136773176bbb037a5b720da52f3c1",
+        "trades.csv":
+            "42880376eeeab1b7192fbe5f44dbdbe2b2ce7a19ba6eb08f16e2fa0c32ffd8af",
+    },
 }
 
 GOLDEN = {
@@ -158,16 +180,26 @@ GOLDEN = {
 
 
 @pytest.fixture(scope="module")
-def fixture_args(tmp_path_factory):
-    args = {}
-    for name, (seed, markets) in FIXTURES.items():
-        paths = write_fixture(
-            synthetic_dataset(seed=seed, n_markets=markets, n_traders=10),
-            tmp_path_factory.mktemp(name))
-        args[name] = ["--outcomes", str(paths["outcomes"]),
-                      "--surveys", str(paths["surveys"]),
-                      "--trades", str(paths["trades"])]
-    return args
+def fixture_paths(tmp_path_factory):
+    return {name: write_fixture(synthetic_dataset(seed=seed, n_markets=markets, n_traders=10),
+                                tmp_path_factory.mktemp(name))
+            for name, (seed, markets) in FIXTURES.items()}
+
+
+@pytest.fixture(scope="module")
+def fixture_args(fixture_paths):
+    return {name: ["--outcomes", str(paths["outcomes"]), "--surveys", str(paths["surveys"]),
+                   "--trades", str(paths["trades"])]
+            for name, paths in fixture_paths.items()}
+
+
+def _digests(paths):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_synth_tables_match_golden_digests(fixture_paths, fixture):
+    assert _digests(fixture_paths[fixture].values()) == FIXTURE_GOLDEN[fixture]
 
 
 def _run(argv, out) -> int:
@@ -179,9 +211,7 @@ def _run(argv, out) -> int:
 @pytest.mark.parametrize("command", COMMANDS)
 def test_outputs_match_golden_digests(fixture_args, tmp_path, fixture, command):
     assert _run([*COMMANDS[command], *fixture_args[fixture]], tmp_path) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in tmp_path.iterdir()}
-    assert digests == GOLDEN[fixture][command]
+    assert _digests(tmp_path.iterdir()) == GOLDEN[fixture][command]
 
 
 def test_evaluate_builds_no_curves(fixture_args, tmp_path, monkeypatch):

@@ -1,9 +1,11 @@
-"""Laws of the column parse and of LOESS: a column of timestamps or numbers
-parses and rejects as each of its texts does, a row gets its first text
-fault, and `loess_fit` gives the bits of the per-point fit it replaced."""
+"""Laws of the column parse, of the timestamp text and of LOESS: a column of
+timestamps or numbers parses and rejects as each of its texts does, a row
+gets its first text fault, `format_timestamp` writes the text of the
+`datetime` formatter it replaced, and `loess_fit` gives the bits of the
+per-point fit it replaced."""
 
 import math
-from datetime import datetime
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -13,8 +15,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repmarket import dynamics  # noqa: E402
 from repmarket.dataset import (  # noqa: E402
+    MAX_TIMESTAMP_MS,
+    MIN_TIMESTAMP_MS,
     _parse_column,
     _parse_trades,
+    format_timestamp,
     parse_timestamp,
 )
 
@@ -63,6 +68,21 @@ def test_timestamp_column_parses_and_rejects_as_each_text(texts):
     faults = {}
     values = _parse_column(parse_timestamp, texts, "timestamp", None, faults)
     assert (values, faults) == _one_by_one(texts)
+
+
+def _datetime_text(ms):
+    """The formatter format_timestamp replaced: the oracle of its text."""
+    seconds, millis = divmod(int(ms), 1000)
+    return datetime.fromtimestamp(seconds, tz=timezone.utc).isoformat()[:19] + f".{millis:03d}Z"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(MIN_TIMESTAMP_MS, MAX_TIMESTAMP_MS)
+       | st.sampled_from([MIN_TIMESTAMP_MS, MAX_TIMESTAMP_MS, -1, 0, 999, -1000])
+       | st.integers(-10**3, 10**3).map(lambda d: d * 86_400_000))
+def test_format_timestamp_writes_the_datetime_text(ms):
+    assert format_timestamp(ms) == _datetime_text(ms)
+    assert parse_timestamp(format_timestamp(ms)) == ms
 
 
 NUMBERS = st.floats(allow_nan=False).map(repr) | st.integers(-10**6, 10**6).map(str)

@@ -12,7 +12,8 @@ import pytest
 
 from repmarket import aggregate, dynamics, lmsr
 from repmarket.cli import main
-from repmarket.dataset import Dataset, SurveyResponse, Trade, load_dataset
+from repmarket.dataset import (Dataset, SurveyColumns, SurveyResponse, Trade, TradeColumns,
+                               load_dataset)
 from repmarket.synth import synthetic_dataset, write_fixture
 
 COMMANDS = {
@@ -146,3 +147,33 @@ def test_a_close_moved_past_2_to_the_52_keeps_the_timestamps_exact(built):
     assert back.trade_columns.timestamp.dtype == np.int64
     # the survey responses were taken back each time
     assert new.survey_columns is back.survey_columns is ds.survey_columns
+
+
+def test_synth_builds_only_the_engines_trades(built, monkeypatch):
+    calls = []
+    execute = lmsr.execute_trade
+
+    def counted(*args):
+        calls.append(args)
+        return execute(*args)
+
+    monkeypatch.setattr(lmsr, "execute_trade", counted)
+    ds = synthetic_dataset(seed=1, n_markets=12, n_traders=10)
+    # one engine call a trade, and the engine's Trade the only record built
+    assert len(calls) == len(ds.trade_columns) > 0
+    assert built == {Trade: len(calls), SurveyResponse: 0}
+
+
+def test_synth_columns_are_the_columns_of_its_records():
+    ds = synthetic_dataset(seed=3, n_markets=12, n_traders=10)
+    _assert_same_columns(ds.trade_columns, TradeColumns.from_records(list(ds.trades), ds.findings))
+    _assert_same_columns(ds.survey_columns,
+                         SurveyColumns.from_records(list(ds.surveys), ds.findings))
+
+
+def test_two_loads_compare_equal_building_no_record(paths, built):
+    first, second = (load_dataset(paths["outcomes"], paths["surveys"], paths["trades"])
+                     for _ in range(2))
+    assert first == second
+    assert first.trades == second.trades and first.surveys == second.surveys
+    assert built == {Trade: 0, SurveyResponse: 0}

@@ -1,7 +1,10 @@
-"""`validate` on in-memory instants outside the years 0001-9999 UTC, which
-the loader refuses and `format_timestamp` cannot write."""
+"""`validate` and `write_dataset` on in-memory instants outside the years
+0001-9999 UTC, which the loader refuses and `format_timestamp` cannot write."""
 
-from repmarket.dataset import validate
+import pytest
+
+from repmarket.dataset import (MAX_TIMESTAMP_MS, MIN_TIMESTAMP_MS, format_timestamp, validate,
+                               write_dataset)
 
 from helpers import BASE_MS, DAY_MS, make_dataset, make_finding, make_trade
 
@@ -41,3 +44,18 @@ def test_a_window_closing_past_year_9999_is_an_invalid_close():
         ("market_close", "invalid_value",
          "market_close 1000000000000000 outside the years 0001-9999 UTC"),
     ]
+
+
+@pytest.mark.parametrize("ms", [MIN_TIMESTAMP_MS - 1, MAX_TIMESTAMP_MS + 1, -2**70, 2**70])
+def test_format_timestamp_refuses_every_instant_outside_the_years(ms):
+    with pytest.raises(ValueError) as refused:
+        format_timestamp(ms)
+    assert str(refused.value) == f"timestamp {ms} outside the years 0001-9999 UTC"
+
+
+def test_writing_a_trade_far_before_year_1_is_refused(tmp_path):
+    ds = make_dataset([make_finding("F1")], trades=[make_trade("F1", ts=-2**70)])
+    paths = [tmp_path / name for name in ("o.csv", "s.csv", "t.csv")]
+    with pytest.raises(ValueError) as refused:
+        write_dataset(ds, *paths)
+    assert str(refused.value) == f"timestamp {-2**70} outside the years 0001-9999 UTC"
