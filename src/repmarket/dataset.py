@@ -17,10 +17,11 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields, replace
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from functools import cached_property
+from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
 
@@ -71,6 +72,15 @@ _OUTSIDE_YEARS = "outside the years 0001-9999 UTC"
 # an int64 column holds instants below this many ms from the epoch: their
 # differences then stay below 2**53, where float64 holds them exactly
 _EXACT_MS = 2**52
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+# the text format_timestamp writes, "0" for any ASCII digit, and each
+# character's lowest byte and its span above it
+_SHAPE = "0000-00-00T00:00:00.000Z"
+_SHAPE_LOW = np.frombuffer(_SHAPE.encode("ascii"), np.uint8)
+_SHAPE_SPAN = np.where(_SHAPE_LOW == ord("0"), 9, 0).astype(np.uint8)
+# the data rows a table is read in at a time: only one block's texts are held
+_BLOCK_ROWS = 65_536
 
 _CATEGORY_ALIASES = {
     "above": CATEGORY_ABOVE,
@@ -101,10 +111,38 @@ def parse_timestamp(text: str) -> int:
         dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
         if dt.tzinfo is None:
             dt = dt.replace(tzinfo=timezone.utc)
-        ms = int(round(dt.timestamp() * 1000))
+        # exact integers: microseconds since the epoch, rounded half to even
+        ms, us = divmod((dt - _EPOCH) // _MICROSECOND, 1000)
+        if us > 500 or us == 500 and ms % 2:
+            ms += 1
     if not _writable(ms):
         raise ValueError(f"timestamp {text!r} {_OUTSIDE_YEARS}")
     return ms
+
+
+def _canonical_instants(texts: list[str]) -> np.ndarray | None:
+    """The ms since the epoch of every text, as int64, when each text has
+    format_timestamp's shape and numpy reads each as an instant of the years
+    0001-9999 UTC; else None. On such texts numpy's parse equals
+    parse_timestamp's, several times faster."""
+    joined = "".join(texts)
+    # the joined length and the longest text together give every length
+    if (not joined.isascii() or len(joined) != len(_SHAPE) * len(texts)
+            or max(map(len, texts), default=0) != len(_SHAPE)):
+        return None
+    chars = np.frombuffer(joined.encode("ascii"), np.uint8).reshape(len(texts), len(_SHAPE))
+    del joined
+    # a digit lies 0-9 above "0"; any other character equals the shape's
+    if np.any(chars - _SHAPE_LOW > _SHAPE_SPAN):
+        return None
+    try:
+        # without the Z, on which numpy warns
+        ms = (np.ascontiguousarray(chars[:, :-1]).view(f"S{len(_SHAPE) - 1}").ravel()
+              .astype("datetime64[ms]").view(np.int64))
+    except ValueError:  # a date or time out of range
+        return None
+    # numpy reads the year 0000, which parse_timestamp refuses
+    return ms if ms.min() >= MIN_TIMESTAMP_MS else None
 
 
 def _writable(ms: int) -> bool:
@@ -218,6 +256,16 @@ class _Columns:
     def in_load_order(self):
         """The rows in load order."""
         return self[np.argsort(self.load_index)]
+
+    @classmethod
+    def concatenated(cls, blocks: list):
+        """The rows of the blocks, one block after another, numbered 0...n-1
+        in load order: a table read in blocks as one."""
+        if len(blocks) == 1:
+            return blocks[0]
+        joined = {f.name: np.concatenate([getattr(b, f.name) for b in blocks])
+                  for f in fields(cls)[1:]}
+        return replace(blocks[0], **{**joined, "load_index": np.arange(len(joined["load_index"]))})
 
     @classmethod
     def from_records(cls, records: list, findings: list[Finding]):
@@ -384,7 +432,8 @@ def _int_column(values: list, limit: int | None = None) -> np.ndarray:
 
 class _Records(Sequence):
     """The records of a Dataset's column table (`surveys` or `trades`), in load
-    order: a read-only list of them, built from the columns on first use."""
+    order: a read-only list of them, built from the columns on first use.
+    Their number is the columns' row count: counting builds none."""
 
     def __init__(self, columns: _Columns):
         self.columns = columns
@@ -394,7 +443,7 @@ class _Records(Sequence):
         return self.columns.in_load_order().records()
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.columns)
 
     def __getitem__(self, rows):
         return self._records[rows]
@@ -738,14 +787,16 @@ def _faulty_rows(faults: list[tuple]) -> np.ndarray:
     return np.flatnonzero(np.logical_or.reduce([mask for _, _, mask, _ in faults]))
 
 
-def _read_columns(path: str | Path, table: str, fields: tuple[str, ...],
-                  mapping: dict | None) -> list[list[str]]:
-    """The stripped value of each field in each data row, one list per field.
+def _read_blocks(path: str | Path, table: str, fields: tuple[str, ...],
+                 mapping: dict | None) -> Iterator[list[list[str]]]:
+    """The stripped value of each field in each data row, one list per field,
+    for each block of _BLOCK_ROWS rows in turn (the last block is shorter; an
+    empty table gives one empty block).
 
-    The file is read whole, as csv.DictReader reads it: blank lines are
-    skipped and get no number, a short row reads its missing fields as empty,
-    and of repeated column names the last one is read. An optional field
-    without a column reads as empty; a required one raises MissingColumn.
+    The file is read as csv.DictReader reads it: blank lines are skipped and
+    get no number, a short row reads its missing fields as empty, and of
+    repeated column names the last one is read. An optional field without a
+    column reads as empty; a required one raises MissingColumn.
     """
     names = (mapping or {}).get(table, {})
     try:
@@ -755,24 +806,29 @@ def _read_columns(path: str | Path, table: str, fields: tuple[str, ...],
     with fh:
         reader = csv.reader(fh)
         position = {name: i for i, name in enumerate(next(reader, []))}
-        columns = [[] for _ in fields]
-        read = []  # (append to a field's column, the field's index in a row)
-        for fld, column in zip(fields, columns):
+        read = []  # (a field's index in `fields`, its index in a row)
+        for k, fld in enumerate(fields):
             col = names.get(fld, fld)
             if col not in position and fld not in OPTIONAL_FIELDS:
                 raise MissingColumn(table, col)
             if col in position:
-                read.append((column.append, position[col]))
+                read.append((k, position[col]))
         width = max(i for _, i in read) + 1
-        # a row's list goes as soon as its values are taken: rows kept alive
-        # by the thousand would set off the garbage collector again and again
-        for raw in filter(None, reader):
-            if len(raw) < width:
-                raw += [""] * (width - len(raw))
-            for append, i in read:
-                append(raw[i].strip())
-    lines = max(map(len, columns))
-    return [column or [""] * lines for column in columns]
+        rows = filter(None, reader)
+        while True:
+            columns = [[] for _ in fields]
+            appends = [(columns[k].append, i) for k, i in read]
+            # a row's list goes as soon as its values are taken: rows kept alive
+            # by the thousand would set off the garbage collector again and again
+            for raw in islice(rows, _BLOCK_ROWS):
+                if len(raw) < width:
+                    raw += [""] * (width - len(raw))
+                for append, i in appends:
+                    append(raw[i].strip())
+            lines = len(columns[read[0][0]])
+            yield [column or [""] * lines for column in columns]
+            if lines < _BLOCK_ROWS:
+                return
 
 
 def load_dataset(outcomes_path: str | Path, surveys_path: str | Path,
@@ -797,25 +853,26 @@ def load_dataset(outcomes_path: str | Path, surveys_path: str | Path,
     """
     _check_mapping(mapping or {})
     report = ValidationReport()
-    findings = _load_findings(_read_columns(outcomes_path, "outcomes", OUTCOME_FIELDS, mapping),
+    findings = _load_findings(_read_blocks(outcomes_path, "outcomes", OUTCOME_FIELDS, mapping),
                               p_threshold, report)
     finding_ids = [f.finding_id for f in findings]
-    surveys = _load_surveys(_read_columns(surveys_path, "surveys", SURVEY_FIELDS, mapping),
+    surveys = _load_surveys(_read_blocks(surveys_path, "surveys", SURVEY_FIELDS, mapping),
                             finding_ids, report)
-    trades = _load_trades(_read_columns(trades_path, "trades", TRADE_FIELDS, mapping),
+    trades = _load_trades(_read_blocks(trades_path, "trades", TRADE_FIELDS, mapping),
                           finding_ids, report)
     return Dataset(findings, surveys, trades, load_report=report, p_threshold=p_threshold)
 
 
-def _load_findings(columns: list[list[str]], p_threshold: float,
+def _load_findings(blocks: Iterator[list[list[str]]], p_threshold: float,
                    report: ValidationReport) -> list[Finding]:
-    """The accepted rows of an outcomes table as records. A rejected row gets
-    one error, its first text fault, else its first rule fault, and no
-    warnings."""
+    """The accepted rows of an outcomes table read in blocks, as records. A
+    rejected row gets one error, its first text fault, else its first rule
+    fault, and no warnings."""
     findings: list[Finding] = []
     ids: set[str] = set()
     notes: list[tuple[str, str, str]] = []  # the warnings of the row being read
-    for row, values in enumerate(zip(*columns), start=1):
+    row = 0
+    for row, values in enumerate(chain.from_iterable(zip(*block) for block in blocks), start=1):
         notes.clear()
         try:
             finding = _finding_from(values, row, p_threshold, notes.append)
@@ -828,9 +885,8 @@ def _load_findings(columns: list[list[str]], p_threshold: float,
         report.warnings += [Violation("outcomes", row, *note) for note in notes]
         findings.append(finding)
         ids.add(finding.finding_id)
-    lines = len(columns[0])
-    report.counts["outcomes"] = {"lines": lines, "accepted": len(findings),
-                                 "rejected": lines - len(findings)}
+    report.counts["outcomes"] = {"lines": row, "accepted": len(findings),
+                                 "rejected": row - len(findings)}
     return findings
 
 
@@ -859,34 +915,71 @@ def _accepted(table: str, columns: _Columns, clean: np.ndarray, text_faults: dic
     return kept
 
 
-def _load_surveys(columns: list[list[str]], finding_ids: list[str],
+def _load_blocks(blocks: Iterator[list[list[str]]], parse,
+                 finding_ids: list[str]) -> tuple[_Columns, dict]:
+    """The columns of a table read in blocks, and the first text fault of
+    each row that has one, by row number. parse(texts, finding_ids, first)
+    gives the columns of a block whose first row has load index `first`, and
+    its faults numbered from 1 in the block; the block's texts then go."""
+    parts, faults = [], {}
+    lines = 0
+    for texts in blocks:
+        columns, block_faults = parse(texts, finding_ids, lines)
+        faults.update((lines + row, fault) for row, fault in block_faults.items())
+        parts.append(columns)
+        lines += len(columns)
+    return type(parts[0]).concatenated(parts), faults
+
+
+def _survey_block(texts: list[list[str]], finding_ids: list[str],
+                  first: int) -> tuple[SurveyColumns, dict]:
+    """The columns of a block of a surveys table, and its text faults. A
+    belief that did not parse reads as NaN, and the row is rejected on its
+    text alone."""
+    fids, forecasters, beliefs = texts
+    texts.clear()  # each text column goes once it is parsed
+    faults = _empty_ids(fids, forecasters, "forecaster_id")
+    beliefs = _parse_column(float, beliefs, "belief", "belief", faults)
+    return _survey_columns(finding_ids, list(map(sys.intern, fids)),
+                           list(map(sys.intern, forecasters)), beliefs,
+                           np.arange(first + 1, first + len(fids) + 1)), faults
+
+
+def _load_surveys(blocks: Iterator[list[list[str]]], finding_ids: list[str],
                   report: ValidationReport) -> SurveyColumns:
     """The accepted rows of a surveys table as columns grouped by finding,
     each finding's rows in load order."""
-    fids, forecasters, beliefs = columns
-    columns.clear()  # each text column goes once it is parsed
-    faults = _empty_ids(fids, forecasters, "forecaster_id")
-    beliefs = _parse_column(float, beliefs, "belief", "belief", faults)
-    lines = len(fids)
-    # a belief that did not parse reads as NaN, and the row is rejected on its text alone
-    table = _survey_columns(finding_ids, list(map(sys.intern, fids)),
-                            list(map(sys.intern, forecasters)), beliefs,
-                            np.arange(1, lines + 1))
-    del fids, forecasters, beliefs
-    clean = _clean_rows(lines, faults)
+    table, faults = _load_blocks(blocks, _survey_block, finding_ids)
+    clean = _clean_rows(len(table), faults)
     kept = _accepted("surveys", table, clean, faults, _survey_rule(table, clean), report)
-    # an accepted row's load index is its place among the accepted rows
-    return replace(table[kept], load_index=np.arange(len(kept))).grouped()
+    if len(kept) < len(table):
+        # an accepted row's load index is its place among the accepted rows
+        table = replace(table[kept], load_index=np.arange(len(kept)))
+    return table.grouped()
 
 
-def _parse_trades(columns: list[list[str]]) -> tuple[list[list], dict]:
+def _parse_instants(texts: list[str], faults: dict) -> np.ndarray:
+    """parse_timestamp of every text as an int64 column, 0 where a text does
+    not parse and its row gets the fault `_parse_column` words. Texts of
+    format_timestamp's shape are parsed by numpy at once (_canonical_instants);
+    any other block goes row by row."""
+    ms = _canonical_instants(texts)
+    if ms is not None:
+        return ms
+    values = _parse_column(parse_timestamp, texts, "timestamp", None, faults)
+    return np.array([0 if v is None else v for v in values] if faults else values,
+                    dtype=np.int64)
+
+
+def _parse_trades(columns: list[list[str]]) -> tuple[list, dict]:
     """The value columns of a trades table, and the first text fault of each
-    row that has one (ids, then timestamp, quantity and price). A text that
-    does not parse reads as None; a row without a side buys YES."""
+    row that has one (ids, then timestamp, quantity and price). A timestamp
+    that does not parse reads as 0 and any other text as None; a row without
+    a side buys YES."""
     fids, traders, timestamps, sides, quantities, prices = columns
     columns.clear()  # each text column goes once it is parsed
     faults = _empty_ids(fids, traders, "trader_id")
-    timestamps = _parse_column(parse_timestamp, timestamps, "timestamp", None, faults)
+    timestamps = _parse_instants(timestamps, faults)
     # float alone where no quantity is empty: the same values, without a Python call a row
     quantities = _parse_column(float if all(quantities) else _optional_float, quantities,
                                "quantity", "quantity", faults)
@@ -896,26 +989,27 @@ def _parse_trades(columns: list[list[str]]) -> tuple[list[list], dict]:
             [sys.intern(s.upper() or "YES") for s in sides], quantities, prices], faults
 
 
-def _load_trades(columns: list[list[str]], finding_ids: list[str],
+def _trade_block(texts: list[list[str]], finding_ids: list[str],
+                 first: int) -> tuple[TradeColumns, dict]:
+    """The columns of a block of a trades table, and its text faults. Loaded
+    instants lie in the years 0001-9999, well inside _EXACT_MS; a price that
+    did not parse reads as NaN, and the row is rejected on its text alone."""
+    values, faults = _parse_trades(texts)
+    rows = np.arange(first, first + len(values[0]))
+    return _trade_columns(finding_ids, *values, rows, rows + 1), faults
+
+
+def _load_trades(blocks: Iterator[list[list[str]]], finding_ids: list[str],
                  report: ValidationReport) -> TradeColumns:
     """The accepted rows of a trades table as columns in trade order."""
-    values, faults = _parse_trades(columns)
-    fids, traders, timestamps, sides, quantities, prices = values
-    rows = np.arange(len(fids))
-    # loaded instants lie in the years 0001-9999, well inside _EXACT_MS; a
-    # timestamp that did not parse reads as 0 and a price as NaN, and the row
-    # is rejected on its text alone
-    table = _trade_columns(
-        finding_ids, fids, traders,
-        np.array([0 if ms is None else ms for ms in timestamps] if faults else timestamps,
-                 dtype=np.int64), sides, quantities, prices, rows, rows + 1)
-    # the parsed values go before the accepted rows are copied
-    del values, fids, traders, timestamps, sides, quantities, prices
-    kept = _accepted("trades", table, _clean_rows(len(rows), faults), faults,
+    table, faults = _load_blocks(blocks, _trade_block, finding_ids)
+    kept = _accepted("trades", table, _clean_rows(len(table), faults), faults,
                      _trade_rule(table), report)
-    # an accepted row's load sequence is its place among the accepted rows
-    number = np.arange(len(kept))
-    return replace(table[kept], seq=number, load_index=number).grouped()
+    if len(kept) < len(table):
+        # an accepted row's load sequence is its place among the accepted rows
+        number = np.arange(len(kept))
+        table = replace(table[kept], seq=number, load_index=number)
+    return table.grouped()
 
 
 def validate(ds: Dataset) -> ValidationReport:

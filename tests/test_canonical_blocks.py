@@ -1,0 +1,116 @@
+"""The loader's two timestamp paths and its blocks: numpy parses a block whose
+texts all have `format_timestamp`'s shape, any other block goes through
+`parse_timestamp` row by row with the same values and faults, a sub-
+millisecond instant rounds half to even exactly, and a table read in blocks
+of any size loads as it does in one."""
+
+from dataclasses import fields
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repmarket import dataset
+from repmarket.dataset import (SurveyColumns, TradeColumns, _canonical_instants, _parse_instants,
+                               load_dataset, parse_timestamp)
+from repmarket.synth import synthetic_dataset, write_fixture
+
+MALFORMED = Path(__file__).parent / "data" / "malformed"
+CANONICAL = "2020-01-06T00:00:00.000Z"
+
+
+def _one_by_one(texts):
+    """parse_timestamp of each text (0 where it refuses), and each refusal's fault."""
+    values, faults = [], {}
+    for row, text in enumerate(texts, start=1):
+        try:
+            values.append(parse_timestamp(text))
+        except ValueError as exc:
+            values.append(0)
+            faults[row] = ("timestamp", "invalid_value", str(exc))
+    return values, faults
+
+
+@pytest.mark.parametrize("text, ms", [
+    ("0001-01-01T00:00:00.000Z", dataset.MIN_TIMESTAMP_MS),
+    ("9999-12-31T23:59:59.999Z", dataset.MAX_TIMESTAMP_MS),
+    ("2020-02-29T12:00:00.000Z", 1_582_977_600_000),
+])
+def test_a_canonical_instant_takes_the_numpy_path(text, ms):
+    texts = [CANONICAL, text]
+    assert _canonical_instants(texts).tolist() == [parse_timestamp(CANONICAL), ms]
+    faults = {}
+    assert _parse_instants(texts, faults).tolist() == [parse_timestamp(CANONICAL), ms]
+    assert faults == {}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2021-02-29T00:00:00.000Z", "day is out of range for month"),
+    ("2020-13-01T00:00:00.000Z", "month must be in 1..12"),
+    # numpy reads the year 0000 as an instant before the year 0001
+    ("0000-01-01T00:00:00.000Z", "year 0 is out of range"),
+])
+def test_a_canonical_shape_that_is_no_instant_goes_row_by_row(text, message):
+    texts = [CANONICAL, text, CANONICAL]
+    assert _canonical_instants(texts) is None
+    faults = {}
+    ms = _parse_instants(texts, faults)
+    assert (ms.tolist(), faults) == _one_by_one(texts)
+    assert message in faults[2][2]
+
+
+@pytest.mark.parametrize("last", [
+    "2020-01-06T00:00:00.000+00:00", "2020-01-06T00:00:00.000", "1578268800000",
+    "2020-01-06T00:00:00.000z", "2020-01-06T00:00:00.0001Z", "２020-01-06T00:00:00.000Z", "soon",
+])
+def test_a_block_whose_last_text_alone_is_off_shape_goes_row_by_row(last):
+    texts = [CANONICAL] * 4 + [last]
+    assert _canonical_instants(texts) is None
+    faults = {}
+    ms = _parse_instants(texts, faults)
+    assert ms.dtype == np.int64
+    assert (ms.tolist(), faults) == _one_by_one(texts)
+
+
+@pytest.mark.parametrize("text, ms", [
+    # the float route gave ...399000, -62135596800000 and -511
+    ("9999-12-30T23:59:59.000501Z", 253_402_214_399_001),
+    ("0001-01-01T00:00:00.000501Z", -62_135_596_799_999),
+    ("1969-12-31T23:59:59.488500Z", -512),
+    ("2020-01-06T00:00:00.000500Z", 1_578_268_800_000),
+    ("2020-01-06T00:00:00.001500Z", 1_578_268_800_002),
+    ("2020-01-06T00:00:00.000500+01:00", 1_578_265_200_000),
+])
+def test_a_sub_millisecond_instant_rounds_half_to_even_exactly(text, ms):
+    assert parse_timestamp(text) == ms
+
+
+@pytest.fixture(scope="module")
+def seed3(tmp_path_factory):
+    return write_fixture(synthetic_dataset(seed=3, n_markets=12, n_traders=10),
+                         tmp_path_factory.mktemp("seed3"))
+
+
+def _loaded(paths):
+    ds = load_dataset(paths["outcomes"], paths["surveys"], paths["trades"])
+    columns = {table: {f.name: getattr(getattr(ds, table), f.name) for f in fields(table_type)}
+               for table, table_type in (("trade_columns", TradeColumns),
+                                         ("survey_columns", SurveyColumns))}
+    return ds, columns
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 7])
+@pytest.mark.parametrize("fixture", ["seed3", "malformed"])
+def test_a_table_read_in_blocks_loads_as_in_one(fixture, block_rows, monkeypatch, request):
+    paths = (request.getfixturevalue("seed3") if fixture == "seed3" else
+             {table: MALFORMED / f"{table}.csv" for table in ("outcomes", "surveys", "trades")})
+    whole, whole_columns = _loaded(paths)
+    monkeypatch.setattr(dataset, "_BLOCK_ROWS", block_rows)
+    blocked, blocked_columns = _loaded(paths)
+    assert blocked.findings == whole.findings
+    assert blocked.load_report.to_dict() == whole.load_report.to_dict()
+    for table, columns in whole_columns.items():
+        for name, column in columns.items():
+            mine, theirs = np.asarray(blocked_columns[table][name]), np.asarray(column)
+            assert mine.dtype == theirs.dtype, (table, name)
+            assert np.array_equal(mine, theirs, equal_nan=mine.dtype.kind == "f"), (table, name)

@@ -1,11 +1,13 @@
 """Laws of the column parse, of the timestamp text and of LOESS: a column of
-timestamps or numbers parses and rejects as each of its texts does, a row
-gets its first text fault, `format_timestamp` writes the text of the
-`datetime` formatter it replaced, and `loess_fit` gives the bits of the
-per-point fit it replaced."""
+timestamps or numbers parses and rejects as each of its texts does, numpy
+reads a text of the canonical shape as `parse_timestamp` does, a sub-
+millisecond instant rounds half to even exactly, a row gets its first text
+fault, `format_timestamp` writes the text of the `datetime` formatter it
+replaced, and `loess_fit` gives the bits of the per-point fit it replaced."""
 
 import math
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from repmarket import dynamics  # noqa: E402
 from repmarket.dataset import (  # noqa: E402
     MAX_TIMESTAMP_MS,
     MIN_TIMESTAMP_MS,
+    _canonical_instants,
     _parse_column,
+    _parse_instants,
     _parse_trades,
     format_timestamp,
     parse_timestamp,
@@ -65,9 +69,52 @@ OTHER = st.one_of(
 @given(st.lists(VALID, min_size=1, max_size=8)
        | st.lists(VALID | INVALID | OTHER, min_size=1, max_size=8))
 def test_timestamp_column_parses_and_rejects_as_each_text(texts):
+    values, expected = _one_by_one(texts)
     faults = {}
-    values = _parse_column(parse_timestamp, texts, "timestamp", None, faults)
-    assert (values, faults) == _one_by_one(texts)
+    assert (_parse_column(parse_timestamp, texts, "timestamp", None, faults),
+            faults) == (values, expected)
+    # the loader's block parser: numpy on canonical texts, a refused one read as 0
+    faults = {}
+    ms = _parse_instants(texts, faults)
+    assert ms.dtype == np.int64
+    assert (ms.tolist(), faults) == ([0 if v is None else v for v in values], expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(VALID, min_size=1, max_size=8))
+def test_a_block_of_canonical_instants_is_parsed_by_numpy(texts):
+    assert _canonical_instants(texts).tolist() == [parse_timestamp(t) for t in texts]
+
+
+def _parsed(text):
+    try:
+        return parse_timestamp(text)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(VALID | INVALID)
+def test_numpy_reads_a_canonical_text_as_parse_timestamp_or_both_refuse(text):
+    ms = _canonical_instants([text])
+    assert (None if ms is None else int(ms[0])) == _parsed(text)
+
+
+def _exact_ms(dt):
+    """The instant of a naive UTC datetime in ms, rounded half to even from
+    its exact microseconds since the epoch."""
+    days = dt.toordinal() - date(1970, 1, 1).toordinal()
+    us = (((days * 24 + dt.hour) * 60 + dt.minute) * 60 + dt.second) * 10**6 + dt.microsecond
+    return round(Fraction(us, 1000))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59, 999499))
+       | st.datetimes(datetime(1969, 12, 31, 23), datetime(1970, 1, 1, 1)))
+def test_a_sub_millisecond_instant_rounds_half_to_even_exactly(dt):
+    for text in (dt.isoformat(timespec="microseconds") + "Z",
+                 dt.isoformat(timespec="microseconds")):
+        assert parse_timestamp(text) == _exact_ms(dt)
 
 
 def _datetime_text(ms):
