@@ -103,15 +103,13 @@ def forecast_stage(ds, threshold: float = 0.5, yates: bool = False) -> tuple:
         "accuracy_chi_square": _test_dict(
             or_null(evaluate.accuracy_comparison_test, scores, yates=yates)),
     }
-    # both asymmetry tests are null together, and then there are no quadrants
-    asymmetry = or_null(evaluate.asymmetry_tests, scores, yates=yates) or {}
+    asymmetry = evaluate.asymmetry_tests(scores, yates=yates)
     quadrants = {}
     for method, name in evaluate.COMPARED.items():
         tests[f"overestimation_{name}"] = _test_dict(over[method])
-        quad, result = asymmetry.get(method, (None, None))
+        quad, result = asymmetry[method]
         tests[f"asymmetry_{name}"] = _test_dict(result)
-        if quad is not None:
-            quadrants[name] = quad.to_dict()
+        quadrants[name] = quad.to_dict()
 
     return forecasts, scores, {"tests": tests, "quadrants": quadrants,
                                "correlations": evaluate.forecast_correlations(scores)}

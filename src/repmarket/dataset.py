@@ -233,7 +233,8 @@ class _Columns:
     (`load_index`). One builder a table (`_trade_columns`, `_survey_columns`)
     serves `load_dataset` and `from_fields`, which takes each field's values
     as lists for `from_records`, `for_findings` and synth, and `grouped`
-    sorts the built rows by the table's ORDER, the finding first."""
+    sorts the built rows by the table's ORDER, the finding first. LOAD_ORDER
+    names the columns that number a loaded row in load order."""
 
     def __len__(self) -> int:
         return len(self.load_index)
@@ -317,6 +318,7 @@ class TradeColumns(_Columns):
     source_row: np.ndarray    # the data row of each row: int64, or objects with None
 
     ORDER = ("finding", "timestamp", "seq")
+    LOAD_ORDER = ("seq", "load_index")
     RECORD = Trade
 
     @classmethod
@@ -361,6 +363,7 @@ class SurveyColumns(_Columns):
     source_row: np.ndarray    # the data row of each row: int64, or objects with None
 
     ORDER = ("finding", "load_index")
+    LOAD_ORDER = ("load_index",)
     RECORD = SurveyResponse
 
     @classmethod
@@ -856,10 +859,11 @@ def load_dataset(outcomes_path: str | Path, surveys_path: str | Path,
     findings = _load_findings(_read_blocks(outcomes_path, "outcomes", OUTCOME_FIELDS, mapping),
                               p_threshold, report)
     finding_ids = [f.finding_id for f in findings]
-    surveys = _load_surveys(_read_blocks(surveys_path, "surveys", SURVEY_FIELDS, mapping),
-                            finding_ids, report)
-    trades = _load_trades(_read_blocks(trades_path, "trades", TRADE_FIELDS, mapping),
-                          finding_ids, report)
+    surveys = _load_table("surveys", _read_blocks(surveys_path, "surveys", SURVEY_FIELDS, mapping),
+                          _survey_block, _survey_rule, finding_ids, report)
+    # a trade has no key: which rows are clean does not change the trade rule
+    trades = _load_table("trades", _read_blocks(trades_path, "trades", TRADE_FIELDS, mapping),
+                         _trade_block, lambda t, clean: _trade_rule(t), finding_ids, report)
     return Dataset(findings, surveys, trades, load_report=report, p_threshold=p_threshold)
 
 
@@ -890,13 +894,6 @@ def _load_findings(blocks: Iterator[list[list[str]]], p_threshold: float,
     return findings
 
 
-def _clean_rows(lines: int, text_faults: dict) -> np.ndarray:
-    """The mask of the rows without a text fault."""
-    clean = np.ones(lines, dtype=bool)
-    clean[[row - 1 for row in text_faults]] = False
-    return clean
-
-
 def _accepted(table: str, columns: _Columns, clean: np.ndarray, text_faults: dict,
               rule: list[tuple], report: ValidationReport) -> np.ndarray:
     """The accepted rows of a loaded table. A rejected row gets one error: its
@@ -915,12 +912,14 @@ def _accepted(table: str, columns: _Columns, clean: np.ndarray, text_faults: dic
     return kept
 
 
-def _load_blocks(blocks: Iterator[list[list[str]]], parse,
-                 finding_ids: list[str]) -> tuple[_Columns, dict]:
-    """The columns of a table read in blocks, and the first text fault of
-    each row that has one, by row number. parse(texts, finding_ids, first)
-    gives the columns of a block whose first row has load index `first`, and
-    its faults numbered from 1 in the block; the block's texts then go."""
+def _load_table(table: str, blocks: Iterator[list[list[str]]], parse, rule,
+                finding_ids: list[str], report: ValidationReport) -> _Columns:
+    """The accepted rows of a table read in blocks, as columns grouped in the
+    table's ORDER. parse(texts, finding_ids, first) gives the columns of a
+    block whose first row has load index `first`, and its text faults numbered
+    from 1 in the block; the block's texts then go. rule(columns, clean) gives
+    the table's rule over the whole columns, where `clean` marks the rows
+    without a text fault."""
     parts, faults = [], {}
     lines = 0
     for texts in blocks:
@@ -928,7 +927,15 @@ def _load_blocks(blocks: Iterator[list[list[str]]], parse,
         faults.update((lines + row, fault) for row, fault in block_faults.items())
         parts.append(columns)
         lines += len(columns)
-    return type(parts[0]).concatenated(parts), faults
+    columns = type(parts[0]).concatenated(parts)
+    clean = np.ones(lines, dtype=bool)
+    clean[[row - 1 for row in faults]] = False
+    kept = _accepted(table, columns, clean, faults, rule(columns, clean), report)
+    if len(kept) < lines:
+        # an accepted row's place in load order is its place among the accepted rows
+        number = np.arange(len(kept))
+        columns = replace(columns[kept], **dict.fromkeys(columns.LOAD_ORDER, number))
+    return columns.grouped()
 
 
 def _survey_block(texts: list[list[str]], finding_ids: list[str],
@@ -943,19 +950,6 @@ def _survey_block(texts: list[list[str]], finding_ids: list[str],
     return _survey_columns(finding_ids, list(map(sys.intern, fids)),
                            list(map(sys.intern, forecasters)), beliefs,
                            np.arange(first + 1, first + len(fids) + 1)), faults
-
-
-def _load_surveys(blocks: Iterator[list[list[str]]], finding_ids: list[str],
-                  report: ValidationReport) -> SurveyColumns:
-    """The accepted rows of a surveys table as columns grouped by finding,
-    each finding's rows in load order."""
-    table, faults = _load_blocks(blocks, _survey_block, finding_ids)
-    clean = _clean_rows(len(table), faults)
-    kept = _accepted("surveys", table, clean, faults, _survey_rule(table, clean), report)
-    if len(kept) < len(table):
-        # an accepted row's load index is its place among the accepted rows
-        table = replace(table[kept], load_index=np.arange(len(kept)))
-    return table.grouped()
 
 
 def _parse_instants(texts: list[str], faults: dict) -> np.ndarray:
@@ -997,19 +991,6 @@ def _trade_block(texts: list[list[str]], finding_ids: list[str],
     values, faults = _parse_trades(texts)
     rows = np.arange(first, first + len(values[0]))
     return _trade_columns(finding_ids, *values, rows, rows + 1), faults
-
-
-def _load_trades(blocks: Iterator[list[list[str]]], finding_ids: list[str],
-                 report: ValidationReport) -> TradeColumns:
-    """The accepted rows of a trades table as columns in trade order."""
-    table, faults = _load_blocks(blocks, _trade_block, finding_ids)
-    kept = _accepted("trades", table, _clean_rows(len(table), faults), faults,
-                     _trade_rule(table), report)
-    if len(kept) < len(table):
-        # an accepted row's load sequence is its place among the accepted rows
-        number = np.arange(len(kept))
-        table = replace(table[kept], seq=number, load_index=number)
-    return table.grouped()
 
 
 def validate(ds: Dataset) -> ValidationReport:

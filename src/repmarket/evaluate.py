@@ -173,9 +173,12 @@ def summarize(scores: list[ScoreRow], findings,
 
 
 def asymmetry_tests(scores: list[ScoreRow], methods: tuple[str, ...] = tuple(COMPARED),
-                    yates: bool = False) -> dict[str, tuple[ConfusionQuadrants, stats.TestResult]]:
+                    yates: bool = False
+                    ) -> dict[str, tuple[ConfusionQuadrants, stats.TestResult | None]]:
     """Is each method more accurate on predicted failures than on predicted
-    replications? Chi-square on the (predicted class x correctness) table."""
+    replications? Chi-square on the (predicted class x correctness) table,
+    keyed by method with the method's quadrants; the test is None where a
+    method's own table leaves it undefined."""
     index = rows_by_method(scores)
     out = {}
     for method in methods:
@@ -188,7 +191,7 @@ def asymmetry_tests(scores: list[ScoreRow], methods: tuple[str, ...] = tuple(COM
             predicted_replicate_not_replicated=cells[1, 0],
         )
         table = [[cells[0, 0], cells[0, 1]], [cells[1, 1], cells[1, 0]]]
-        out[method] = (quad, stats.chi_square_1df(table, yates=yates))
+        out[method] = (quad, or_null(stats.chi_square_1df, table, yates=yates))
     return out
 
 

@@ -1,9 +1,11 @@
 """The loader's two timestamp paths and its blocks: numpy parses a block whose
 texts all have `format_timestamp`'s shape, any other block goes through
 `parse_timestamp` row by row with the same values and faults, a sub-
-millisecond instant rounds half to even exactly, and a table read in blocks
-of any size loads as it does in one."""
+millisecond instant rounds half to even exactly, a table read in blocks of
+any size loads as it does in one, and a table without an accepted row loads
+as empty columns."""
 
+import csv
 from dataclasses import fields
 from pathlib import Path
 
@@ -114,3 +116,26 @@ def test_a_table_read_in_blocks_loads_as_in_one(fixture, block_rows, monkeypatch
             mine, theirs = np.asarray(blocked_columns[table][name]), np.asarray(column)
             assert mine.dtype == theirs.dtype, (table, name)
             assert np.array_equal(mine, theirs, equal_nan=mine.dtype.kind == "f"), (table, name)
+
+
+@pytest.mark.parametrize("block_rows", [dataset._BLOCK_ROWS, 1])
+def test_a_table_without_an_accepted_row_loads_as_empty_columns(block_rows, monkeypatch,
+                                                                 tmp_path):
+    # the fixture `repmarket synth --seed 3` writes, with every trade priced
+    # outside (0, 1) and a surveys file that is a header only
+    paths = write_fixture(synthetic_dataset(seed=3), tmp_path)
+    with open(paths["trades"], newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    at = header.index("post_trade_price")
+    dataset.write_csv(paths["trades"], header, [row[:at] + ["2"] + row[at + 1:] for row in rows])
+    dataset.write_csv(paths["surveys"], dataset.SURVEY_FIELDS, [])
+    monkeypatch.setattr(dataset, "_BLOCK_ROWS", block_rows)
+    ds, columns = _loaded(paths)
+    report = ds.load_report
+    assert report.counts["trades"] == {"lines": 351, "accepted": 0, "rejected": 351}
+    assert report.counts["surveys"] == {"lines": 0, "accepted": 0, "rejected": 0}
+    for column in (columns["trade_columns"]["seq"], columns["trade_columns"]["load_index"],
+                   columns["survey_columns"]["load_index"]):
+        assert column.dtype == np.int64 and len(column) == 0
+    assert [(e.table, e.row, e.column, e.kind) for e in report.errors] == [
+        ("trades", row, "post_trade_price", "invalid_value") for row in range(1, 352)]

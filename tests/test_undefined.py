@@ -7,7 +7,8 @@ import json
 
 import pytest
 
-from repmarket import errors, stats
+from repmarket import errors, evaluate, stats
+from repmarket.aggregate import METHOD_MEAN
 from repmarket.cli import main, run_pipeline
 from repmarket.synth import synthetic_dataset, write_fixture
 
@@ -58,13 +59,14 @@ def _two_markets():
     return synthetic_dataset(seed=5, n_markets=2, n_traders=10)
 
 
-# the null keys of each report section, recorded before or_null existed
+# the null keys of each report section, recorded before or_null existed; the
+# asymmetry tests and quadrants since each test is null on its own table
 NULLS = {
     "all_prices_half": (_all_prices_half, {
-        "tests": {"asymmetry_market", "asymmetry_survey"},
+        "tests": {"asymmetry_market"},
         "correlations": {"pearson_market_survey", "pearson_outcome_market",
                          "spearman_market_survey"},
-        "dynamics": set(), "table2": False, "quadrants": set()}),
+        "dynamics": set(), "table2": False, "quadrants": {"market", "survey"}}),
     "all_outcomes_one": (_all_outcomes_one, {
         "tests": set(),
         "correlations": {"pearson_outcome_market", "pearson_outcome_survey"},
@@ -74,7 +76,7 @@ NULLS = {
         "tests": {"accuracy_chi_square", "asymmetry_market", "asymmetry_survey"},
         "correlations": {"pearson_market_survey", "pearson_outcome_market",
                          "pearson_outcome_survey", "spearman_market_survey"},
-        "dynamics": set(), "table2": True, "quadrants": set()}),
+        "dynamics": set(), "table2": True, "quadrants": {"market", "survey"}}),
 }
 
 
@@ -87,6 +89,16 @@ def test_run_pipeline_reports_exactly_the_undefined_results_as_null(name):
     assert (report["table2"] is None) == expected["table2"]
     assert set(report["quadrants"]) == expected["quadrants"]
     assert len(report["tests"]) == 7
+
+
+def test_each_asymmetry_test_is_null_on_its_own_table_alone():
+    # every market price is 0.5, so every market forecast predicts
+    # replication and the market's table is undefined; the survey's is not
+    out = run_pipeline(_all_prices_half())
+    quad, survey = evaluate.asymmetry_tests(out["scores"], methods=(METHOD_MEAN,))[METHOD_MEAN]
+    assert survey is not None
+    assert out["report"]["tests"]["asymmetry_survey"] == dataclasses.asdict(survey)
+    assert out["report"]["quadrants"]["survey"] == quad.to_dict()
 
 
 def _data_args(directory):
