@@ -19,7 +19,7 @@ from . import aggregate, dynamics, evaluate, lmsr, reference, stats, synth
 # trades_for stays bound here: code that reads or patches cli.trades_for relies on it
 from .dataset import (DEFAULT_P_THRESHOLD, load_dataset, load_mapping, trade_counts,  # noqa: F401
                       trades_for, validate, write_csv)
-from .errors import NoInputPath, RepmarketError, or_null
+from .errors import NoInputPath, OutputNotADirectory, RepmarketError, or_null
 
 DATA_DIR_ENV = "REPMARKET_DATA_DIR"
 
@@ -72,7 +72,11 @@ def _load(args):
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputNotADirectory(f"--out {str(out)!r} cannot be made a directory: "
+                                  f"{exc.strerror}") from exc
     return out
 
 
@@ -301,7 +305,7 @@ def cmd_synth(args) -> int:
     ds = synth.synthetic_dataset(seed=args.seed, n_markets=args.markets,
                                  n_traders=args.traders,
                                  liquidity_b=args.liquidity_b)
-    paths = synth.write_fixture(ds, args.out)
+    paths = synth.write_fixture(ds, _out_dir(args))
     print(f"seed {args.seed}: {len(ds.findings)} markets, {len(ds.trade_columns)} trades, "
           f"{len(ds.survey_columns)} survey responses")
     for name, path in paths.items():

@@ -42,6 +42,10 @@ class InvalidMapping(RepmarketError, ValueError):
     """A column mapping names a table, or a field of a table, that the schema lacks."""
 
 
+class OutputNotADirectory(RepmarketError):
+    """An output path that is not, and cannot be made, a directory."""
+
+
 class UnknownFinding(RepmarketError):
     """A finding_id that does not exist in the dataset."""
 

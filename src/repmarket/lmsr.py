@@ -212,17 +212,18 @@ def replay(ds: Dataset, finding_id: str, mode: str = PRICE_TAKING,
     can refuse a buy, so none is kept. It needs recorded, finite quantities
     and buys.
     """
+    if mode not in (PRICE_TAKING, SIMULATED):
+        raise ValueError(f"unknown replay mode {mode!r}")
+    if mode == SIMULATED:  # the liquidity is refused whatever the market's trades
+        if liquidity_b is None:
+            raise ReplayUnavailable("simulated replay requires liquidity_b")
+        new_market(liquidity_b)  # refuses a liquidity that is not finite and > 0
     rows = market_rows(ds, finding_id)
     if rows.start == rows.stop:
         raise EmptyMarket(finding_id)
     trades = ds.trade_columns
     if mode == PRICE_TAKING:
         return trades.price[rows].tolist()
-    if mode != SIMULATED:
-        raise ValueError(f"unknown replay mode {mode!r}")
-    if liquidity_b is None:
-        raise ReplayUnavailable("simulated replay requires liquidity_b")
-    new_market(liquidity_b)  # refuses a liquidity that is not finite and > 0
     yes, quantity = trades.yes[rows], trades.quantity[rows]
     # every trade is checked before any is priced; the first that is not a
     # recorded buy is named
@@ -236,9 +237,7 @@ def replay(ds: Dataset, finding_id: str, mode: str = PRICE_TAKING,
         t = trades.records([rows.start + int(unfit[0])])[0]
         raise ReplayUnavailable(f"simulated replay needs buys; market {finding_id!r} "
                                 f"has a trade of {t.quantity} {t.side!r}")
-    q_yes = q_no = 0.0
-    prices = []
-    for is_yes, q in zip(yes.tolist(), quantity.tolist()):
-        q_yes, q_no = _step(q_yes, q_no, "YES" if is_yes else "NO", q)
-        prices.append(price_yes_from_quantities(q_yes, q_no, liquidity_b))
-    return prices
+    # every trade is a buy, so ~yes marks the NO buys
+    q_yes = np.cumsum(np.where(yes, quantity, 0.0)).tolist()
+    q_no = np.cumsum(np.where(~yes, quantity, 0.0)).tolist()
+    return [price_yes_from_quantities(qy, qn, liquidity_b) for qy, qn in zip(q_yes, q_no)]

@@ -2,7 +2,8 @@
 
 Correlations, the paired t-test, the 1-df chi-square test, and simple OLS,
 with p-values computed from the regularized incomplete beta and gamma
-functions (continued-fraction / series evaluation, no table lookups).
+functions (series, or continued fractions evaluated by the modified Lentz
+method of Thompson & Barnett 1986; no table lookups).
 """
 
 from __future__ import annotations
@@ -66,8 +67,21 @@ class OLSFit:
 # special functions
 # ----------------------------------------------------------------------
 
+def _lentz(an: float, bn: float, c: float, d: float) -> tuple[float, float, float]:
+    """One term an / (bn + ...) of a continued fraction by the modified Lentz
+    method: the next c and d, and the factor d * c it multiplies the value by."""
+    d = bn + an * d
+    if abs(d) < _FPMIN:
+        d = _FPMIN
+    c = bn + an / c
+    if abs(c) < _FPMIN:
+        c = _FPMIN
+    d = 1.0 / d
+    return c, d, d * c
+
+
 def _beta_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
+    """Continued fraction for the incomplete beta, two half-terms a step."""
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
@@ -77,25 +91,9 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        c, d, even = _lentz(m * (b - m) * x / ((qam + m2) * (a + m2)), 1.0, c, d)
+        c, d, delta = _lentz(-(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), 1.0, c, d)
+        h = h * even * delta  # (h * even) * delta: one rounding a half-term
         if abs(delta - 1.0) < _EPS:
             return h
     raise DomainError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
@@ -140,16 +138,8 @@ def _gamma_cf(s: float, x: float) -> float:
     d = 1.0 / b
     h = d
     for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - s)
         b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
+        c, d, delta = _lentz(-i * (i - s), b, c, d)
         h *= delta
         if abs(delta - 1.0) < _EPS:
             return h * math.exp(-x + s * math.log(x) - math.lgamma(s))

@@ -300,3 +300,12 @@ def test_simulated_replay_refuses_a_trade_that_is_not_a_buy(side, quantity):
     ds = make_dataset([make_finding("F1")], trades=trades)
     with pytest.raises(ReplayUnavailable):
         lmsr.replay(ds, "F1", mode=lmsr.SIMULATED, liquidity_b=100.0)
+
+
+@pytest.mark.parametrize("b, error", [(None, ReplayUnavailable), (0.0, NonPositiveLiquidity),
+                                      (100.0, EmptyMarket)],
+                         ids=["no_liquidity", "zero_liquidity", "good_liquidity"])
+def test_simulated_replay_checks_the_liquidity_before_the_market(b, error):
+    ds = make_dataset([make_finding("F9")])
+    with pytest.raises(error):
+        lmsr.replay(ds, "F9", mode=lmsr.SIMULATED, liquidity_b=b)

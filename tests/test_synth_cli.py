@@ -366,3 +366,33 @@ def test_cli_replay_skips_a_market_without_trades(tmp_path, capsys, mode):
     assert capsys.readouterr().out.startswith("replayed 12 markets ")
     rows = (tmp_path / "out" / "replay.csv").read_text().splitlines()[1:]
     assert len(rows) == 351 and not any(row.startswith("F099,") for row in rows)
+
+
+@pytest.mark.parametrize("extra, error", [
+    ([], "ReplayUnavailable"),
+    (["--liquidity-b", "-1"], "NonPositiveLiquidity"),
+], ids=["no_liquidity", "negative_liquidity"])
+def test_cli_simulated_replay_refuses_the_liquidity_when_no_market_traded(
+        tmp_path, capsys, extra, error):
+    paths = write_fixture_files(tmp_path / "data", trades=TRADES_CSV.splitlines()[0] + "\n")
+    rc = main(["replay", *_data_args(paths), "--mode", "simulated", *extra,
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out" / "replay.csv").exists()
+
+
+@pytest.mark.parametrize("command, out", [
+    (["validate"], "a_file"),
+    (["report"], "a_file/sub"),
+    (["synth", "--seed", "3"], "a_file"),
+], ids=["validate_file", "report_under_file", "synth_file"])
+def test_cli_out_that_is_not_a_directory_exits_2(synth_paths, tmp_path, capsys, command, out):
+    (tmp_path / "a_file").write_text("kept\n", encoding="utf-8")
+    data = [] if command[0] == "synth" else _data_args(synth_paths)
+    rc = main([*command, *data, "--out", str(tmp_path / out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: OutputNotADirectory: ") and err.count("\n") == 1
+    assert (tmp_path / "a_file").read_text(encoding="utf-8") == "kept\n"
