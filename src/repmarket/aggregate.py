@@ -5,17 +5,16 @@ above the binarization threshold), and a variance-weighted mean where each
 forecaster's weight is the sample variance of their own responses across
 all findings they forecast.
 
-Each rule reads the groups of a run of findings at once: a market's closed
-window in the trades table (see ``Dataset.closed_ends``) and a finding's
-responses in the surveys table. `aggregate_all` reads every group in one
-pass a method, and each per-finding function reads one group through the
-same rule.
+Each rule reads every finding's group at once: a market's closed window in
+the trades table (see ``Dataset.closed_ends``) and a finding's responses in
+the surveys table, one entry a finding in the order of
+``Dataset.finding_ids``. `aggregate_all` runs each method's rule once, and
+each per-finding function reads its finding's entry of the same rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -60,13 +59,14 @@ def _quotient(numerator: np.ndarray, denominator: np.ndarray, defined: np.ndarra
     return np.divide(numerator, denominator, out=np.full(len(defined), np.nan), where=defined)
 
 
-# The rules. Each reads a run of groups (a slice of finding indexes, see
-# Dataset.group) and gives the value, the number of inputs and the mask of the
-# groups it is defined for, one entry a group.
+# The rules. Each reads every group (see Dataset.group) and gives the value,
+# the number of inputs and the mask of the groups it is defined for, one entry
+# a group. In ``ds.survey_columns`` the rows of unknown findings come before
+# the first group.
 
-def _final_prices(ds: Dataset, groups: slice) -> tuple:
+def _final_prices(ds: Dataset) -> tuple:
     """The last post-trade price of each market's closed window."""
-    start, end = closed_windows(ds, groups)
+    start, end = closed_windows(ds)
     n = end - start
     traded = n > 0
     price = np.full(len(n), np.nan)
@@ -74,26 +74,20 @@ def _final_prices(ds: Dataset, groups: slice) -> tuple:
     return price, n, traded
 
 
-def _responses(ds: Dataset, groups: slice) -> tuple[slice, list[int], np.ndarray]:
-    """The rows of the groups' survey responses in ``ds.survey_columns``, the
-    bounds of each group's rows among them, and each group's count of rows."""
-    bounds = ds.survey_columns.bounds[groups.start:groups.stop + 1]
-    return slice(bounds[0], bounds[-1]), [b - bounds[0] for b in bounds], np.diff(bounds)
-
-
-def _mean(ds: Dataset, groups: slice) -> tuple:
-    rows, bounds, n = _responses(ds, groups)
+def _mean(ds: Dataset) -> tuple:
+    bounds = ds.survey_columns.bounds
+    n = np.diff(bounds)
     answered = n > 0
-    return _quotient(_left_sums(ds.survey_columns.belief[rows].tolist(), bounds), n,
+    return _quotient(_left_sums(ds.survey_columns.belief.tolist(), bounds), n,
                      answered), n, answered
 
 
-def _median(ds: Dataset, groups: slice) -> tuple:
-    rows, bounds, n = _responses(ds, groups)
-    surveys = ds.survey_columns
+def _median(ds: Dataset) -> tuple:
+    bounds = ds.survey_columns.bounds
+    n = np.diff(bounds)
+    beliefs = ds.survey_columns.belief
     # each group's beliefs in a stable sort, the groups in place
-    beliefs = surveys.belief[rows]
-    ordered = beliefs[np.lexsort((beliefs, surveys.finding[rows]))]
+    ordered = beliefs[np.lexsort((beliefs, ds.survey_columns.finding))]
     answered = n > 0
     mid = (np.array(bounds[:-1], dtype=np.int64) + n // 2)[answered]
     median = np.full(len(n), np.nan)
@@ -102,55 +96,56 @@ def _median(ds: Dataset, groups: slice) -> tuple:
     return median, n, answered
 
 
-def _voting(ds: Dataset, groups: slice, threshold: float) -> tuple:
+def _voting(ds: Dataset, threshold: float) -> tuple:
     """The share of each group's responses at or above the threshold."""
-    rows, bounds, n = _responses(ds, groups)
-    votes = np.concatenate(([0], np.cumsum(ds.survey_columns.belief[rows] >= threshold)))
+    bounds = ds.survey_columns.bounds
+    n = np.diff(bounds)
+    votes = np.concatenate(([0], np.cumsum(ds.survey_columns.belief >= threshold)))
     answered = n > 0
     return _quotient(np.diff(votes[bounds]), n, answered), n, answered
 
 
-def _var_weighted(ds: Dataset, groups: slice, weight_of) -> tuple:
-    """The weighted mean of each group's beliefs, with `weight_of` giving the
-    weights of a slice of survey rows."""
-    rows, bounds, n = _responses(ds, groups)
-    w = weight_of(rows)
+def _var_weighted(ds: Dataset, w: np.ndarray) -> tuple:
+    """The weighted mean of each group's beliefs, `w` weighing each row of
+    ``ds.survey_columns``."""
+    bounds = ds.survey_columns.bounds
+    n = np.diff(bounds)
     total = _left_sums(w.tolist(), bounds)
     weighted = ~(total <= 0.0)  # a group without responses weighs 0 too
-    return (_quotient(_left_sums((w * ds.survey_columns.belief[rows]).tolist(), bounds), total,
+    return (_quotient(_left_sums((w * ds.survey_columns.belief).tolist(), bounds), total,
                       weighted), n, weighted)
 
 
-def _one(method: str, rule, ds: Dataset, finding_id: str) -> AggregateForecast:
-    """The rule's forecast of one finding: its group read alone."""
+def _one(method: str, result: tuple, ds: Dataset, finding_id: str) -> AggregateForecast:
+    """The finding's entry of a rule's (value, n, defined)."""
     k = ds.group(finding_id)
-    value, n, defined = rule(ds, slice(k, k + 1))
-    if not defined[0]:
-        if n[0]:
+    value, n, defined = result
+    if not defined[k]:
+        if n[k]:
             raise AllWeightsZero(f"every respondent of {finding_id!r} has zero weight")
         if method == METHOD_MARKET:
             raise EmptyMarket(f"no trades at or before close for {finding_id!r}")
         raise NoSurveyResponses(finding_id)
-    return AggregateForecast(finding_id, method, float(value[0]), int(n[0]))
+    return AggregateForecast(finding_id, method, float(value[k]), int(n[k]))
 
 
 def market_final_price(ds: Dataset, finding_id: str) -> AggregateForecast:
     """Last post-trade price at or before market close."""
-    return _one(METHOD_MARKET, _final_prices, ds, finding_id)
+    return _one(METHOD_MARKET, _final_prices(ds), ds, finding_id)
 
 
 def survey_mean(ds: Dataset, finding_id: str) -> AggregateForecast:
-    return _one(METHOD_MEAN, _mean, ds, finding_id)
+    return _one(METHOD_MEAN, _mean(ds), ds, finding_id)
 
 
 def survey_median(ds: Dataset, finding_id: str) -> AggregateForecast:
-    return _one(METHOD_MEDIAN, _median, ds, finding_id)
+    return _one(METHOD_MEDIAN, _median(ds), ds, finding_id)
 
 
 def survey_voting(ds: Dataset, finding_id: str,
                   threshold: float = 0.5) -> AggregateForecast:
     """Share of responses voting for replication (belief >= threshold)."""
-    return _one(METHOD_VOTING, partial(_voting, threshold=threshold), ds, finding_id)
+    return _one(METHOD_VOTING, _voting(ds, threshold), ds, finding_id)
 
 
 def _variances(ds: Dataset) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
@@ -189,12 +184,8 @@ def survey_var_weighted(ds: Dataset, finding_id: str,
                         weights: dict[str, float]) -> AggregateForecast:
     """Variance-weighted mean of the finding's survey responses, with
     `weights` mapping forecaster id to weight (absent ids weigh 0)."""
-    forecaster = ds.survey_columns.forecaster
-
-    def weight_of(rows: slice) -> np.ndarray:
-        return np.array([weights.get(f, 0.0) for f in forecaster[rows].tolist()], dtype=float)
-
-    return _one(METHOD_VAR_WEIGHTED, partial(_var_weighted, weight_of=weight_of), ds, finding_id)
+    w = np.array([weights.get(f, 0.0) for f in ds.survey_columns.forecaster.tolist()], float)
+    return _one(METHOD_VAR_WEIGHTED, _var_weighted(ds, w), ds, finding_id)
 
 
 def check_threshold(threshold: float) -> None:
@@ -214,20 +205,17 @@ def aggregate_all(ds: Dataset, methods=ALL_METHODS,
         METHOD_MARKET: _final_prices,
         METHOD_MEAN: _mean,
         METHOD_MEDIAN: _median,
-        METHOD_VOTING: partial(_voting, threshold=threshold),
+        METHOD_VOTING: lambda ds: _voting(ds, threshold),
     }
     if METHOD_VAR_WEIGHTED in methods:
         # each row weighs what forecaster_weights gives its forecaster
         _, who, variances = _variances(ds)
-        rules[METHOD_VAR_WEIGHTED] = partial(_var_weighted, weight_of=variances[who].__getitem__)
+        rules[METHOD_VAR_WEIGHTED] = lambda ds: _var_weighted(ds, variances[who])
     if not set(methods) <= rules.keys():
         raise ValueError(f"unknown methods {sorted(set(methods) - rules.keys())}")
-    fids = ds.finding_ids()
-    # each method read over every group at once
-    columns = [(method, *(a.tolist() for a in rules[method](ds, slice(0, len(fids)))))
-               for method in methods]
+    columns = [(method, *(a.tolist() for a in rules[method](ds))) for method in methods]
     return [AggregateForecast(fid, method, value[k], n[k])
-            for k, fid in enumerate(fids)
+            for k, fid in enumerate(ds.finding_ids())
             for method, value, n, defined in columns if defined[k]]
 
 

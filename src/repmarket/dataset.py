@@ -775,7 +775,7 @@ def _trade_rule(t: TradeColumns) -> list[tuple]:
          lambda r: f"side must be YES or NO, got {r.side!r}"),
         ("quantity", "invalid_value",
          known & t.has_quantity & ~((0.0 < t.quantity) & (t.quantity < np.inf)),
-         lambda r: f"quantity must be {'finite' if r.quantity > 0 else 'positive'}, "
+         lambda r: f"quantity must be {'positive' if r.quantity <= 0 else 'finite'}, "
                    f"got {r.quantity}"),
         ("post_trade_price", "invalid_value", known & ~((0.0 < t.price) & (t.price < 1.0)),
          lambda r: f"price {r.post_trade_price} outside (0, 1)"),
@@ -1092,10 +1092,10 @@ def closed_rows(ds: Dataset, finding: Finding) -> slice:
     return slice(ds.trade_columns.bounds[k], int(ds.closed_ends[k]))
 
 
-def closed_windows(ds: Dataset, markets: slice) -> tuple[np.ndarray, np.ndarray]:
-    """The start and end rows in ``ds.trade_columns`` of the closed windows of
-    a run of markets, given as a slice of the indexes of ``ds.finding_ids()``."""
-    return np.array(ds.trade_columns.bounds[markets], dtype=np.int64), ds.closed_ends[markets]
+def closed_windows(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The start and end rows in ``ds.trade_columns`` of each market's closed
+    window, in the order of ``ds.finding_ids()``."""
+    return np.array(ds.trade_columns.bounds[:-1], dtype=np.int64), ds.closed_ends
 
 
 def trade_counts(ds: Dataset) -> list[int]:

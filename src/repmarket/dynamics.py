@@ -67,14 +67,11 @@ def _check_axis(axis: str) -> None:
         raise ValueError(f"unknown axis {axis!r}")
 
 
-def _closed_errors(ds: Dataset, groups: slice, axis: str,
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, |outcome - price|, market) of each trade in the closed windows of a
-    run of markets (a slice of finding indexes, see Dataset.group), in trade
-    order; `market` counts the markets from the first of the run."""
-    trades = ds.trade_columns
-    markets = {name: column[groups] for name, column in ds.market_columns.items()}
-    start, end = closed_windows(ds, groups)
+def _closed_errors(ds: Dataset, axis: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, |outcome - price|, market) of each trade in the markets' closed
+    windows, in trade order; `market` is the index into ``ds.finding_ids()``."""
+    trades, markets = ds.trade_columns, ds.market_columns
+    start, end = closed_windows(ds)
     n = end - start
     market = np.repeat(np.arange(len(n)), n)
     rank = np.arange(len(market)) - (np.cumsum(n) - n)[market]  # 0 at a market's first trade
@@ -93,11 +90,11 @@ def error_series(ds: Dataset, finding_id: str, axis: str = AXIS_TRADES,
     """(x, |outcome - price|) after each trade of one market up to its close,
     the window `aggregate.market_final_price` takes the final price from."""
     _check_axis(axis)
-    k = ds.group(finding_id)
-    x, errors, _ = _closed_errors(ds, slice(k, k + 1), axis)
-    if not len(x):
+    x, errors, market = _closed_errors(ds, axis)
+    mine = market == ds.group(finding_id)
+    if not mine.any():
         raise EmptyMarket(finding_id)
-    return list(zip(x.tolist(), errors.tolist()))
+    return list(zip(x[mine].tolist(), errors[mine].tolist()))
 
 
 def mean_error_curve(ds: Dataset, axis: str = AXIS_TRADES,
@@ -111,7 +108,7 @@ def mean_error_curve(ds: Dataset, axis: str = AXIS_TRADES,
     """
     _check_axis(axis)
     n_markets = len(ds.finding_ids())
-    x, errors, market = _closed_errors(ds, slice(0, n_markets), axis)
+    x, errors, market = _closed_errors(ds, axis)
     if grid is None:
         if axis == AXIS_TRADES:
             # x is the trade number: the longest closed window's is the largest
@@ -231,7 +228,7 @@ def late_trade_forecasts(ds: Dataset, cutoff_hours: float = 168.0,
     trades = ds.trade_columns
     markets = ds.market_columns
     cutoffs = markets["market_open"] + cutoff_hours * MS_PER_HOUR
-    starts, ends = closed_windows(ds, slice(0, len(cutoffs)))
+    starts, ends = closed_windows(ds)
     # a window's trades after the cutoff follow the market's trades at or before it
     posts = np.minimum(window_ends(ds, cutoffs), ends)
     out = {}

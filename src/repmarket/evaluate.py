@@ -46,7 +46,7 @@ class ProjectSummary:
     project: str
     n_findings: int
     n_replicated: int
-    replication_rate: float
+    replication_rate: float | None
     mean_belief: dict[str, float] = field(default_factory=dict)
     n_correct: dict[str, int] = field(default_factory=dict)
     mae: dict[str, float] = field(default_factory=dict)
@@ -155,7 +155,7 @@ def summarize(scores: list[ScoreRow], findings,
         n_rep = sum(f.outcome for f in members)
         summary = ProjectSummary(
             project=name, n_findings=n, n_replicated=n_rep,
-            replication_rate=n_rep / n if n else 0.0)
+            replication_rate=n_rep / n if n else None)
         for method in COMPARED:
             rows = [r for i, r in index[method].items() if i in ids]
             if not rows:

@@ -64,6 +64,20 @@ def test_infinite_quantity_rejected_and_flagged(tmp_path, text):
             for v in validate(held).errors] == [("trades", None, *fault)]
 
 
+def test_nan_quantity_is_reported_as_not_finite(tmp_path):
+    trades = TRADES_CSV + "F002,dave,2020-01-08T00:00:00.000Z,YES,nan,0.5\n"
+    paths = write_fixture_files(tmp_path, trades=trades)
+    ds = load_dataset(paths["outcomes"], paths["surveys"], paths["trades"])
+    fault = ("quantity", "invalid_value", "quantity must be finite, got nan")
+    assert [(v.table, v.row, v.column, v.kind, v.message)
+            for v in ds.load_report.errors] == [("trades", 7, *fault)]
+    held = make_dataset(ds.findings, ds.surveys,
+                        [*ds.trades, make_trade("F002", ts=ds.trades[-1].timestamp,
+                                                   quantity=float("nan"))])
+    assert [(v.table, v.row, v.column, v.kind, v.message)
+            for v in validate(held).errors] == [("trades", None, *fault)]
+
+
 def test_unknown_project_rejected(tmp_path):
     outcomes = OUTCOMES_CSV + ("F003,XXX,1,above,,2020-01-06T00:00:00.000Z,"
                                "2020-01-20T00:00:00.000Z\n")

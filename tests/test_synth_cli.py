@@ -9,7 +9,7 @@ from repmarket.cli import build_parser, main
 from repmarket.dataset import Dataset, load_dataset, validate
 from repmarket.synth import synthetic_dataset, write_fixture
 
-from conftest import SURVEYS_CSV, TRADES_CSV, write_fixture_files
+from conftest import OUTCOMES_CSV, SURVEYS_CSV, TRADES_CSV, write_fixture_files
 
 # the trades table of a price-only export: no side or quantity columns
 PRICE_ONLY_TRADES = "".join(
@@ -396,3 +396,30 @@ def test_cli_out_that_is_not_a_directory_exits_2(synth_paths, tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error: OutputNotADirectory: ") and err.count("\n") == 1
     assert (tmp_path / "a_file").read_text(encoding="utf-8") == "kept\n"
+
+
+def test_an_empty_dataset_has_a_null_pooled_replication_rate():
+    from repmarket.cli import run_pipeline
+
+    [pooled] = run_pipeline(Dataset([], [], []))["report"]["table1"]["rows"]
+    assert pooled["n_findings"] == 0 and pooled["replication_rate"] is None
+
+
+def test_every_command_on_header_only_tables(tmp_path, capsys):
+    headers = {table: text.splitlines()[0] + "\n" for table, text in
+               (("outcomes", OUTCOMES_CSV), ("surveys", SURVEYS_CSV), ("trades", TRADES_CSV))}
+    args = _data_args(write_fixture_files(tmp_path / "data", **headers))
+    written = {"report": "report.json", "evaluate": "evaluation.json",
+               "dynamics": "dynamics.json", "aggregate": "aggregates.csv",
+               "validate": "validation.json", "replay": "replay.csv"}
+    for command, name in written.items():
+        assert main([command, *args, "--out", str(tmp_path / command)]) == 0, command
+        assert (tmp_path / command / name).is_file(), command
+    capsys.readouterr()
+    assert main(["pvalue", *args, "--out", str(tmp_path / "pvalue")]) == 2
+    assert capsys.readouterr().err.startswith("error: DegenerateInput: ")
+    report = json.loads((tmp_path / "report" / "report.json").read_text(encoding="utf-8"))
+    assert report["counts"] == {"findings": 0, "surveys": 0, "trades": 0}
+    assert all(value is None for value in report["dynamics"].values())
+    [pooled] = report["table1"]["rows"]
+    assert pooled["project"] == "Pooled" and pooled["replication_rate"] is None
