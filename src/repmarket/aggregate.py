@@ -22,7 +22,7 @@ import numpy as np
 # trades_for stays bound here: code that reads or patches aggregate.trades_for relies on it
 from .dataset import Dataset, closed_windows, trades_for, write_csv  # noqa: F401
 from .errors import AllWeightsZero, EmptyMarket, NoSurveyResponses, OutOfRange
-from .stats import left_sum
+from .stats import left_sum, mean_var
 
 METHOD_MARKET = "market_final_price"
 METHOD_MEAN = "survey_mean"
@@ -105,9 +105,10 @@ def _voting(ds: Dataset, threshold: float) -> tuple:
     return _quotient(np.diff(votes[bounds]), n, answered), n, answered
 
 
-def _var_weighted(ds: Dataset, w: np.ndarray) -> tuple:
-    """The weighted mean of each group's beliefs, `w` weighing each row of
-    ``ds.survey_columns``."""
+def _var_weighted(ds: Dataset, weights: dict[str, float]) -> tuple:
+    """The weighted mean of each group's beliefs, `weights` mapping forecaster
+    id to weight (absent ids weigh 0)."""
+    w = np.array([weights.get(f, 0.0) for f in ds.survey_columns.forecaster.tolist()], float)
     bounds = ds.survey_columns.bounds
     n = np.diff(bounds)
     total = _left_sums(w.tolist(), bounds)
@@ -148,25 +149,14 @@ def survey_voting(ds: Dataset, finding_id: str,
     return _one(METHOD_VOTING, _voting(ds, threshold), ds, finding_id)
 
 
-def _variances(ds: Dataset) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
-    """The forecasters, numbered in the order they first occur in
-    ``ds.survey_columns``, the number of each row's forecaster, and the sample
-    variance (n-1 divisor) of each forecaster's beliefs, summed in load order:
-    0 for fewer than two."""
-    surveys = ds.survey_columns
-    forecasters = surveys.forecaster.tolist()
-    codes = {f: k for k, f in enumerate(dict.fromkeys(forecasters))}
-    who = np.fromiter(map(codes.__getitem__, forecasters), dtype=np.int64, count=len(forecasters))
-    # one group a forecaster, each forecaster's beliefs in load order
-    order = np.lexsort((surveys.load_index, who))
-    beliefs = surveys.belief[order]
-    bounds = np.searchsorted(who[order], np.arange(len(codes) + 1)).tolist()
-    n = np.diff(bounds)
-    mean = _left_sums(beliefs.tolist(), bounds) / n
-    # Python's float power, as stats.mean_var squares: numpy squares by
-    # multiplying, which rounds some squares differently
-    squares = [d ** 2 for d in (beliefs - np.repeat(mean, n)).tolist()]
-    return codes, who, np.where(n > 1, _left_sums(squares, bounds) / np.maximum(n - 1, 1), 0.0)
+def _weights(ds: Dataset) -> dict[str, float]:
+    """Each forecaster's weight: the sample variance of their beliefs in load
+    order (`stats.mean_var`)."""
+    surveys = ds.survey_columns.in_load_order()
+    beliefs: dict[str, list[float]] = {}
+    for forecaster, belief in zip(surveys.forecaster.tolist(), surveys.belief.tolist()):
+        beliefs.setdefault(forecaster, []).append(belief)
+    return {f: mean_var(b)[1] for f, b in beliefs.items()}
 
 
 def forecaster_weights(ds: Dataset) -> list[ForecasterWeight]:
@@ -175,17 +165,14 @@ def forecaster_weights(ds: Dataset) -> list[ForecasterWeight]:
 
     Forecasters with fewer than two responses get weight 0.
     """
-    codes, _, variances = _variances(ds)
-    weight = dict(zip(codes, variances.tolist()))
-    return [ForecasterWeight(forecaster, weight[forecaster]) for forecaster in sorted(weight)]
+    return [ForecasterWeight(f, w) for f, w in sorted(_weights(ds).items())]
 
 
 def survey_var_weighted(ds: Dataset, finding_id: str,
                         weights: dict[str, float]) -> AggregateForecast:
     """Variance-weighted mean of the finding's survey responses, with
     `weights` mapping forecaster id to weight (absent ids weigh 0)."""
-    w = np.array([weights.get(f, 0.0) for f in ds.survey_columns.forecaster.tolist()], float)
-    return _one(METHOD_VAR_WEIGHTED, _var_weighted(ds, w), ds, finding_id)
+    return _one(METHOD_VAR_WEIGHTED, _var_weighted(ds, weights), ds, finding_id)
 
 
 def check_threshold(threshold: float) -> None:
@@ -206,11 +193,8 @@ def aggregate_all(ds: Dataset, methods=ALL_METHODS,
         METHOD_MEAN: _mean,
         METHOD_MEDIAN: _median,
         METHOD_VOTING: lambda ds: _voting(ds, threshold),
+        METHOD_VAR_WEIGHTED: lambda ds: _var_weighted(ds, _weights(ds)),
     }
-    if METHOD_VAR_WEIGHTED in methods:
-        # each row weighs what forecaster_weights gives its forecaster
-        _, who, variances = _variances(ds)
-        rules[METHOD_VAR_WEIGHTED] = lambda ds: _var_weighted(ds, variances[who])
     if not set(methods) <= rules.keys():
         raise ValueError(f"unknown methods {sorted(set(methods) - rules.keys())}")
     columns = [(method, *(a.tolist() for a in rules[method](ds))) for method in methods]

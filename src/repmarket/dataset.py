@@ -18,6 +18,7 @@ import csv
 import json
 import sys
 from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
@@ -27,7 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidMapping, MissingColumn, MissingInput, OutOfRange, UnknownFinding
+from .errors import (InvalidMapping, MissingColumn, MissingInput, OutOfRange, UnknownFinding,
+                     UnreadableInput)
 
 PROJECTS = ("RPP", "EERP", "ML2", "SSRP")
 SIDES = ("YES", "NO")
@@ -560,18 +562,33 @@ class Dataset:
         return window_ends(self, self.market_columns["market_close"])
 
 
-def load_mapping(path: str | Path) -> dict:
-    """Read a column-mapping file: {table: {canonical_field: source_column}}.
-    :func:`load_dataset` checks it against the schema."""
+@contextmanager
+def _opened(path: str | Path, what: str, **kwargs):
+    """The input file `what` open for reading text: MissingInput when it does
+    not exist, UnreadableInput when it cannot be opened or is not UTF-8."""
     try:
-        fh = open(path, encoding="utf-8-sig")
+        fh = open(path, encoding="utf-8-sig", **kwargs)
     except FileNotFoundError:
-        raise MissingInput("mapping", path) from None
+        raise MissingInput(what, path) from None
+    except OSError as exc:
+        raise UnreadableInput(what, path, exc.strerror) from None
     with fh:
         try:
-            return json.load(fh)
+            yield fh
+        except UnicodeDecodeError:
+            raise UnreadableInput(what, path, "not UTF-8 text") from None
+
+
+def load_mapping(path: str | Path) -> dict:
+    """Read a column-mapping file: {table: {canonical_field: source_column}},
+    checked against the schema."""
+    with _opened(path, "mapping") as fh:
+        try:
+            mapping = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidMapping(f"{path} is not JSON: {exc}") from None
+    _check_mapping(mapping)
+    return mapping
 
 
 def _check_mapping(mapping: dict) -> None:
@@ -582,6 +599,10 @@ def _check_mapping(mapping: dict) -> None:
     for table, names in mapping.items():
         if table not in TABLE_FIELDS:
             raise InvalidMapping(f"mapping names unknown table {table!r}")
+        for name, column in names.items():
+            if not isinstance(column, str):
+                raise InvalidMapping(f"mapping gives {table} field {name!r} the column "
+                                     f"{column!r}, which is not a column name")
         unknown = [name for name in names if name not in TABLE_FIELDS[table]]
         if unknown:
             raise InvalidMapping(f"mapping names unknown {table} fields {unknown}; the "
@@ -798,21 +819,18 @@ def _read_blocks(path: str | Path, table: str, fields: tuple[str, ...],
 
     The file is read as csv.DictReader reads it: blank lines are skipped and
     get no number, a short row reads its missing fields as empty, and of
-    repeated column names the last one is read. An optional field without a
-    column reads as empty; a required one raises MissingColumn.
+    repeated column names the last one is read. An unmapped optional field
+    without its column reads as empty; any other field without its column
+    raises MissingColumn.
     """
     names = (mapping or {}).get(table, {})
-    try:
-        fh = open(path, newline="", encoding="utf-8-sig")
-    except FileNotFoundError:
-        raise MissingInput(f"{table} table", path) from None
-    with fh:
+    with _opened(path, f"{table} table", newline="") as fh:
         reader = csv.reader(fh)
         position = {name: i for i, name in enumerate(next(reader, []))}
         read = []  # (a field's index in `fields`, its index in a row)
         for k, fld in enumerate(fields):
             col = names.get(fld, fld)
-            if col not in position and fld not in OPTIONAL_FIELDS:
+            if col not in position and (fld in names or fld not in OPTIONAL_FIELDS):
                 raise MissingColumn(table, col)
             if col in position:
                 read.append((k, position[col]))
@@ -848,13 +866,15 @@ def load_dataset(outcomes_path: str | Path, surveys_path: str | Path,
     row with it is accepted. Trades outside their market's window are kept:
     ``outside_window`` is reported by :func:`validate` only. Survey responses
     and trades are kept as columns and build no records. Categories are taken
-    at ``p_threshold``. A mapping column missing from a file header raises
-    :class:`MissingColumn` for required fields; optional fields
-    (``original_p_value``, ``side``, ``quantity``) may be absent. A mapping
-    that names a table or field the schema lacks raises
-    :class:`InvalidMapping`.
+    at ``p_threshold``. A column that the mapping names, or a required
+    field's own column, missing from its file header raises
+    :class:`MissingColumn`. An optional field (``original_p_value``,
+    ``side``, ``quantity``) that the mapping leaves out may lack its column
+    and then reads as empty. A mapping that is not an object of
+    {table: {field: column name}} over the schema's tables and fields raises
+    :class:`InvalidMapping`; ``None`` is no mapping.
     """
-    _check_mapping(mapping or {})
+    _check_mapping({} if mapping is None else mapping)
     report = ValidationReport()
     findings = _load_findings(_read_blocks(outcomes_path, "outcomes", OUTCOME_FIELDS, mapping),
                               p_threshold, report)

@@ -34,6 +34,14 @@ class MissingInput(RepmarketError, FileNotFoundError):
         super().__init__(f"{what} file {str(path)!r} does not exist")
 
 
+class UnreadableInput(RepmarketError):
+    """An input file, one of the three tables or a column mapping, that exists
+    but cannot be read as UTF-8 text (a directory, say)."""
+
+    def __init__(self, what: str, path, reason: str):
+        super().__init__(f"{what} file {str(path)!r} cannot be read: {reason}")
+
+
 class NoInputPath(RepmarketError):
     """Neither an input table's option nor the data directory gives its path."""
 

@@ -204,7 +204,10 @@ def settle(ms: MarketState, outcome: int) -> tuple[MarketState, dict[str, float]
 
 def replay(ds: Dataset, finding_id: str, mode: str = PRICE_TAKING,
            liquidity_b: float | None = None) -> list[float]:
-    """Price time series of one market, ending with its final price.
+    """Price time series of one market: one price after each of its trades as
+    recorded, those after its close included (`validate` reports them as
+    ``outside_window``). So the series ends with the market's final price
+    only when no trade follows its close.
 
     price_taking returns the recorded post-trade prices verbatim. simulated
     returns the maker's YES price, at the given liquidity, after each running

@@ -98,6 +98,18 @@ def test_forecaster_weights():
     assert weights["flat"] == 0.0
 
 
+def test_aggregate_all_weighs_forecasters_only_for_the_var_weighted_method(
+        fixture_ds, monkeypatch):
+    def weights(ds):
+        raise AssertionError("forecaster weights computed")
+
+    monkeypatch.setattr(aggregate, "_weights", weights)
+    others = [m for m in aggregate.ALL_METHODS if m != aggregate.METHOD_VAR_WEIGHTED]
+    assert {f.method for f in aggregate.aggregate_all(fixture_ds, methods=others)} == set(others)
+    with pytest.raises(AssertionError, match="forecaster weights computed"):
+        aggregate.aggregate_all(fixture_ds)
+
+
 def test_survey_var_weighted_hand_value():
     f = make_finding("F1")
     ds = make_dataset([f], surveys=[survey("F1", "a", 0.8), survey("F1", "b", 0.2)])

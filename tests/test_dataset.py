@@ -8,13 +8,15 @@ from repmarket.dataset import (
     DEFAULT_P_THRESHOLD,
     format_timestamp,
     load_dataset,
+    load_mapping,
     parse_timestamp,
     surveys_for,
     trades_for,
     validate,
     write_dataset,
 )
-from repmarket.errors import InvalidMapping, MissingColumn, MissingInput, UnknownFinding
+from repmarket.errors import (InvalidMapping, MissingColumn, MissingInput, UnknownFinding,
+                              UnreadableInput)
 
 from conftest import OUTCOMES_CSV, SURVEYS_CSV, TRADES_CSV, write_fixture_files
 from helpers import BASE_MS, HOUR_MS, make_dataset, make_finding, make_trade, survey
@@ -146,6 +148,34 @@ def test_mapping_of_an_unknown_table_or_field_is_refused(tmp_path, mapping):
     with pytest.raises(InvalidMapping) as raised:
         load_dataset(paths["outcomes"], paths["surveys"], paths["trades"], mapping=mapping)
     assert isinstance(raised.value, ValueError)
+
+
+@pytest.mark.parametrize("table, field, column", [
+    ("trades", "side", "direction"), ("trades", "quantity", "qty"),
+    ("outcomes", "original_p_value", "pval"), ("trades", "side", "")])
+def test_an_optional_field_mapped_to_a_missing_column_is_refused(tmp_path, table, field, column):
+    # unmapped, the field would read as empty: every side YES, no quantity or p-value
+    paths = write_fixture_files(tmp_path)
+    with pytest.raises(MissingColumn) as raised:
+        load_dataset(paths["outcomes"], paths["surveys"], paths["trades"],
+                     mapping={table: {field: column}})
+    assert (raised.value.table, raised.value.column) == (table, column)
+
+
+@pytest.mark.parametrize("mapping", [
+    [], 0, "", False, {"trades": {"side": 3}}, {"surveys": {"belief": None}}])
+def test_a_mapping_that_is_not_an_object_of_column_names_is_refused(tmp_path, mapping):
+    paths = write_fixture_files(tmp_path)
+    with pytest.raises(InvalidMapping):
+        load_dataset(paths["outcomes"], paths["surveys"], paths["trades"], mapping=mapping)
+
+
+@pytest.mark.parametrize("text", ["[]", "null", "0", '""', "false"])
+def test_a_mapping_file_that_is_not_an_object_is_refused(tmp_path, text):
+    path = tmp_path / "mapping.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InvalidMapping):
+        load_mapping(path)
 
 
 def test_category_derived_from_p_value_with_warning(tmp_path):
@@ -322,6 +352,21 @@ def test_missing_table_names_table_and_path(tmp_path):
     with pytest.raises(MissingInput, match="trades table file .*trades.csv") as raised:
         load_dataset(paths["outcomes"], paths["surveys"], paths["trades"])
     assert isinstance(raised.value, FileNotFoundError)
+
+
+@pytest.mark.parametrize("table", ["outcomes", "surveys", "trades", "mapping"])
+@pytest.mark.parametrize("unreadable", ["directory", "not_utf8"])
+def test_an_unreadable_input_names_its_table_and_path(tmp_path, table, unreadable):
+    paths = {**write_fixture_files(tmp_path), "mapping": tmp_path / "mapping.json"}
+    paths["mapping"].write_text("{}", encoding="utf-8")
+    paths[table] = tmp_path / "unreadable"
+    if unreadable == "directory":
+        paths[table].mkdir()
+    else:
+        paths[table].write_bytes(b"finding_id\n\xff\xfe\n")
+    with pytest.raises(UnreadableInput, match=f"{table} .*unreadable.* cannot be read"):
+        load_dataset(paths["outcomes"], paths["surveys"], paths["trades"],
+                     mapping=load_mapping(paths["mapping"]))
 
 
 def test_synth_dataset_is_valid(synth_ds):

@@ -1,9 +1,12 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
 from repmarket import lmsr
+from repmarket.aggregate import market_final_price
+from repmarket.dataset import validate
 from repmarket.errors import (
     EmptyMarket,
     InsufficientHoldings,
@@ -309,3 +312,22 @@ def test_simulated_replay_checks_the_liquidity_before_the_market(b, error):
     ds = make_dataset([make_finding("F9")])
     with pytest.raises(error):
         lmsr.replay(ds, "F9", mode=lmsr.SIMULATED, liquidity_b=b)
+
+
+def test_replay_gives_every_trade_of_the_market_those_after_its_close_included():
+    """The series ends with the final price only when no trade follows the
+    close: replay reads every trade as recorded, and validate flags the late
+    ones as outside_window."""
+    ds = synthetic_dataset(seed=3)
+    f001 = ds.findings[0]
+    times = [t.timestamp for t in ds.trades if t.finding_id == f001.finding_id]
+    ds = dataclasses.replace(ds, findings=[dataclasses.replace(f001, market_close=times[9])]
+                             + ds.findings[1:])
+    prices = lmsr.replay(ds, f001.finding_id)
+    assert prices == [t.post_trade_price for t in ds.trades if t.finding_id == f001.finding_id]
+    final = market_final_price(ds, f001.finding_id)
+    assert (len(prices), final.n_inputs) == (19, 10)
+    assert final.value == prices[9] != prices[-1]
+    late = [v.row for v in validate(ds).errors
+            if v.kind == "outside_window" and v.table == "trades"]
+    assert len(late) == 9

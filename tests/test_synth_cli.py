@@ -190,6 +190,44 @@ def test_cli_missing_input_exits_cleanly(tmp_path, capsys, missing):
     assert not (tmp_path / "out" / "validation.json").exists()
 
 
+@pytest.mark.parametrize("mapping, error", [
+    ({"trades": {"side": "direction"}}, "MissingColumn"),
+    ({"trades": {"quantity": "qty"}}, "MissingColumn"),
+    ({"outcomes": {"original_p_value": "pval"}}, "MissingColumn"),
+    ({"trades": {"side": 3}}, "InvalidMapping"),
+    ([], "InvalidMapping"), (None, "InvalidMapping"), (0, "InvalidMapping"),
+    ("", "InvalidMapping"), (False, "InvalidMapping")])
+def test_cli_a_mapping_that_would_drop_data_exits_cleanly(tmp_path, capsys, mapping, error):
+    paths = write_fixture_files(tmp_path / "data")
+    mapping_path = tmp_path / "mapping.json"
+    mapping_path.write_text(json.dumps(mapping))
+    rc = main(["validate", *_data_args(paths), "--mapping", str(mapping_path),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out" / "validation.json").exists()
+
+
+@pytest.mark.parametrize("table", ["outcomes", "surveys", "trades", "mapping"])
+@pytest.mark.parametrize("unreadable", ["directory", "not_utf8"])
+def test_cli_unreadable_input_exits_cleanly(tmp_path, capsys, table, unreadable):
+    paths = {**write_fixture_files(tmp_path / "data"), "mapping": tmp_path / "mapping.json"}
+    paths["mapping"].write_text("{}")
+    paths[table] = tmp_path / "unreadable"
+    if unreadable == "directory":
+        paths[table].mkdir()
+    else:
+        paths[table].write_bytes(b"finding_id\n\xff\xfe\n")
+    rc = main(["validate", *_data_args(paths), "--mapping", str(paths["mapping"]),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: UnreadableInput: ") and err.count("\n") == 1
+    assert table in err and repr(str(paths[table])) in err
+    assert not (tmp_path / "out" / "validation.json").exists()
+
+
 def test_pipeline_tolerates_empty_market(tmp_path):
     from repmarket.cli import run_pipeline
     from repmarket.dataset import Dataset, Finding
