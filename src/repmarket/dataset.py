@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import csv
 import json
-import sys
+from collections import defaultdict
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, count, islice
 from operator import attrgetter
 from pathlib import Path
 
@@ -263,12 +263,16 @@ class _Columns:
     @classmethod
     def concatenated(cls, blocks: list):
         """The rows of the blocks, one block after another, numbered 0...n-1
-        in load order: a table read in blocks as one."""
+        in load order: a table read in blocks as one. The list is emptied, and
+        each column of the blocks goes as soon as it is joined."""
         if len(blocks) == 1:
-            return blocks[0]
-        joined = {f.name: np.concatenate([getattr(b, f.name) for b in blocks])
-                  for f in fields(cls)[1:]}
-        return replace(blocks[0], **{**joined, "load_index": np.arange(len(joined["load_index"]))})
+            return blocks.pop()
+        finding_ids = blocks[0].finding_ids
+        parts = {f.name: [getattr(b, f.name) for b in blocks] for f in fields(cls)[1:]}
+        blocks.clear()
+        joined = {name: np.concatenate(parts.pop(name)) for name in list(parts)}
+        joined["load_index"] = np.arange(len(joined["load_index"]))
+        return cls(finding_ids, **joined)
 
     @classmethod
     def from_records(cls, records: list, findings: list[Finding]):
@@ -391,30 +395,62 @@ def first_by_id(findings: list[Finding]) -> dict[str, Finding]:
     return by_id
 
 
-def _codes(fids: list[str], finding_ids: list[str]) -> np.ndarray:
-    """Each fid's index into finding_ids, or -1 where finding_ids lacks it."""
+def _distinct(values) -> tuple[list, np.ndarray]:
+    """The distinct values in the order they first occur, and the index of
+    each value among them: one dict lookup a value, made in C."""
+    index = defaultdict(count().__next__)
+    inverse = np.fromiter(map(index.__getitem__, values), np.int64, len(values))
+    return list(index), inverse
+
+
+def _shared(values, convert=None) -> np.ndarray:
+    """The values, or convert(value) of each, as an object column that holds
+    one object a distinct value: equal texts read from a file can go, and
+    convert runs once a distinct value."""
+    distinct, inverse = _distinct(values)
+    return np.array(list(map(convert, distinct)) if convert else distinct, dtype=object)[inverse]
+
+
+def _coded(fids, finding_ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The fids as a column of one object a distinct id, and each fid's index
+    into finding_ids, -1 where finding_ids lacks it."""
+    distinct, inverse = _distinct(fids)
     group = {fid: k for k, fid in enumerate(finding_ids)}
-    return np.array([group.get(fid, -1) for fid in fids], dtype=np.int64)
+    return (np.array(distinct, dtype=object)[inverse],
+            np.array([group.get(fid, -1) for fid in distinct], dtype=np.int64)[inverse])
+
+
+def _parsed(column) -> bool:
+    """Whether a column of numbers came parsed, as float64, from numpy's
+    reader (see _read_blocks), not as texts."""
+    return isinstance(column, np.ndarray) and column.dtype == np.float64
+
+
+def _recorded(quantities) -> tuple[np.ndarray, np.ndarray]:
+    """The quantities as float64, NaN where none is recorded (None), and the
+    mask of the recorded ones. A parsed column records every quantity."""
+    if _parsed(quantities):
+        return quantities, np.ones(len(quantities), dtype=bool)
+    return (np.array(quantities, dtype=float),
+            np.not_equal(np.array(quantities, dtype=object), None))
 
 
 def _survey_columns(finding_ids: list[str], fids, forecasters, beliefs,
                     source_row: np.ndarray) -> SurveyColumns:
     """Columns of the rows' values, numbered 0...n-1 in load order as given."""
-    return SurveyColumns(
-        finding_ids, np.array(fids, dtype=object), _codes(fids, finding_ids),
-        np.array(forecasters, dtype=object), np.array(beliefs, dtype=float),
-        np.arange(len(fids)), source_row)
+    fid_column, finding = _coded(fids, finding_ids)
+    return SurveyColumns(finding_ids, fid_column, finding, _shared(forecasters),
+                         np.array(beliefs, dtype=float), np.arange(len(fid_column)), source_row)
 
 
 def _trade_columns(finding_ids: list[str], fids, traders, timestamp: np.ndarray, sides,
                    quantities, prices, seq: np.ndarray, source_row: np.ndarray) -> TradeColumns:
     """Columns of the rows' values, numbered 0...n-1 in load order as given."""
-    sides = np.array(sides, dtype=object)
+    fid_column, finding = _coded(fids, finding_ids)
+    sides = np.asarray(sides, dtype=object)
     return TradeColumns(
-        finding_ids, np.array(fids, dtype=object), _codes(fids, finding_ids),
-        np.array(traders, dtype=object), timestamp, sides, sides == "YES", sides == "NO",
-        np.array(quantities, dtype=float),
-        np.array([q is not None for q in quantities], dtype=bool),
+        finding_ids, fid_column, finding, _shared(traders), timestamp, sides,
+        sides == "YES", sides == "NO", *_recorded(quantities),
         np.array(prices, dtype=float), seq, np.arange(len(timestamp)), source_row)
 
 
@@ -753,11 +789,9 @@ def _finding_faults(f: Finding, seen_ids, p_threshold: float) -> tuple:
 def _repeats(s: SurveyColumns, seen: np.ndarray) -> np.ndarray:
     """The rows whose (finding, forecaster) pair is on an earlier row that
     `seen` marks. The rows of one pair lie in load order in every table."""
-    codes: dict[str, int] = {}
-    forecaster = np.array([codes.setdefault(f, len(codes)) for f in s.forecaster.tolist()],
-                          dtype=np.int64)
+    forecasters, forecaster = _distinct(s.forecaster)
     # one number a pair: an unknown finding's -1 gives numbers below 0
-    pair = s.finding * len(codes) + forecaster
+    pair = s.finding * len(forecasters) + forecaster
     counted = np.flatnonzero(seen)
     if not len(counted):
         return np.zeros(len(s), dtype=bool)
@@ -811,45 +845,108 @@ def _faulty_rows(faults: list[tuple]) -> np.ndarray:
     return np.flatnonzero(np.logical_or.reduce([mask for _, _, mask, _ in faults]))
 
 
-def _read_blocks(path: str | Path, table: str, fields: tuple[str, ...],
-                 mapping: dict | None) -> Iterator[list[list[str]]]:
-    """The stripped value of each field in each data row, one list per field,
-    for each block of _BLOCK_ROWS rows in turn (the last block is shorter; an
-    empty table gives one empty block).
+# The characters besides the line ends that `str.strip` takes off a field of
+# an ASCII text, and NUL, which csv refuses before Python 3.11
+_UNCLEAN = (" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x00")
+# The fields numpy's reader parses as numbers; every other field stays text
+_NUMBERS = frozenset({"belief", "quantity", "post_trade_price"})
 
-    The file is read as csv.DictReader reads it: blank lines are skipped and
-    get no number, a short row reads its missing fields as empty, and of
-    repeated column names the last one is read. An unmapped optional field
-    without its column reads as empty; any other field without its column
-    raises MissingColumn.
+
+def _read_blocks(path: str | Path, table: str, fields: tuple[str, ...],
+                 mapping: dict | None) -> Iterator[list]:
+    """The value of each field in each data row, one column per field, for
+    each block of _BLOCK_ROWS lines of the file in turn (a header-only table
+    gives one empty block).
+
+    The file is read as csv.DictReader reads it, each field stripped: blank
+    lines are skipped and get no number, a short row reads its missing fields
+    as empty, and of repeated column names the last one is read. An unmapped
+    optional field without its column reads as empty; any other field
+    without its column raises MissingColumn.
+
+    When the header has every field's column, a clean block (see
+    `_numpy_block`) is read by numpy's reader: the _NUMBERS fields as
+    float64 columns, the others as object columns of texts, with the values
+    csv.reader gives. Any other block is read by csv.reader from its lines, as
+    stripped texts in lists; when a quoted field runs past the block's last
+    line, the block reads on to the end of that record. A field over
+    csv.field_size_limit() raises UnreadableInput.
     """
     names = (mapping or {}).get(table, {})
-    with _opened(path, f"{table} table", newline="") as fh:
+    what = f"{table} table"
+    with _opened(path, what, newline="") as fh:
         reader = csv.reader(fh)
-        position = {name: i for i, name in enumerate(next(reader, []))}
-        read = []  # (a field's index in `fields`, its index in a row)
-        for k, fld in enumerate(fields):
-            col = names.get(fld, fld)
-            if col not in position and (fld in names or fld not in OPTIONAL_FIELDS):
-                raise MissingColumn(table, col)
-            if col in position:
-                read.append((k, position[col]))
-        width = max(i for _, i in read) + 1
-        rows = filter(None, reader)
-        while True:
-            columns = [[] for _ in fields]
-            appends = [(columns[k].append, i) for k, i in read]
-            # a row's list goes as soon as its values are taken: rows kept alive
-            # by the thousand would set off the garbage collector again and again
-            for raw in islice(rows, _BLOCK_ROWS):
-                if len(raw) < width:
-                    raw += [""] * (width - len(raw))
-                for append, i in appends:
-                    append(raw[i].strip())
-            lines = len(columns[read[0][0]])
-            yield [column or [""] * lines for column in columns]
-            if lines < _BLOCK_ROWS:
-                return
+        done = 0  # the lines read before `reader`'s first
+        try:
+            position = {name: i for i, name in enumerate(next(reader, []))}
+            read = []  # (a field's index in `fields`, its index in a row)
+            for k, fld in enumerate(fields):
+                col = names.get(fld, fld)
+                if col not in position and (fld in names or fld not in OPTIONAL_FIELDS):
+                    raise MissingColumn(table, col)
+                if col in position:
+                    read.append((k, position[col]))
+            width = max(i for _, i in read) + 1
+            dtype = [(fields[k], "f8" if fields[k] in _NUMBERS else "O") for k, _ in read]
+            usecols = [i for _, i in read]
+            done = reader.line_num
+            while True:
+                lines = list(islice(fh, _BLOCK_ROWS))
+                parsed = _numpy_block(lines, dtype, usecols) if len(read) == len(fields) else None
+                if parsed is not None:
+                    done += len(lines)
+                    yield parsed
+                else:
+                    reader = csv.reader(chain(lines, fh))
+                    yield _csv_block(reader, len(lines), width, read, len(fields))
+                    done += reader.line_num
+                if len(lines) < _BLOCK_ROWS:
+                    return
+        except csv.Error as exc:
+            raise UnreadableInput(what, path, f"line {done + reader.line_num}: {exc}") from None
+
+
+def _numpy_block(lines: list[str], dtype: list[tuple], usecols: list[int]) -> list | None:
+    """The columns of a clean block of lines as numpy's reader reads them,
+    one column a field of `dtype`, else None. A block is clean when its text
+    is ASCII without a quote, it has a line that is not blank and none is
+    longer than csv.field_size_limit(), and no character but the line ends is
+    one `str.strip` takes off: then each line is one record whose fields
+    need no stripping, and csv.reader reads the same texts. A clean block
+    that numpy refuses (a short row, an empty or odd number: `1_0`, say,
+    which float() reads) gives None too."""
+    text = "".join(lines)
+    if (not text or text.isspace() or not text.isascii() or '"' in text
+            or any(c in text for c in _UNCLEAN)
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    del text
+    try:
+        block = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, usecols=usecols,
+                           ndmin=1)
+    except ValueError:
+        return None
+    # each column a copy: a view would keep every text of the block alive
+    return [block[name].copy() for name, _ in dtype]
+
+
+def _csv_block(reader, lines: int, width: int, read: list[tuple], n_fields: int) -> list:
+    """The stripped texts of the rows csv.reader reads from a block's lines
+    (and on to the end of the record it is in at the last), one list a field."""
+    columns = [[] for _ in range(n_fields)]
+    appends = [(columns[k].append, i) for k, i in read]
+    # a row's list goes as soon as its values are taken: rows kept alive by
+    # the thousand would set off the garbage collector again and again
+    for raw in reader:
+        if raw:
+            if len(raw) < width:
+                raw += [""] * (width - len(raw))
+            for append, i in appends:
+                append(raw[i].strip())
+        if reader.line_num >= lines:
+            break
+    rows = len(columns[read[0][0]])
+    return [column or [""] * rows for column in columns]
 
 
 def load_dataset(outcomes_path: str | Path, surveys_path: str | Path,
@@ -873,6 +970,14 @@ def load_dataset(outcomes_path: str | Path, surveys_path: str | Path,
     and then reads as empty. A mapping that is not an object of
     {table: {field: column name}} over the schema's tables and fields raises
     :class:`InvalidMapping`; ``None`` is no mapping.
+
+    Each table is read in blocks of lines (see ``_read_blocks``): numpy's
+    reader takes a block of ASCII lines with no quote, no whitespace but the
+    line ends and every field's column in the header, and ``csv.reader``
+    (each field stripped, numbers read by ``float``) takes every other
+    block and any block numpy refuses, with the same values and faults. A
+    field longer than ``csv.field_size_limit()`` raises
+    :class:`UnreadableInput`, which names its line.
     """
     _check_mapping({} if mapping is None else mapping)
     report = ValidationReport()
@@ -887,7 +992,7 @@ def load_dataset(outcomes_path: str | Path, surveys_path: str | Path,
     return Dataset(findings, surveys, trades, load_report=report, p_threshold=p_threshold)
 
 
-def _load_findings(blocks: Iterator[list[list[str]]], p_threshold: float,
+def _load_findings(blocks: Iterator[list], p_threshold: float,
                    report: ValidationReport) -> list[Finding]:
     """The accepted rows of an outcomes table read in blocks, as records. A
     rejected row gets one error, its first text fault, else its first rule
@@ -932,14 +1037,16 @@ def _accepted(table: str, columns: _Columns, clean: np.ndarray, text_faults: dic
     return kept
 
 
-def _load_table(table: str, blocks: Iterator[list[list[str]]], parse, rule,
+def _load_table(table: str, blocks: Iterator[list], parse, rule,
                 finding_ids: list[str], report: ValidationReport) -> _Columns:
     """The accepted rows of a table read in blocks, as columns grouped in the
     table's ORDER. parse(texts, finding_ids, first) gives the columns of a
     block whose first row has load index `first`, and its text faults numbered
     from 1 in the block; the block's texts then go. rule(columns, clean) gives
     the table's rule over the whole columns, where `clean` marks the rows
-    without a text fault."""
+    without a text fault. Each column is built once: a block's column goes
+    as it is joined into the table's, and each of these goes once its
+    accepted rows are gathered in the table's order."""
     parts, faults = [], {}
     lines = 0
     for texts in blocks:
@@ -947,32 +1054,36 @@ def _load_table(table: str, blocks: Iterator[list[list[str]]], parse, rule,
         faults.update((lines + row, fault) for row, fault in block_faults.items())
         parts.append(columns)
         lines += len(columns)
-    columns = type(parts[0]).concatenated(parts)
+    kind = type(parts[0])
+    columns = kind.concatenated(parts)
     clean = np.ones(lines, dtype=bool)
     clean[[row - 1 for row in faults]] = False
     kept = _accepted(table, columns, clean, faults, rule(columns, clean), report)
-    if len(kept) < lines:
-        # an accepted row's place in load order is its place among the accepted rows
-        number = np.arange(len(kept))
-        columns = replace(columns[kept], **dict.fromkeys(columns.LOAD_ORDER, number))
-    return columns.grouped()
+    # the accepted rows in the table's ORDER; an accepted row's place in load
+    # order is its place among the accepted rows, which keeps their order
+    order = np.lexsort([getattr(columns, name)[kept] for name in reversed(kind.ORDER)])
+    rows = kept[order]
+    values = {f.name: getattr(columns, f.name) for f in fields(kind)}
+    del columns
+    for name in values.keys() - {"finding_ids"}:
+        values[name] = order if name in kind.LOAD_ORDER else values[name][rows]
+    return kind(**values)
 
 
-def _survey_block(texts: list[list[str]], finding_ids: list[str],
-                  first: int) -> tuple[SurveyColumns, dict]:
+def _survey_block(texts: list, finding_ids: list[str], first: int) -> tuple[SurveyColumns, dict]:
     """The columns of a block of a surveys table, and its text faults. A
     belief that did not parse reads as NaN, and the row is rejected on its
     text alone."""
     fids, forecasters, beliefs = texts
     texts.clear()  # each text column goes once it is parsed
     faults = _empty_ids(fids, forecasters, "forecaster_id")
-    beliefs = _parse_column(float, beliefs, "belief", "belief", faults)
-    return _survey_columns(finding_ids, list(map(sys.intern, fids)),
-                           list(map(sys.intern, forecasters)), beliefs,
+    if not _parsed(beliefs):
+        beliefs = _parse_column(float, beliefs, "belief", "belief", faults)
+    return _survey_columns(finding_ids, fids, forecasters, beliefs,
                            np.arange(first + 1, first + len(fids) + 1)), faults
 
 
-def _parse_instants(texts: list[str], faults: dict) -> np.ndarray:
+def _parse_instants(texts, faults: dict) -> np.ndarray:
     """parse_timestamp of every text as an int64 column, 0 where a text does
     not parse and its row gets the fault `_parse_column` words. Texts of
     format_timestamp's shape are parsed by numpy at once (_canonical_instants);
@@ -985,7 +1096,7 @@ def _parse_instants(texts: list[str], faults: dict) -> np.ndarray:
                     dtype=np.int64)
 
 
-def _parse_trades(columns: list[list[str]]) -> tuple[list, dict]:
+def _parse_trades(columns: list) -> tuple[list, dict]:
     """The value columns of a trades table, and the first text fault of each
     row that has one (ids, then timestamp, quantity and price). A timestamp
     that does not parse reads as 0 and any other text as None; a row without
@@ -994,17 +1105,16 @@ def _parse_trades(columns: list[list[str]]) -> tuple[list, dict]:
     columns.clear()  # each text column goes once it is parsed
     faults = _empty_ids(fids, traders, "trader_id")
     timestamps = _parse_instants(timestamps, faults)
-    # float alone where no quantity is empty: the same values, without a Python call a row
-    quantities = _parse_column(float if all(quantities) else _optional_float, quantities,
-                               "quantity", "quantity", faults)
-    prices = _parse_column(float, prices, "post_trade_price", "price", faults)
-    # one string per finding id, trader id and side text: the texts read can go
-    return [list(map(sys.intern, fids)), list(map(sys.intern, traders)), timestamps,
-            [sys.intern(s.upper() or "YES") for s in sides], quantities, prices], faults
+    if not _parsed(prices):
+        # float alone where no quantity is empty: the same values, without a Python call a row
+        quantities = _parse_column(float if all(quantities) else _optional_float, quantities,
+                                   "quantity", "quantity", faults)
+        prices = _parse_column(float, prices, "post_trade_price", "price", faults)
+    sides = _shared(sides, lambda side: side.upper() or "YES")  # once a distinct text
+    return [fids, traders, timestamps, sides, quantities, prices], faults
 
 
-def _trade_block(texts: list[list[str]], finding_ids: list[str],
-                 first: int) -> tuple[TradeColumns, dict]:
+def _trade_block(texts: list, finding_ids: list[str], first: int) -> tuple[TradeColumns, dict]:
     """The columns of a block of a trades table, and its text faults. Loaded
     instants lie in the years 0001-9999, well inside _EXACT_MS; a price that
     did not parse reads as NaN, and the row is rejected on its text alone."""

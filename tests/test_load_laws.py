@@ -156,3 +156,110 @@ def test_load_rejects_the_rows_validate_flags(ds):
     assert loaded.surveys == [s for s in ds.surveys
                               if ("surveys", s.source_row) not in flagged]
     assert loaded.trades == [t for t in ds.trades if ("trades", t.source_row) not in flagged]
+
+
+# The loader's two readers (see test_read_paths.py, which holds the same
+# cases as fixed examples): whatever block numpy's reader takes loads as
+# csv.reader + strip + the number rules read it, bit for bit, and a number
+# that float() reads but numpy's reader refuses sends its block to csv.reader.
+
+from test_read_paths import (  # noqa: E402
+    OUTCOMES,
+    assert_same_load,
+    load,
+    oracle,
+    write_tables,
+)
+import csv  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from repmarket import dataset  # noqa: E402
+from repmarket.errors import UnreadableInput  # noqa: E402
+
+NUMBER_TEXTS = st.one_of(
+    st.floats().map(repr), st.integers(-3, 3).map(str),
+    st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "-0", "5e-324", "1e500",
+                     "1e-400", ".5", "5.", "+.5e+3", "0001", "1_0", "１", "٠.٥", "", " 0.5",
+                     "0.5\t", "0x1p-1", "1e", "cheap"]),
+    st.text(st.sampled_from(list("0123456789.e-+_ ni")), max_size=6))
+ID_TEXTS = st.one_of(
+    st.sampled_from(["F1", "F2", "F3", "", " F1 ", "alice", "bob"]),
+    st.text(st.sampled_from(list('aF1_," \t.-０é\xa0\x0c\x1f﻿')), max_size=4))
+TIME_TEXTS = st.sampled_from(["2020-01-06T01:00:00.000Z", "2020-01-07T00:00:00.000+00:00",
+                              "1578272400000", "2020-01-08T00:00:00.000Z", "soon", ""])
+SIDE_TEXTS = st.sampled_from(["YES", "NO", "no", "", "BUY", " YES"])
+ENDINGS = st.sampled_from(["\r\n", "\n", "\r"])
+
+
+def _cell(draw, texts):
+    """A field's text, quoted as csv writes it now and then."""
+    text = draw(texts)
+    return '"' + text.replace('"', '""') + '"' if draw(st.integers(0, 9)) == 0 else text
+
+
+@st.composite
+def table_lines(draw, columns):
+    """The lines of a table: rows of the columns' texts, now and then short,
+    long, blank or spaces alone, each with its own line end."""
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 19))
+        if kind == 0:
+            row = ""
+        elif kind == 1:
+            row = "  "
+        else:
+            cells = [_cell(draw, texts) for texts in columns]
+            if kind == 2:
+                cells = cells[:draw(st.integers(1, len(cells) - 1))]
+            elif kind == 3:
+                cells.append("extra")
+            row = ",".join(cells)
+        lines.append(row + draw(ENDINGS))
+    return lines
+
+
+def _write_lines(path, header, lines):
+    path.write_bytes((header + "\r\n" + "".join(lines)).encode("utf-8"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_lines([ID_TEXTS, ID_TEXTS, NUMBER_TEXTS]),
+       table_lines([ID_TEXTS, ID_TEXTS, TIME_TEXTS, SIDE_TEXTS, NUMBER_TEXTS, NUMBER_TEXTS]),
+       st.sampled_from([None, 1, 2, 3]))
+def test_every_block_loads_as_csv_reader_reads_it(surveys, trades, block_rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_tables(Path(tmp), outcomes=OUTCOMES)
+        _write_lines(paths["surveys"], ",".join(dataset.SURVEY_FIELDS), surveys)
+        _write_lines(paths["trades"], ",".join(dataset.TRADE_FIELDS), trades)
+        try:
+            expected = oracle(paths)
+        except UnreadableInput:  # csv refuses NUL before Python 3.11
+            with pytest.raises(UnreadableInput):
+                load(paths, block_rows=block_rows)
+            return
+        ds, _ = load(paths, block_rows=block_rows)
+    assert_same_load(ds, expected)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ID_TEXTS, NUMBER_TEXTS)
+def test_numpy_takes_a_line_only_as_csv_reader_and_float_read_it(fid, number):
+    line = f"{fid},{number}\r\n"
+    dtype = [("finding_id", "O"), ("belief", "f8")]
+    columns = dataset._numpy_block([line], dtype, [0, 1])
+    fields_read = next(csv.reader([line]))
+    try:
+        value = float(fields_read[1].strip()) if len(fields_read) > 1 else None
+    except ValueError:
+        value = None
+    if columns is not None:
+        assert value is not None
+        assert columns[0].tolist() == [fields_read[0].strip()]
+        assert columns[1].tobytes() == np.array([value]).tobytes()
+    try:
+        np.loadtxt([line], dtype=dtype, delimiter=",", comments=None, usecols=[0, 1], ndmin=1)
+    except ValueError:
+        # a number float() reads and numpy's reader refuses goes to csv.reader
+        assert columns is None
