@@ -276,6 +276,15 @@ def test_a_field_over_the_field_limit_is_an_unreadable_input_that_exits_2(table,
     assert len(err) == 1 and err[0].startswith(f"error: UnreadableInput: {table} table file ")
 
 
+@pytest.mark.parametrize("block_rows", [None, 1, 2, 3])
+def test_an_unreadable_line_is_counted_past_a_record_that_spans_lines(block_rows, tmp_path):
+    trades = (TRADES[:2] + ['F1,"bo', 'b",2020-01-07T00:00:00.000Z,NO,5,0.7'] + TRADES[3:5]
+              + [_trade(trader="x" * 200_000)])
+    paths = write_tables(tmp_path, trades=trades)
+    with pytest.raises(UnreadableInput, match="line 7: field larger than field limit"):
+        load(paths, block_rows=block_rows)
+
+
 def test_a_field_over_the_limit_in_a_header_is_unreadable_too(tmp_path):
     paths = write_tables(tmp_path, trades=[TRADES[0] + "," + "h" * 200_000] + TRADES[1:])
     with pytest.raises(UnreadableInput, match="line 1: field larger than field limit"):
