@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from collections import defaultdict
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
@@ -246,10 +247,15 @@ class _Columns:
         # every field but finding_ids is a column
         return replace(self, **{f.name: getattr(self, f.name)[rows] for f in fields(self)[1:]})
 
+    def order(self, rows=slice(None)) -> np.ndarray:
+        """The places of the given rows, all of them by default, sorted by
+        ORDER: grouped by finding in the order of `finding_ids`, and the rows
+        of unknown findings first."""
+        return np.lexsort([getattr(self, name)[rows] for name in reversed(self.ORDER)])
+
     def grouped(self):
-        """The rows sorted by ORDER: grouped by finding in the order of
-        `finding_ids`, and the rows of unknown findings first."""
-        return self[np.lexsort([getattr(self, name) for name in reversed(self.ORDER)])]
+        """The rows sorted by ORDER."""
+        return self[self.order()]
 
     @cached_property
     def bounds(self) -> list[int]:
@@ -333,7 +339,8 @@ class TradeColumns(_Columns):
         field in load order, grouped for the findings in trade order."""
         fids, traders, times, sides, quantities, prices, seqs, rows = values
         return _trade_columns(list(first_by_id(findings)), fids, traders,
-                              _instants(times, findings), sides, quantities, prices,
+                              _instants(times, findings), sides, quantities,
+                              np.not_equal(np.array(quantities, dtype=object), None), prices,
                               _int_column(seqs), _int_column(rows)).grouped()
 
     def _keeps_instants(self, findings: list[Finding]) -> bool:
@@ -420,38 +427,25 @@ def _coded(fids, finding_ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
             np.array([group.get(fid, -1) for fid in distinct], dtype=np.int64)[inverse])
 
 
-def _parsed(column) -> bool:
-    """Whether a column of numbers came parsed, as float64, from numpy's
-    reader (see _read_blocks), not as texts."""
-    return isinstance(column, np.ndarray) and column.dtype == np.float64
-
-
-def _recorded(quantities) -> tuple[np.ndarray, np.ndarray]:
-    """The quantities as float64, NaN where none is recorded (None), and the
-    mask of the recorded ones. A parsed column records every quantity."""
-    if _parsed(quantities):
-        return quantities, np.ones(len(quantities), dtype=bool)
-    return (np.array(quantities, dtype=float),
-            np.not_equal(np.array(quantities, dtype=object), None))
-
-
 def _survey_columns(finding_ids: list[str], fids, forecasters, beliefs,
                     source_row: np.ndarray) -> SurveyColumns:
     """Columns of the rows' values, numbered 0...n-1 in load order as given."""
     fid_column, finding = _coded(fids, finding_ids)
-    return SurveyColumns(finding_ids, fid_column, finding, _shared(forecasters),
-                         np.array(beliefs, dtype=float), np.arange(len(fid_column)), source_row)
+    return SurveyColumns(finding_ids, fid_column, finding, np.asarray(forecasters, dtype=object),
+                         np.asarray(beliefs, dtype=float), np.arange(len(fid_column)), source_row)
 
 
 def _trade_columns(finding_ids: list[str], fids, traders, timestamp: np.ndarray, sides,
-                   quantities, prices, seq: np.ndarray, source_row: np.ndarray) -> TradeColumns:
-    """Columns of the rows' values, numbered 0...n-1 in load order as given."""
+                   quantities, has_quantity: np.ndarray, prices, seq: np.ndarray,
+                   source_row: np.ndarray) -> TradeColumns:
+    """Columns of the rows' values, numbered 0...n-1 in load order as given.
+    A quantity is NaN where has_quantity says none is recorded."""
     fid_column, finding = _coded(fids, finding_ids)
     sides = np.asarray(sides, dtype=object)
     return TradeColumns(
-        finding_ids, fid_column, finding, _shared(traders), timestamp, sides,
-        sides == "YES", sides == "NO", *_recorded(quantities),
-        np.array(prices, dtype=float), seq, np.arange(len(timestamp)), source_row)
+        finding_ids, fid_column, finding, np.asarray(traders, dtype=object), timestamp, sides,
+        sides == "YES", sides == "NO", np.asarray(quantities, dtype=float), has_quantity,
+        np.asarray(prices, dtype=float), seq, np.arange(len(timestamp)), source_row)
 
 
 def _instants(times: list, findings: list[Finding]) -> np.ndarray:
@@ -664,11 +658,14 @@ def _parse(convert, text: str, column: str, name: str | None = None):
                         f"cannot parse {name} {text!r}" if name else str(exc)) from None
 
 
-def _parse_column(convert, texts: list[str], column: str, name: str | None,
-                  faults: dict) -> list:
+def _parse_column(convert, texts: list[str] | np.ndarray, column: str, name: str | None,
+                  faults: dict) -> list | np.ndarray:
     """convert(text) of every text. A text that does not parse reads as None
     and gives its row the fault `_parse` words, unless an earlier column gave
-    it one (faults maps row number to the first fault)."""
+    it one (faults maps row number to the first fault). A float64 column, the
+    numbers numpy's reader parsed (see _numpy_block), is given back as it is."""
+    if isinstance(texts, np.ndarray) and texts.dtype == np.float64:
+        return texts
     try:
         return list(map(convert, texts))
     except ValueError:
@@ -850,6 +847,9 @@ def _faulty_rows(faults: list[tuple]) -> np.ndarray:
 _UNCLEAN = (" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x00")
 # The fields numpy's reader parses as numbers; every other field stays text
 _NUMBERS = frozenset({"belief", "quantity", "post_trade_price"})
+# An empty field after a comma: one scan of a block's text for it costs far
+# less than the two-character `in` tests would
+_EMPTY_FIELD = re.compile(",[,\r\n]")
 
 
 def _read_blocks(path: str | Path, table: str, fields: tuple[str, ...],
@@ -912,12 +912,16 @@ def _numpy_block(lines: list[str], dtype: list[tuple], usecols: list[int]) -> li
     is ASCII without a quote, it has a line that is not blank and none is
     longer than csv.field_size_limit(), and no character but the line ends is
     one `str.strip` takes off: then each line is one record whose fields
-    need no stripping, and csv.reader reads the same texts. A clean block
-    that numpy refuses (a short row, an empty or odd number: `1_0`, say,
-    which float() reads) gives None too."""
+    need no stripping, and csv.reader reads the same texts. Nor is a block
+    with an empty field after a comma (`,,`, or a comma that ends a line)
+    clean: numpy's reader refuses an empty number only after parsing the
+    lines before it. A clean block that numpy refuses (a short row, an empty
+    first field that is a number, an odd number: `1_0`, say, which float()
+    reads) gives None too."""
     text = "".join(lines)
     if (not text or text.isspace() or not text.isascii() or '"' in text
             or any(c in text for c in _UNCLEAN)
+            or _EMPTY_FIELD.search(text) or text[-1] == ","
             or max(map(len, lines)) > csv.field_size_limit()):
         return None
     del text
@@ -973,9 +977,10 @@ def load_dataset(outcomes_path: str | Path, surveys_path: str | Path,
 
     Each table is read in blocks of lines (see ``_read_blocks``): numpy's
     reader takes a block of ASCII lines with no quote, no whitespace but the
-    line ends and every field's column in the header, and ``csv.reader``
-    (each field stripped, numbers read by ``float``) takes every other
-    block and any block numpy refuses, with the same values and faults. A
+    line ends, no empty field after a comma and every field's column in the
+    header, and ``csv.reader`` (each field stripped, numbers read by
+    ``float``) takes every other block and any block numpy refuses, with the
+    same values and faults. A
     field longer than ``csv.field_size_limit()`` raises
     :class:`UnreadableInput`, which names its line.
     """
@@ -1061,7 +1066,7 @@ def _load_table(table: str, blocks: Iterator[list], parse, rule,
     kept = _accepted(table, columns, clean, faults, rule(columns, clean), report)
     # the accepted rows in the table's ORDER; an accepted row's place in load
     # order is its place among the accepted rows, which keeps their order
-    order = np.lexsort([getattr(columns, name)[kept] for name in reversed(kind.ORDER)])
+    order = columns.order(kept)
     rows = kept[order]
     values = {f.name: getattr(columns, f.name) for f in fields(kind)}
     del columns
@@ -1077,9 +1082,8 @@ def _survey_block(texts: list, finding_ids: list[str], first: int) -> tuple[Surv
     fids, forecasters, beliefs = texts
     texts.clear()  # each text column goes once it is parsed
     faults = _empty_ids(fids, forecasters, "forecaster_id")
-    if not _parsed(beliefs):
-        beliefs = _parse_column(float, beliefs, "belief", "belief", faults)
-    return _survey_columns(finding_ids, fids, forecasters, beliefs,
+    beliefs = _parse_column(float, beliefs, "belief", "belief", faults)
+    return _survey_columns(finding_ids, fids, _shared(forecasters), beliefs,
                            np.arange(first + 1, first + len(fids) + 1)), faults
 
 
@@ -1105,13 +1109,23 @@ def _parse_trades(columns: list) -> tuple[list, dict]:
     columns.clear()  # each text column goes once it is parsed
     faults = _empty_ids(fids, traders, "trader_id")
     timestamps = _parse_instants(timestamps, faults)
-    if not _parsed(prices):
-        # float alone where no quantity is empty: the same values, without a Python call a row
-        quantities = _parse_column(float if all(quantities) else _optional_float, quantities,
-                                   "quantity", "quantity", faults)
-        prices = _parse_column(float, prices, "post_trade_price", "price", faults)
+    quantities, has_quantity = _parse_quantities(quantities, faults)
+    prices = _parse_column(float, prices, "post_trade_price", "price", faults)
     sides = _shared(sides, lambda side: side.upper() or "YES")  # once a distinct text
-    return [fids, traders, timestamps, sides, quantities, prices], faults
+    return [fids, _shared(traders), timestamps, sides, quantities, has_quantity, prices], faults
+
+
+def _parse_quantities(texts: list[str] | np.ndarray, faults: dict) -> tuple:
+    """The quantities as `_parse_column` parses them, an empty text as None,
+    and the mask of the recorded ones, those not None. numpy's reader
+    parses no empty number (see _numpy_block): each quantity it parsed is
+    recorded."""
+    if isinstance(texts, np.ndarray):
+        return texts, np.ones(len(texts), dtype=bool)
+    # float alone where no quantity is empty: the same values, without a Python call a row
+    values = _parse_column(float if all(texts) else _optional_float, texts,
+                           "quantity", "quantity", faults)
+    return values, np.not_equal(np.array(values, dtype=object), None)
 
 
 def _trade_block(texts: list, finding_ids: list[str], first: int) -> tuple[TradeColumns, dict]:

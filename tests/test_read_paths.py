@@ -1,12 +1,13 @@
 """The loader's two readers. numpy's reader takes a clean block of lines
-(ASCII, no quote, no whitespace but the line ends, a line that is not blank,
-none over csv's field limit, every field's column in the header) and any
-other block, or one numpy refuses, goes through csv.reader. The columns,
-faults and load report must then be what csv.reader + strip + the number
-rules give, bit for bit: the oracle here loads each table as one block with
-numpy's reader switched off. These are fixed examples, run without
-Hypothesis; `test_load_laws.py` states the same laws over generated tables.
-A field over csv's field limit exits 2 from every table."""
+(ASCII, no quote, no whitespace but the line ends, no empty field after a
+comma, a line that is not blank, none over csv's field limit, every field's
+column in the header) and any other block, or one numpy refuses, goes
+through csv.reader. The columns, faults and load report must then be what
+csv.reader + strip + the number rules give, bit for bit: the oracle here
+loads each table as one block with numpy's reader switched off. These are
+fixed examples, run without Hypothesis; `test_load_laws.py` states the same
+laws over generated tables. A field over csv's field limit exits 2 from
+every table."""
 
 from contextlib import contextmanager
 from dataclasses import fields
@@ -44,6 +45,8 @@ TRADES = [
     "F1,erin,soon,YES,1,0.6",
     "F1,erin,2020-01-10T00:00:00.000Z,BUY,1,0.6",
 ]
+# the trades without an empty field, which numpy's reader takes as one block
+FILLED_TRADES = [line for line in TRADES if ",," not in line]
 TABLES = ("outcomes", "surveys", "trades")
 
 
@@ -174,6 +177,11 @@ def _holds(block, text):
     return any(text in line for line in block)
 
 
+def _has_empty_field(lines):
+    """Whether a line has an empty field after a comma."""
+    return any(",," in line or line.endswith(",") for line in lines)
+
+
 @pytest.mark.parametrize("ending", ["\r\n", "\n", "\r"])
 @pytest.mark.parametrize("block_rows", [None, 1, 2])
 @pytest.mark.parametrize("name, tables, csv_text", CASES, ids=[c[0] for c in CASES])
@@ -192,10 +200,11 @@ def test_each_block_loads_as_csv_reader_reads_it(name, tables, csv_text, block_r
         assert not any(_holds(block, csv_text.replace("\r", ending)) for block in taken)
     if block_rows is None:
         # one block a table: numpy's reader takes each one with a data line
-        # that is not blank and without the text csv.reader must read
+        # that is not blank, no empty field and without the text csv.reader
+        # must read
         data = [tables.get(t, lines)[1:] for t, lines in zip(TABLES, (OUTCOMES, SURVEYS, TRADES))]
-        assert len(taken) == sum(any(lines) and not (csv_text and
-                                                     _holds(lines, csv_text.strip("\r")))
+        assert len(taken) == sum(any(lines) and not _has_empty_field(lines)
+                                 and not (csv_text and _holds(lines, csv_text.strip("\r")))
                                  for lines in data)
 
 
@@ -216,17 +225,17 @@ def test_a_crlf_table_is_read_by_numpy(tmp_path):
 
 
 def test_a_byte_order_mark_before_the_header_keeps_numpy_reading(tmp_path):
-    paths = write_tables(tmp_path)
+    paths = write_tables(tmp_path, trades=FILLED_TRADES)
     for table in TABLES:
         paths[table].write_bytes(b"\xef\xbb\xbf" + paths[table].read_bytes())
     ds, taken = load(paths)
     assert len(taken) == 3
-    assert_same_load(ds, oracle(write_tables(tmp_path / "plain")))
+    assert_same_load(ds, oracle(write_tables(tmp_path / "plain", trades=FILLED_TRADES)))
 
 
 def test_a_mapping_that_reorders_columns_reads_each_field_from_its_column(tmp_path):
     order = [3, 5, 0, 4, 2, 1]  # side, price, finding_id, quantity, timestamp, trader_id
-    rows = [line.split(",") for line in TRADES]
+    rows = [line.split(",") for line in FILLED_TRADES]
     renamed = [f"col_{name}" for name in rows[0]]
     trades = [",".join([renamed[k] for k in order])] + [",".join(r[k] for k in order)
                                                          for r in rows[1:]]
@@ -235,7 +244,7 @@ def test_a_mapping_that_reorders_columns_reads_each_field_from_its_column(tmp_pa
     ds, taken = load(paths, mapping=mapping)
     assert len(taken) == 3
     assert_same_load(ds, oracle(paths, mapping))
-    assert_same_load(ds, oracle(write_tables(tmp_path / "canonical")))
+    assert_same_load(ds, oracle(write_tables(tmp_path / "canonical", trades=FILLED_TRADES)))
 
 
 @pytest.mark.parametrize("block_rows", [1, 2, 3])
@@ -250,10 +259,28 @@ def test_a_quote_that_runs_past_a_block_reads_on_to_the_end_of_its_record(block_
     assert any(_holds(block, "carol") for block in taken)
 
 
+@pytest.mark.parametrize("row", [_trade(quantity=""), _trade(price=""), _trade(trader="")])
+def test_a_block_with_an_empty_field_goes_to_csv_reader_unparsed_by_numpy(row, tmp_path):
+    """numpy's reader would parse every line before an empty number and
+    then refuse it: such a block goes straight to csv.reader."""
+    paths = write_tables(tmp_path, trades=FILLED_TRADES + [row])
+    parsed = []
+    loadtxt = np.loadtxt
+
+    def spy(lines, *args, **kwargs):
+        parsed.append(lines)
+        return loadtxt(lines, *args, **kwargs)
+
+    with mock.patch.object(dataset.np, "loadtxt", spy):
+        ds, taken = load(paths)
+    assert len(parsed) == len(taken) == 2  # outcomes and surveys
+    assert_same_load(ds, oracle(paths))
+
+
 def test_a_line_over_the_field_limit_whose_fields_are_within_it_loads(tmp_path):
     limit = dataset.csv.field_size_limit()
     row = f"F9,{'f' * (limit // 2 + 1)},{'0' * (limit // 2 + 1)}.5"
-    paths = write_tables(tmp_path, surveys=SURVEYS + [row])
+    paths = write_tables(tmp_path, surveys=SURVEYS + [row], trades=FILLED_TRADES)
     ds, taken = load(paths)
     assert len(taken) == 2  # the surveys table goes through csv.reader
     assert_same_load(ds, oracle(paths))
