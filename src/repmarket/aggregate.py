@@ -3,7 +3,11 @@
 Survey rules: simple mean, median, simple voting (share of responses at or
 above the binarization threshold), and a variance-weighted mean where each
 forecaster's weight is the sample variance of their own responses across
-all findings they forecast.
+all findings they forecast. The mean, the vote share (a mean of 0/1 votes)
+and the variance-weighted mean are one rule, `_weighted`, each group's values
+summed left to right. Unweighted, it divides by the group's count: a
+left-to-right sum of n ones is exactly n and a sum of 0/1 votes is the exact
+count, so no value changes.
 
 Each rule reads every finding's group at once: a market's closed window in
 the trades table (see ``Dataset.closed_ends``) and a finding's responses in
@@ -54,11 +58,6 @@ def _left_sums(values: list, bounds: list[int]) -> np.ndarray:
     return np.array([left_sum(values[a:b]) for a, b in zip(bounds, bounds[1:])], dtype=float)
 
 
-def _quotient(numerator: np.ndarray, denominator: np.ndarray, defined: np.ndarray) -> np.ndarray:
-    """numerator / denominator where defined, NaN elsewhere."""
-    return np.divide(numerator, denominator, out=np.full(len(defined), np.nan), where=defined)
-
-
 # The rules. Each reads every group (see Dataset.group) and gives the value,
 # the number of inputs and the mask of the groups it is defined for, one entry
 # a group. In ``ds.survey_columns`` the rows of unknown findings come before
@@ -72,14 +71,6 @@ def _final_prices(ds: Dataset) -> tuple:
     price = np.full(len(n), np.nan)
     price[traded] = ds.trade_columns.price[end[traded] - 1]
     return price, n, traded
-
-
-def _mean(ds: Dataset) -> tuple:
-    bounds = ds.survey_columns.bounds
-    n = np.diff(bounds)
-    answered = n > 0
-    return _quotient(_left_sums(ds.survey_columns.belief.tolist(), bounds), n,
-                     answered), n, answered
 
 
 def _median(ds: Dataset) -> tuple:
@@ -96,25 +87,19 @@ def _median(ds: Dataset) -> tuple:
     return median, n, answered
 
 
-def _voting(ds: Dataset, threshold: float) -> tuple:
-    """The share of each group's responses at or above the threshold."""
+def _weighted(ds: Dataset, values: np.ndarray, weights: dict[str, float] | None = None) -> tuple:
+    """Each group's mean of `values` (one a survey row), weighted by `weights`
+    (forecaster id to weight, absent ids weigh 0) or else each weighing 1."""
     bounds = ds.survey_columns.bounds
     n = np.diff(bounds)
-    votes = np.concatenate(([0], np.cumsum(ds.survey_columns.belief >= threshold)))
-    answered = n > 0
-    return _quotient(np.diff(votes[bounds]), n, answered), n, answered
-
-
-def _var_weighted(ds: Dataset, weights: dict[str, float]) -> tuple:
-    """The weighted mean of each group's beliefs, `weights` mapping forecaster
-    id to weight (absent ids weigh 0)."""
-    w = np.array([weights.get(f, 0.0) for f in ds.survey_columns.forecaster.tolist()], float)
-    bounds = ds.survey_columns.bounds
-    n = np.diff(bounds)
-    total = _left_sums(w.tolist(), bounds)
-    weighted = ~(total <= 0.0)  # a group without responses weighs 0 too
-    return (_quotient(_left_sums((w * ds.survey_columns.belief).tolist(), bounds), total,
-                      weighted), n, weighted)
+    total = n
+    if weights is not None:
+        w = np.array([weights.get(f, 0.0) for f in ds.survey_columns.forecaster.tolist()], float)
+        values = w * values
+        total = _left_sums(w.tolist(), bounds)
+    defined = ~(total <= 0)  # a group without responses weighs 0 too
+    return np.divide(_left_sums(values.tolist(), bounds), total, out=np.full(len(n), np.nan),
+                     where=defined), n, defined
 
 
 def _one(method: str, result: tuple, ds: Dataset, finding_id: str) -> AggregateForecast:
@@ -136,7 +121,7 @@ def market_final_price(ds: Dataset, finding_id: str) -> AggregateForecast:
 
 
 def survey_mean(ds: Dataset, finding_id: str) -> AggregateForecast:
-    return _one(METHOD_MEAN, _mean(ds), ds, finding_id)
+    return _one(METHOD_MEAN, _weighted(ds, ds.survey_columns.belief), ds, finding_id)
 
 
 def survey_median(ds: Dataset, finding_id: str) -> AggregateForecast:
@@ -146,7 +131,8 @@ def survey_median(ds: Dataset, finding_id: str) -> AggregateForecast:
 def survey_voting(ds: Dataset, finding_id: str,
                   threshold: float = 0.5) -> AggregateForecast:
     """Share of responses voting for replication (belief >= threshold)."""
-    return _one(METHOD_VOTING, _voting(ds, threshold), ds, finding_id)
+    return _one(METHOD_VOTING, _weighted(ds, ds.survey_columns.belief >= threshold), ds,
+                finding_id)
 
 
 def _weights(ds: Dataset) -> dict[str, float]:
@@ -172,7 +158,8 @@ def survey_var_weighted(ds: Dataset, finding_id: str,
                         weights: dict[str, float]) -> AggregateForecast:
     """Variance-weighted mean of the finding's survey responses, with
     `weights` mapping forecaster id to weight (absent ids weigh 0)."""
-    return _one(METHOD_VAR_WEIGHTED, _var_weighted(ds, weights), ds, finding_id)
+    return _one(METHOD_VAR_WEIGHTED, _weighted(ds, ds.survey_columns.belief, weights), ds,
+                finding_id)
 
 
 def check_threshold(threshold: float) -> None:
@@ -190,10 +177,10 @@ def aggregate_all(ds: Dataset, methods=ALL_METHODS,
     methods = tuple(dict.fromkeys(methods))
     rules = {
         METHOD_MARKET: _final_prices,
-        METHOD_MEAN: _mean,
+        METHOD_MEAN: lambda ds: _weighted(ds, ds.survey_columns.belief),
         METHOD_MEDIAN: _median,
-        METHOD_VOTING: lambda ds: _voting(ds, threshold),
-        METHOD_VAR_WEIGHTED: lambda ds: _var_weighted(ds, _weights(ds)),
+        METHOD_VOTING: lambda ds: _weighted(ds, ds.survey_columns.belief >= threshold),
+        METHOD_VAR_WEIGHTED: lambda ds: _weighted(ds, ds.survey_columns.belief, _weights(ds)),
     }
     if not set(methods) <= rules.keys():
         raise ValueError(f"unknown methods {sorted(set(methods) - rules.keys())}")

@@ -334,8 +334,10 @@ def write_table1_csv(table1: dict, path: str | Path) -> None:
 
 
 def write_table2_csv(table2: dict | None, path: str | Path) -> None:
-    """Write the regression terms; no file when Table 2 is undefined (None)."""
+    """Write the regression terms. When Table 2 is undefined (None), remove
+    any file at `path`, so that no earlier run's terms stand for this run's."""
     if table2 is None:
+        Path(path).unlink(missing_ok=True)
         return
     write_csv(path, ["term", "estimate", "se", "p_value"], [
         ["intercept", table2["intercept"], table2["se_intercept"], table2["p_intercept"]],

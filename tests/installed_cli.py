@@ -192,6 +192,27 @@ def byte_order_mark_reports_alike(tmp: Path) -> None:
             == (tmp / "marked_report" / "report.json").read_bytes())
 
 
+def null_table2_removes_an_earlier_csv(tmp: Path) -> None:
+    """A report whose Table 2 is null removes the table2.csv an earlier
+    report left in the same --out."""
+    paths = synth(tmp / "separated")
+    out = tmp / "separated_report"
+    repmarket("report", *data_args(paths), "--out", out)
+    assert_nonempty(out / "table2.csv")
+    with open(paths["outcomes"], newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    outcome, category, p_value = (header.index(c) for c in (
+        "outcome", "p_value_category", "original_p_value"))
+    for row in rows:  # the category separates the outcomes: no standard error
+        row[category] = "at_or_below" if row[outcome] == "1" else "above"
+        row[p_value] = ""
+    with open(paths["outcomes"], "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header] + rows)
+    repmarket("report", *data_args(paths), "--out", out)
+    assert read_json(out / "table2.json") is None
+    assert not (out / "table2.csv").exists(), "an earlier table2.csv is left in place"
+
+
 def untraded_replay_and_file_out_exit_2(tmp: Path) -> None:
     """A simulated replay refuses a missing or bad liquidity when no market
     traded; an --out that is a file exits 2."""
@@ -255,6 +276,7 @@ CHECKS = (
     asymmetry_null_on_its_own_table,
     timestamp_forms_report_alike,
     byte_order_mark_reports_alike,
+    null_table2_removes_an_earlier_csv,
     untraded_replay_and_file_out_exit_2,
     header_only_tables,
     bad_mapping_and_directory_exit_2,

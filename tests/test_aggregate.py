@@ -204,3 +204,40 @@ def test_write_aggregates_round_trips(tmp_path, fixture_ds):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "finding_id,method,value,n_inputs"
     assert len(lines) == len(forecasts) + 1
+
+
+def test_vote_share_and_unit_weights_give_the_mean_bit_for_bit():
+    # The identities the one weighted-mean rule rests on, compared by float.hex
+    # so that -0.0 and 0.0 differ: the vote share is the mean of the 0/1 votes,
+    # and the variance-weighted mean with every weight 1.0 is the mean. F3 has
+    # no responses, and the responses of FX name no finding.
+    rng = random.Random(35)
+    findings = [make_finding(f"F{i}") for i in range(4)]
+    for _ in range(200):
+        threshold = rng.choice([0.0, 0.3, 0.5, 1.0, rng.random()])
+        surveys = [survey(rng.choice(["F0", "F1", "F2", "FX"]), f"p{rng.randrange(8)}",
+                          rng.choice([-0.0, 0.0, 1.0, threshold, rng.random()]))
+                   for _ in range(rng.randint(0, 40))]
+        ds = make_dataset(findings, surveys=surveys)
+        votes = make_dataset(findings, surveys=[
+            survey(s.finding_id, s.forecaster_id, float(s.belief >= threshold)) for s in surveys])
+        ones = {s.forecaster_id: 1.0 for s in surveys}
+        for fid in ds.finding_ids():
+            answered = any(s.finding_id == fid for s in surveys)
+            pairs = ((lambda d, f: aggregate.survey_voting(d, f, threshold), ds,
+                      aggregate.survey_mean, votes),
+                     (lambda d, f: aggregate.survey_var_weighted(d, f, ones), ds,
+                      aggregate.survey_mean, ds))
+            for rule, data, mean, mean_data in pairs:
+                if not answered:
+                    for fn, d in ((rule, data), (mean, mean_data)):
+                        with pytest.raises(NoSurveyResponses):
+                            fn(d, fid)
+                    continue
+                got, want = rule(data, fid), mean(mean_data, fid)
+                assert (got.value.hex(), got.n_inputs) == (want.value.hex(), want.n_inputs)
+        shares = {f.finding_id: f.value.hex() for f in aggregate.aggregate_all(
+            ds, methods=[aggregate.METHOD_VOTING], threshold=threshold)}
+        means = {f.finding_id: f.value.hex() for f in aggregate.aggregate_all(
+            votes, methods=[aggregate.METHOD_MEAN])}
+        assert shares == means

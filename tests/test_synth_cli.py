@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import shutil
@@ -7,6 +8,15 @@ import pytest
 
 from repmarket.cli import build_parser, main
 from repmarket.dataset import Dataset, load_dataset, validate
+from repmarket.dynamics import (
+    AXIS_HOURS,
+    AXIS_TRADES,
+    LoessConfig,
+    late_trade_smoothing,
+    loess_fit,
+    mean_error_curve,
+)
+from repmarket.stats import chi_square_1df
 from repmarket.synth import synthetic_dataset, write_fixture
 
 from conftest import OUTCOMES_CSV, SURVEYS_CSV, TRADES_CSV, write_fixture_files
@@ -295,6 +305,79 @@ def test_report_nulls_table2_when_category_separates_outcomes(tmp_path, capsys):
     # the pvalue command has nothing else to report, so it still fails
     assert main(["pvalue", *_data_args(paths), "--out", str(tmp_path / "pv")]) == 2
     assert "DegenerateInput" in capsys.readouterr().err
+
+
+def test_report_removes_an_earlier_table2_csv_when_table2_is_null(synth_paths, tmp_path):
+    out = tmp_path / "out"
+    assert main(["report", *_data_args(synth_paths), "--out", str(out)]) == 0
+    assert (out / "table2.csv").is_file()
+    ds = synthetic_dataset(seed=12, n_markets=10)
+    findings = [dataclasses.replace(
+        f, original_p_value=None,
+        p_value_category="at_or_below" if f.outcome else "above") for f in ds.findings]
+    paths = write_fixture(Dataset(findings, ds.surveys, ds.trades), tmp_path / "data")
+    assert main(["report", *_data_args(paths), "--out", str(out)]) == 0
+    assert json.loads((out / "table2.json").read_text()) is None
+    assert not (out / "table2.csv").exists()
+
+
+def _chi_square_tables(out, payload):
+    """Each chi-square test's own 2x2 table, from the scores and quadrants a
+    run wrote: the accuracy test's (correct, incorrect) rows of the market's
+    final price and the survey mean, and each method's (predicted class x
+    correctness) table."""
+    with open(out / "scores.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    correct = {m: [int(r["correct"]) for r in rows if r["method"] == m]
+               for m in ("market_final_price", "survey_mean")}
+    tables = {"accuracy_chi_square": [[sum(c), len(c) - sum(c)] for c in correct.values()]}
+    for name, q in payload["quadrants"].items():
+        fail, replicate = q["predicted_fail"], q["predicted_replicate"]
+        tables[f"asymmetry_{name}"] = [
+            [fail - q["fail_but_replicated"], q["fail_but_replicated"]],
+            [replicate - q["replicate_but_failed"], q["replicate_but_failed"]]]
+    return tables
+
+
+@pytest.mark.parametrize("command, written", [("report", "report.json"),
+                                              ("evaluate", "evaluation.json")])
+def test_yates_corrects_every_chi_square_test_of_a_run(tmp_path, command, written):
+    # seed 1 with 103 markets: the correction moves all three statistics
+    # (seed 3's corrected statistics clamp to 0)
+    paths = write_fixture(synthetic_dataset(seed=1, n_markets=103, n_traders=10),
+                          tmp_path / "data")
+    out = tmp_path / "out"
+    assert main([command, *_data_args(paths), "--yates", "--out", str(out)]) == 0
+    payload = json.loads((out / written).read_text())
+    tables = _chi_square_tables(out, payload)
+    if command == "report":
+        assert payload["config"]["yates"] is True
+    assert len(tables) == 3
+    for name, table in tables.items():
+        corrected = dataclasses.asdict(chi_square_1df(table, yates=True))
+        assert payload["tests"][name] == corrected, name
+        assert 0.0 < corrected["statistic"] < chi_square_1df(table).statistic, name
+
+
+def test_dynamics_and_report_take_valid_loess_and_cutoff_options(tmp_path):
+    ds = synthetic_dataset(seed=3)
+    paths = write_fixture(ds, tmp_path / "data")
+    loess = ["--loess-span", "0.5", "--loess-degree", "1"]
+    assert main(["dynamics", *_data_args(paths), *loess, "--cutoff-hours", "48",
+                 "--out", str(tmp_path / "dyn")]) == 0
+    cfg = LoessConfig(0.5, 1)
+    for label, axis in (("trades", AXIS_TRADES), ("hours", AXIS_HOURS)):
+        raw = mean_error_curve(ds, axis)
+        with open(tmp_path / "dyn" / f"curve_{label}.csv", newline="", encoding="utf-8") as fh:
+            smoothed = [float(row["smoothed"]) for row in csv.DictReader(fh)]
+        assert smoothed == loess_fit(raw, cfg).mean_abs_error.tolist(), label
+        assert smoothed != loess_fit(raw).mean_abs_error.tolist(), label
+    late = json.loads((tmp_path / "dyn" / "dynamics.json").read_text())["late_smoothing"]
+    assert late == dataclasses.asdict(late_trade_smoothing(ds, 48.0))
+    assert late != dataclasses.asdict(late_trade_smoothing(ds))
+    assert main(["report", *_data_args(paths), *loess, "--out", str(tmp_path / "report")]) == 0
+    config = json.loads((tmp_path / "report" / "report.json").read_text())["config"]
+    assert (config["loess_span"], config["loess_degree"]) == (0.5, 1)
 
 
 def test_pvalue_threshold_only_on_commands_that_read_categories():
