@@ -24,31 +24,6 @@ from .errors import NoInputPath, OutputNotADirectory, RepmarketError, or_null
 DATA_DIR_ENV = "REPMARKET_DATA_DIR"
 
 
-def _add_data_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--outcomes", help="outcomes (findings) CSV path")
-    p.add_argument("--surveys", help="survey responses CSV path")
-    p.add_argument("--trades", help="trades CSV path")
-    p.add_argument("--mapping", help="column mapping JSON path")
-    p.add_argument("--out", default="out", help="output directory (default: out)")
-
-
-def _add_forecast_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threshold", type=float, default=0.5,
-                   help="binarization threshold (default 0.5)")
-    p.add_argument("--yates", action="store_true",
-                   help="apply continuity correction to chi-square tests")
-
-
-def _add_pvalue_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pvalue-threshold", type=float, default=DEFAULT_P_THRESHOLD,
-                   help="recategorize findings with a numeric p-value at this cut")
-
-
-def _add_loess_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--loess-span", type=float, default=0.75)
-    p.add_argument("--loess-degree", type=int, choices=(1, 2), default=2)
-
-
 def _resolve_path(explicit: str | None, default_name: str) -> Path:
     if explicit:
         return Path(explicit)
@@ -211,7 +186,7 @@ def cmd_validate(args) -> int:
 
 def cmd_replay(args) -> int:
     ds = _load(args)
-    fids = [args.finding] if args.finding else ds.finding_ids()
+    fids = ds.finding_ids() if args.finding is None else [args.finding]
     # every market is replayed first so that a failure leaves no partial file
     rows, replayed = [], 0
     for fid in fids:
@@ -228,8 +203,7 @@ def cmd_replay(args) -> int:
 def cmd_aggregate(args) -> int:
     ds = _load(args)
     methods = tuple(args.method) if args.method else aggregate.ALL_METHODS
-    forecasts = aggregate.aggregate_all(ds, methods=methods,
-                                        threshold=args.threshold)
+    forecasts = aggregate.aggregate_all(ds, methods=methods, threshold=args.threshold)
     out = _out_dir(args)
     aggregate.write_aggregates(forecasts, out / "aggregates.csv")
     print(f"{len(forecasts)} forecasts ({len(set(methods))} methods) -> "
@@ -239,8 +213,7 @@ def cmd_aggregate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     ds = _load(args)
-    _, scores, evaluation = forecast_stage(ds, threshold=args.threshold,
-                                           yates=args.yates)
+    _, scores, evaluation = forecast_stage(ds, threshold=args.threshold, yates=args.yates)
     out = _out_dir(args)
     evaluate.write_scores(scores, out / "scores.csv")
     _write_json(evaluation, out / "evaluation.json")
@@ -276,8 +249,7 @@ def cmd_pvalue(args) -> int:
 def cmd_report(args) -> int:
     ds = _load(args)
     cfg = dynamics.LoessConfig(span=args.loess_span, degree=args.loess_degree)
-    result = run_pipeline(ds, threshold=args.threshold, yates=args.yates,
-                          loess_cfg=cfg)
+    result = run_pipeline(ds, threshold=args.threshold, yates=args.yates, loess_cfg=cfg)
     report = result["report"]
     out = _out_dir(args)
     aggregate.write_aggregates(result["forecasts"], out / "aggregates.csv")
@@ -292,10 +264,8 @@ def cmd_report(args) -> int:
     header = ["metric", "computed", "published", "delta", "note"]
     write_csv(out / "discrepancies.csv", header,
               ([r[k] for k in header] for r in reference.build_discrepancies(report)))
-    pooled = [r for r in report["table1"]["rows"] if r["project"] == "Pooled"]
-    if pooled:
-        p = pooled[0]
-        print(f"pooled: {p['n_findings']} findings, {p['n_replicated']} replicated")
+    pooled = report["table1"]["rows"][-1]  # build_table1 always ends with the Pooled row
+    print(f"pooled: {pooled['n_findings']} findings, {pooled['n_replicated']} replicated")
     print(f"report -> {out / 'report.json'}; discrepancies -> "
           f"{out / 'discrepancies.csv'}")
     return 0
@@ -303,8 +273,7 @@ def cmd_report(args) -> int:
 
 def cmd_synth(args) -> int:
     ds = synth.synthetic_dataset(seed=args.seed, n_markets=args.markets,
-                                 n_traders=args.traders,
-                                 liquidity_b=args.liquidity_b)
+                                 n_traders=args.traders, liquidity_b=args.liquidity_b)
     paths = synth.write_fixture(ds, _out_dir(args))
     print(f"seed {args.seed}: {len(ds.findings)} markets, {len(ds.trade_columns)} trades, "
           f"{len(ds.survey_columns)} survey responses")
@@ -314,18 +283,34 @@ def cmd_synth(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # one parent parser per option group that several subcommands share
+    data, threshold, yates, pvalue, loess = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5))
+    data.add_argument("--outcomes", help="outcomes (findings) CSV path")
+    data.add_argument("--surveys", help="survey responses CSV path")
+    data.add_argument("--trades", help="trades CSV path")
+    data.add_argument("--mapping", help="column mapping JSON path")
+    data.add_argument("--out", default="out", help="output directory (default: out)")
+    threshold.add_argument("--threshold", type=float, default=0.5,
+                           help="binarization threshold (default 0.5)")
+    yates.add_argument("--yates", action="store_true",
+                       help="apply continuity correction to chi-square tests")
+    pvalue.add_argument("--pvalue-threshold", type=float, default=DEFAULT_P_THRESHOLD,
+                        help="recategorize findings with a numeric p-value at this cut")
+    loess.add_argument("--loess-span", type=float, default=0.75)
+    loess.add_argument("--loess-degree", type=int, choices=(1, 2), default=2)
+
     parser = argparse.ArgumentParser(
         prog="repmarket",
         description="Replication prediction-market replay, aggregation, and "
                     "evaluation pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="load the three tables and audit invariants")
-    _add_data_args(p)
+    p = sub.add_parser("validate", help="load the three tables and audit invariants",
+                       parents=[data])
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("replay", help="price time series per market")
-    _add_data_args(p)
+    p = sub.add_parser("replay", help="price time series per market", parents=[data])
     p.add_argument("--finding", help="replay a single market")
     p.add_argument("--mode", choices=[lmsr.PRICE_TAKING, lmsr.SIMULATED],
                    default=lmsr.PRICE_TAKING)
@@ -333,36 +318,27 @@ def build_parser() -> argparse.ArgumentParser:
                    help="liquidity for simulated replay")
     p.set_defaults(func=cmd_replay)
 
-    p = sub.add_parser("aggregate", help="per-finding aggregated forecasts")
-    _add_data_args(p)
+    p = sub.add_parser("aggregate", help="per-finding aggregated forecasts",
+                       parents=[data, threshold])
     p.add_argument("--method", action="append", choices=aggregate.ALL_METHODS,
                    help="repeatable; default: all methods")
-    p.add_argument("--threshold", type=float, default=0.5,
-                   help="binarization threshold (default 0.5)")
     p.set_defaults(func=cmd_aggregate)
 
-    p = sub.add_parser("evaluate", help="score forecasts and run the tests")
-    _add_data_args(p)
-    _add_forecast_args(p)
+    p = sub.add_parser("evaluate", help="score forecasts and run the tests",
+                       parents=[data, threshold, yates])
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("dynamics", help="error-reduction curves and milestones")
-    _add_data_args(p)
-    _add_loess_args(p)
+    p = sub.add_parser("dynamics", help="error-reduction curves and milestones",
+                       parents=[data, loess])
     p.add_argument("--cutoff-hours", type=float, default=168.0,
                    help="late-trade smoothing cutoff (default one week)")
     p.set_defaults(func=cmd_dynamics)
 
-    p = sub.add_parser("pvalue", help="p-value-category regression")
-    _add_data_args(p)
-    _add_pvalue_arg(p)
+    p = sub.add_parser("pvalue", help="p-value-category regression", parents=[data, pvalue])
     p.set_defaults(func=cmd_pvalue)
 
-    p = sub.add_parser("report", help="full pipeline with discrepancy notes")
-    _add_data_args(p)
-    _add_forecast_args(p)
-    _add_pvalue_arg(p)
-    _add_loess_args(p)
+    p = sub.add_parser("report", help="full pipeline with discrepancy notes",
+                       parents=[data, threshold, yates, pvalue, loess])
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("synth", help="generate a synthetic fixture dataset")

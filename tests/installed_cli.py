@@ -254,6 +254,23 @@ def bad_mapping_and_directory_exit_2(tmp: Path) -> None:
     assert len(stderr.splitlines()) == 1 and stderr.startswith("error: "), stderr
 
 
+def report_writes_discrepancies(tmp: Path) -> None:
+    """A report writes a non-empty discrepancies.csv next to report.json."""
+    paths = synth(tmp / "data")
+    repmarket("report", *data_args(paths), "--out", tmp / "report")
+    assert_nonempty(tmp / "report" / "discrepancies.csv")
+
+
+def out_of_range_option_exits_2(tmp: Path) -> None:
+    """A LOESS span of 0 exits 2 as an OutOfRange and leaves no --out directory."""
+    paths = synth(tmp / "data")
+    stderr = repmarket("dynamics", "--loess-span", 0, *data_args(paths),
+                       "--out", tmp / "dynamics", status=2)
+    assert len(stderr.splitlines()) == 1, stderr
+    assert_error(stderr, "OutOfRange")
+    assert not (tmp / "dynamics").exists(), "an --out directory is left"
+
+
 def field_over_the_limit_exits_2(tmp: Path) -> None:
     """A field longer than csv's field limit (131,072 characters) in any table
     exits 2 as an UnreadableInput that names its line."""
@@ -281,6 +298,8 @@ CHECKS = (
     header_only_tables,
     bad_mapping_and_directory_exit_2,
     field_over_the_limit_exits_2,
+    report_writes_discrepancies,
+    out_of_range_option_exits_2,
 )
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from repmarket import aggregate, lmsr
 from repmarket.cli import build_parser, main
 from repmarket.dataset import Dataset, load_dataset, validate
 from repmarket.dynamics import (
@@ -487,6 +488,68 @@ def test_cli_replay_skips_a_market_without_trades(tmp_path, capsys, mode):
     assert capsys.readouterr().out.startswith("replayed 12 markets ")
     rows = (tmp_path / "out" / "replay.csv").read_text().splitlines()[1:]
     assert len(rows) == 351 and not any(row.startswith("F099,") for row in rows)
+
+
+@pytest.fixture(scope="module")
+def seed3(tmp_path_factory):
+    """The tables `repmarket synth --seed 3` writes, and the dataset they load to."""
+    paths = write_fixture(synthetic_dataset(seed=3), tmp_path_factory.mktemp("seed3"))
+    return paths, load_dataset(paths["outcomes"], paths["surveys"], paths["trades"])
+
+
+@pytest.mark.parametrize("mode, replay_args", [
+    ([], {}),
+    (["--mode", "simulated", "--liquidity-b", "100"], {"mode": "simulated", "liquidity_b": 100.0}),
+], ids=["price_taking", "simulated"])
+def test_cli_replay_of_one_finding_writes_its_rows_alone(seed3, tmp_path, capsys, mode,
+                                                          replay_args):
+    paths, ds = seed3
+    rc = main(["replay", *_data_args(paths), "--finding", "F003", *mode, "--out", str(tmp_path)])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("replayed 1 markets ")
+    prices = lmsr.replay(ds, "F003", **replay_args)
+    rows = (tmp_path / "replay.csv").read_text().splitlines()
+    assert rows[0] == "finding_id,trade_index,price" and len(rows) == 1 + 21
+    assert rows[1:] == [f"F003,{i},{price!r}" for i, price in enumerate(prices, start=1)]
+
+
+@pytest.mark.parametrize("mode", [[], ["--mode", "simulated", "--liquidity-b", "100"]],
+                         ids=["price_taking", "simulated"])
+def test_cli_replay_of_an_untraded_finding_writes_the_header_alone(tmp_path, capsys, mode):
+    data = tmp_path / "data"
+    write_fixture(synthetic_dataset(seed=3), data)
+    with open(data / "outcomes.csv", "a", encoding="utf-8") as fh:
+        fh.write("F099,RPP,1,above,,2020-01-06T00:00:00.000Z,2020-01-20T00:00:00.000Z\n")
+    rc = main(["replay", "--outcomes", str(data / "outcomes.csv"),
+               "--surveys", str(data / "surveys.csv"), "--trades", str(data / "trades.csv"),
+               "--finding", "F099", *mode, "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("replayed 0 markets ")
+    assert (tmp_path / "out" / "replay.csv").read_text() == "finding_id,trade_index,price\n"
+
+
+def test_cli_replay_of_an_empty_finding_id_exits_2(seed3, tmp_path, capsys):
+    # the loader refuses an empty finding id, so no market has one
+    rc = main(["replay", *_data_args(seed3[0]), "--finding", "", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: UnknownFinding: ") and err.count("\n") == 1
+    assert not (tmp_path / "out" / "replay.csv").exists()
+
+
+def test_cli_aggregate_threshold_cuts_the_vote_share(seed3, tmp_path):
+    paths, ds = seed3
+    assert main(["aggregate", *_data_args(paths), "--method", "survey_voting",
+                 "--threshold", "0.7", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "aggregates.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["finding_id"] for row in rows] == ds.finding_ids()
+    for row in rows:
+        expected = aggregate.survey_voting(ds, row["finding_id"], threshold=0.7)
+        assert row["value"] == repr(expected.value), row
+    # the option is seen: F001's vote share moves off its value at the default 0.5
+    assert aggregate.survey_voting(ds, "F001").value == 0.125
+    assert rows[0]["finding_id"] == "F001" and rows[0]["value"] == "0.0"
 
 
 @pytest.mark.parametrize("extra, error", [
