@@ -131,6 +131,7 @@ def survey_median(ds: Dataset, finding_id: str) -> AggregateForecast:
 def survey_voting(ds: Dataset, finding_id: str,
                   threshold: float = 0.5) -> AggregateForecast:
     """Share of responses voting for replication (belief >= threshold)."""
+    check_threshold(threshold)
     return _one(METHOD_VOTING, _weighted(ds, ds.survey_columns.belief >= threshold), ds,
                 finding_id)
 

@@ -106,12 +106,10 @@ def new_market(liquidity_b: float, endowment: float = DEFAULT_ENDOWMENT,
 
 
 def price(ms: MarketState) -> Quote:
-    """Current instantaneous quote; price_yes + price_no == 1 to 1e-12."""
+    """Current quote, that of trading nothing; price_yes + price_no == 1 to 1e-12."""
     if ms.status != OPEN:
         raise MarketSettled("cannot quote a settled market")
-    p_yes = price_yes_from_quantities(ms.q_yes, ms.q_no, ms.liquidity_b)
-    p_no = min(max(1.0 - p_yes, _PRICE_FLOOR), _PRICE_CEIL)
-    return Quote(price_yes=p_yes, price_no=p_no)
+    return quote_trade(ms, "YES", 0.0)
 
 
 def quote_trade(ms: MarketState, side: str, quantity: float) -> Quote:
@@ -190,12 +188,9 @@ def settle(ms: MarketState, outcome: int) -> tuple[MarketState, dict[str, float]
         raise MarketSettled("market already settled")
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    ledgers = {}
-    final_tokens = {}
-    for tid, acct in ms.ledgers.items():
-        payout = acct.yes_held if outcome == 1 else acct.no_held
-        ledgers[tid] = TraderAccount(tokens=acct.tokens + payout)
-        final_tokens[tid] = acct.tokens + payout
+    final_tokens = {tid: acct.tokens + (acct.yes_held if outcome == 1 else acct.no_held)
+                    for tid, acct in ms.ledgers.items()}
+    ledgers = {tid: TraderAccount(tokens=tokens) for tid, tokens in final_tokens.items()}
     settled = MarketState(ms.liquidity_b, ms.q_yes, ms.q_no, ledgers,
                           status=SETTLED, outcome=outcome,
                           maker_intake=ms.maker_intake)

@@ -83,12 +83,8 @@ def _lentz(an: float, bn: float, c: float, d: float) -> tuple[float, float, floa
 def _beta_cf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta, two half-terms a step."""
     qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
-    h = d
+    # the first term from c = inf, d = 1: c = 1.0 and h = d = 1 / (1 - qab * x / qap)
+    c, d, h = _lentz(-qab * x / qap, 1.0, math.inf, 1.0)
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
         c, d, even = _lentz(m * (b - m) * x / ((qam + m2) * (a + m2)), 1.0, c, d)

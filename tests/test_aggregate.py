@@ -3,7 +3,7 @@ import random
 import pytest
 
 from repmarket import aggregate
-from repmarket.errors import AllWeightsZero, EmptyMarket, NoSurveyResponses
+from repmarket.errors import AllWeightsZero, EmptyMarket, NoSurveyResponses, OutOfRange
 
 from helpers import (
     BASE_MS,
@@ -72,6 +72,16 @@ def test_survey_voting_boundary_counts_as_success():
     f = make_finding("F1")
     ds = make_dataset([f], surveys=[survey("F1", "a", 0.5)])
     assert aggregate.survey_voting(ds, "F1").value == 1.0
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), -1.0, 2.0, float("inf")])
+def test_survey_voting_refuses_a_threshold_outside_the_unit_interval(fixture_ds, threshold):
+    # as aggregate_all does, whether or not the finding has responses
+    for ds in (fixture_ds, make_dataset([make_finding("F1")])):
+        with pytest.raises(OutOfRange, match="threshold must be in"):
+            aggregate.survey_voting(ds, ds.finding_ids()[0], threshold=threshold)
+        with pytest.raises(OutOfRange, match="threshold must be in"):
+            aggregate.aggregate_all(ds, threshold=threshold)
 
 
 def test_no_survey_responses():

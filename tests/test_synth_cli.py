@@ -58,6 +58,22 @@ def test_synth_allows_untraded_markets_when_asked():
     assert len(ds.trade_columns) == 0 and len(ds.findings) == 12
 
 
+def test_synth_trades_a_fixed_quantity_when_the_move_is_tiny():
+    # one trader pulls each price to their own belief, so later moves round below
+    # 1e-9; synth then trades 0.01 on a random side, as execute_trade refuses zero
+    b = 100.0
+    ds = synthetic_dataset(seed=1, n_markets=12, n_traders=1, min_trades=40, max_trades=60,
+                           liquidity_b=b)
+    trades = ds.trades
+    assert any(t.quantity == 0.01 for t in trades)
+    assert all(t.quantity > 0 for t in trades)
+    for fid in ds.finding_ids():
+        ms = lmsr.new_market(b, 1e9, ["trader01"])
+        for t in (t for t in trades if t.finding_id == fid):
+            ms, engine = lmsr.execute_trade(ms, t.trader_id, t.side, t.quantity, t.timestamp)
+            assert t.post_trade_price == engine.post_trade_price
+
+
 def test_synth_fixture_loads_clean(tmp_path):
     paths = write_fixture(synthetic_dataset(seed=3, n_markets=6), tmp_path)
     ds = load_dataset(paths["outcomes"], paths["surveys"], paths["trades"])
