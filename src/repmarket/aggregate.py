@@ -5,28 +5,34 @@ above the binarization threshold), and a variance-weighted mean where each
 forecaster's weight is the sample variance of their own responses across
 all findings they forecast. The mean, the vote share (a mean of 0/1 votes)
 and the variance-weighted mean are one rule, `_weighted`, each group's values
-summed left to right. Unweighted, it divides by the group's count: a
-left-to-right sum of n ones is exactly n and a sum of 0/1 votes is the exact
-count, so no value changes.
+summed left to right (`stats.group_sums`). Unweighted, it divides by the
+group's count: a left-to-right sum of n ones is exactly n and a sum of 0/1
+votes is the exact count, so no value changes.
 
 Each rule reads every finding's group at once: a market's closed window in
 the trades table (see ``Dataset.closed_ends``) and a finding's responses in
 the surveys table, one entry a finding in the order of
-``Dataset.finding_ids``. `aggregate_all` runs each method's rule once, and
-each per-finding function reads its finding's entry of the same rule.
+``Dataset.finding_ids``. `aggregate_all` runs each method's rule once and
+keeps the rules' value, count and defined columns as one `ForecastTable`,
+one row a defined (finding, method) pair; the `AggregateForecast` records it
+returns are a view of that table, built on first use. Each per-finding
+function reads its finding's entry of the same rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 # trades_for stays bound here: code that reads or patches aggregate.trades_for relies on it
-from .dataset import Dataset, closed_windows, trades_for, write_csv  # noqa: F401
+from .dataset import (Dataset, _distinct, _Records, closed_windows, trades_for,  # noqa: F401
+                      write_csv)
 from .errors import AllWeightsZero, EmptyMarket, NoSurveyResponses, OutOfRange
-from .stats import left_sum, mean_var
+from .stats import group_sums
 
 METHOD_MARKET = "market_final_price"
 METHOD_MEAN = "survey_mean"
@@ -52,10 +58,76 @@ class ForecasterWeight:
     weight: float
 
 
-def _left_sums(values: list, bounds: list[int]) -> np.ndarray:
+class PairTable:
+    """What the forecast and score tables share. A table holds records of
+    RECORD as columns, one row a record in the records' order: row r is
+    keyed by the finding id finding_ids[finding[r]] and the method
+    methods[method[r]], and each further field of RECORD is the column of
+    the same name. A pair (finding, method) is read as its first row, as
+    `evaluate.rows_by_method` reads records. `dataset._Records` is the view
+    that builds the records on first use."""
+
+    def __len__(self) -> int:
+        return len(self.finding)
+
+    def in_load_order(self):
+        """The rows in the records' order: as they are."""
+        return self
+
+    def values(self) -> list[list]:
+        """Each row's value of each field of its record, one list a field."""
+        return [np.array(self.finding_ids, dtype=object)[self.finding].tolist(),
+                np.array(self.methods, dtype=object)[self.method].tolist(),
+                *(getattr(self, f.name).tolist() for f in fields(self.RECORD)[2:])]
+
+    def records(self) -> list:
+        return list(map(self.RECORD, *self.values()))
+
+    @cached_property
+    def _rows(self) -> dict[str, np.ndarray]:
+        pair = self.finding * len(self.methods) + self.method
+        first = np.zeros(len(self), dtype=bool)
+        first[np.unique(pair, return_index=True)[1]] = True
+        return {m: np.flatnonzero(first & (self.method == j)) for j, m in enumerate(self.methods)}
+
+    def rows(self, method: str) -> np.ndarray:
+        """The row of each of the method's pairs, its first, in row order."""
+        return self._rows.get(method, np.zeros(0, dtype=np.int64))
+
+    @classmethod
+    def of(cls, records):
+        """The table of records: the one a view of a table holds, else a
+        row a record in the given order."""
+        if isinstance(records, _Records) and isinstance(records.columns, cls):
+            return records.columns
+        records = list(records)
+        finding_ids, finding = _distinct([r.finding_id for r in records])
+        methods, method = _distinct([r.method for r in records])
+        return cls(finding_ids, tuple(methods), finding, method, **{
+            f.name: np.array([getattr(r, f.name) for r in records])
+            for f in fields(cls.RECORD)[2:]})
+
+
+@dataclass(frozen=True, eq=False)
+class ForecastTable(PairTable):
+    """Forecasts as columns (see PairTable). `aggregate_all` gives each
+    (finding, method) pair a method defines one row, by finding in the order
+    of `Dataset.finding_ids`, then by method."""
+    finding_ids: list[str]
+    methods: tuple[str, ...]
+    finding: np.ndarray    # int64 index into finding_ids
+    method: np.ndarray     # int64 index into methods
+    value: np.ndarray      # float64
+    n_inputs: np.ndarray   # int64
+
+    RECORD = AggregateForecast
+
+
+def _left_sums(values: np.ndarray, bounds: list[int]) -> np.ndarray:
     """The sum of each group values[bounds[i]:bounds[i + 1]], added left to
     right as `stats.left_sum` adds."""
-    return np.array([left_sum(values[a:b]) for a, b in zip(bounds, bounds[1:])], dtype=float)
+    n = np.diff(bounds)
+    return group_sums(values[bounds[0]:bounds[-1]], np.repeat(np.arange(len(n)), n), len(n))
 
 
 # The rules. Each reads every group (see Dataset.group) and gives the value,
@@ -94,11 +166,12 @@ def _weighted(ds: Dataset, values: np.ndarray, weights: dict[str, float] | None 
     n = np.diff(bounds)
     total = n
     if weights is not None:
-        w = np.array([weights.get(f, 0.0) for f in ds.survey_columns.forecaster.tolist()], float)
+        forecasters, forecaster = _distinct(ds.survey_columns.forecaster)
+        w = np.array([weights.get(f, 0.0) for f in forecasters], dtype=float)[forecaster]
         values = w * values
-        total = _left_sums(w.tolist(), bounds)
+        total = _left_sums(w, bounds)
     defined = ~(total <= 0)  # a group without responses weighs 0 too
-    return np.divide(_left_sums(values.tolist(), bounds), total, out=np.full(len(n), np.nan),
+    return np.divide(_left_sums(values, bounds), total, out=np.full(len(n), np.nan),
                      where=defined), n, defined
 
 
@@ -140,10 +213,14 @@ def _weights(ds: Dataset) -> dict[str, float]:
     """Each forecaster's weight: the sample variance of their beliefs in load
     order (`stats.mean_var`)."""
     surveys = ds.survey_columns.in_load_order()
-    beliefs: dict[str, list[float]] = {}
-    for forecaster, belief in zip(surveys.forecaster.tolist(), surveys.belief.tolist()):
-        beliefs.setdefault(forecaster, []).append(belief)
-    return {f: mean_var(b)[1] for f, b in beliefs.items()}
+    forecasters, forecaster = _distinct(surveys.forecaster)
+    k = len(forecasters)
+    n = np.bincount(forecaster, minlength=k)
+    mean = group_sums(surveys.belief, forecaster, k) / n
+    # each square is Python's **, which numpy's square differs from in the last bit
+    squares = np.array([d ** 2 for d in (surveys.belief - mean[forecaster]).tolist()])
+    var = np.divide(group_sums(squares, forecaster, k), n - 1, out=np.zeros(k), where=n > 1)
+    return dict(zip(forecasters, var.tolist()))
 
 
 def forecaster_weights(ds: Dataset) -> list[ForecasterWeight]:
@@ -170,10 +247,11 @@ def check_threshold(threshold: float) -> None:
 
 
 def aggregate_all(ds: Dataset, methods=ALL_METHODS,
-                  threshold: float = 0.5) -> list[AggregateForecast]:
+                  threshold: float = 0.5) -> Sequence[AggregateForecast]:
     """One forecast per (finding id, method), each method once, where it first occurs,
     skipping findings a method cannot aggregate (empty market / no responses / all-zero
-    weights): exactly the findings whose per-finding function raises."""
+    weights): exactly the findings whose per-finding function raises. The forecasts
+    are a read-only view of their `ForecastTable` (its `columns`), built on first use."""
     check_threshold(threshold)
     methods = tuple(dict.fromkeys(methods))
     rules = {
@@ -185,12 +263,16 @@ def aggregate_all(ds: Dataset, methods=ALL_METHODS,
     }
     if not set(methods) <= rules.keys():
         raise ValueError(f"unknown methods {sorted(set(methods) - rules.keys())}")
-    columns = [(method, *(a.tolist() for a in rules[method](ds))) for method in methods]
-    return [AggregateForecast(fid, method, value[k], n[k])
-            for k, fid in enumerate(ds.finding_ids())
-            for method, value, n, defined in columns if defined[k]]
+    finding_ids = ds.finding_ids()
+    columns = [rules[method](ds) for method in methods]
+    # each of the rules' value, count and defined columns as one (finding x method) array
+    value, n, defined = (np.array([c[i] for c in columns]).reshape(len(methods), len(finding_ids)).T
+                         for i in range(3))
+    finding, method = np.nonzero(defined)  # by finding, then by method
+    return _Records(ForecastTable(finding_ids, methods, finding, method, value[finding, method],
+                                  n[finding, method]))
 
 
 def write_aggregates(forecasts: list[AggregateForecast], path: str | Path) -> None:
     write_csv(path, ["finding_id", "method", "value", "n_inputs"],
-              ([f.finding_id, f.method, f.value, f.n_inputs] for f in forecasts))
+              zip(*ForecastTable.of(forecasts).values()))

@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import aggregate, dynamics, evaluate, lmsr, reference, stats, synth
+from . import aggregate, dynamics, evaluate, lmsr, reference, synth
 # trades_for stays bound here: code that reads or patches cli.trades_for relies on it
 from .dataset import (DEFAULT_P_THRESHOLD, load_dataset, load_mapping, trade_counts,  # noqa: F401
                       trades_for, validate, write_csv)
@@ -129,14 +129,6 @@ def run_pipeline(ds, threshold: float = 0.5, yates: bool = False,
     forecasts, scores, evaluation = forecast_stage(ds, threshold=threshold, yates=yates)
     table2 = or_null(evaluate.build_table2, ds.markets(), ds.p_threshold)
 
-    aggregators, index = {}, evaluate.rows_by_method(scores)
-    for method in aggregate.SURVEY_METHODS:
-        rows = index[method].values()
-        if rows:
-            mean, var = stats.mean_var([r.forecast for r in rows])
-            aggregators[method] = {"mean": mean, "sd": var ** 0.5, "n": len(rows),
-                                   "mae": stats.left_sum(r.abs_error for r in rows) / len(rows)}
-
     counts = trade_counts(ds)
     curves, convergence = dynamics_stage(ds, loess_cfg, (0.9,), cutoff_hours=168.0)
     dyn = {
@@ -158,7 +150,7 @@ def run_pipeline(ds, threshold: float = 0.5, yates: bool = False,
         "table1": evaluate.build_table1(ds, scores),
         "table2": table2,
         **evaluation,
-        "aggregators": aggregators,
+        "aggregators": evaluate.aggregator_summaries(scores, aggregate.SURVEY_METHODS),
         "dynamics": dyn,
     }
     return {"report": report, "forecasts": forecasts, "scores": scores,

@@ -468,9 +468,10 @@ def _int_column(values: list, limit: int | None = None) -> np.ndarray:
 class _Records(Sequence):
     """The records of a Dataset's column table (`surveys` or `trades`), in load
     order: a read-only list of them, built from the columns on first use.
-    Their number is the columns' row count: counting builds none."""
+    Their number is the columns' row count: counting builds none. The
+    forecast and score tables (`aggregate.PairTable`) are viewed the same way."""
 
-    def __init__(self, columns: _Columns):
+    def __init__(self, columns):
         self.columns = columns
 
     @cached_property
@@ -482,6 +483,9 @@ class _Records(Sequence):
 
     def __getitem__(self, rows):
         return self._records[rows]
+
+    def __iter__(self):
+        return iter(self._records)
 
     def __eq__(self, other) -> bool:
         """Whether the records are equal. Two views of one record type
@@ -726,10 +730,11 @@ def _category(stated: str, p_value: float | None, p_threshold: float, warn) -> s
     return category
 
 
-def _finding_from(values: list[str], row: int, p_threshold: float, warn) -> Finding:
+def _finding_from(values: list, row: int, p_threshold: float, warn) -> Finding:
     """The finding an outcomes row states. A project, outcome or category that
     is not one of the known values is kept as read (the project upper-cased)
-    for the finding rule to reject."""
+    for the finding rule to reject. A market time is its text, parsed here,
+    or the ms since the epoch its block gave it (see `_load_findings`)."""
     fid, project, outcome, stated, p_text, market_open, market_close = values
     if not fid:
         raise _Rejected("finding_id", "invalid_value", "empty finding_id")
@@ -742,8 +747,9 @@ def _finding_from(values: list[str], row: int, p_threshold: float, warn) -> Find
                   f"cannot parse {p_text!r} as a number; stored as missing"))
     return Finding(fid, project.upper(), int(outcome) if outcome in ("0", "1") else outcome,
                    _category(stated, p_value, p_threshold, warn), p_value,
-                   _parse(parse_timestamp, market_open, "market_open/market_close"),
-                   _parse(parse_timestamp, market_close, "market_open/market_close"),
+                   *(ms if isinstance(ms, int) else
+                     _parse(parse_timestamp, ms, "market_open/market_close")
+                     for ms in (market_open, market_close)),
                    source_row=row)
 
 
@@ -1001,12 +1007,14 @@ def _load_findings(blocks: Iterator[list], p_threshold: float,
                    report: ValidationReport) -> list[Finding]:
     """The accepted rows of an outcomes table read in blocks, as records. A
     rejected row gets one error, its first text fault, else its first rule
-    fault, and no warnings."""
+    fault, and no warnings. A block's market times of format_timestamp's
+    shape are parsed by numpy at once, as the trades' are (_canonical_instants);
+    any other block's go row by row."""
     findings: list[Finding] = []
     ids: set[str] = set()
     notes: list[tuple[str, str, str]] = []  # the warnings of the row being read
     row = 0
-    for row, values in enumerate(chain.from_iterable(zip(*block) for block in blocks), start=1):
+    for row, values in enumerate(chain.from_iterable(map(_market_instants, blocks)), start=1):
         notes.clear()
         try:
             finding = _finding_from(values, row, p_threshold, notes.append)
@@ -1022,6 +1030,16 @@ def _load_findings(blocks: Iterator[list], p_threshold: float,
     report.counts["outcomes"] = {"lines": row, "accepted": len(findings),
                                  "rejected": row - len(findings)}
     return findings
+
+
+def _market_instants(block: list) -> Iterator[tuple]:
+    """The rows of a block of an outcomes table, each market time column as
+    ms since the epoch where every text in it is canonical, else as read."""
+    *values, opens, closes = block
+    for texts in (opens, closes):
+        ms = _canonical_instants(texts)
+        values.append(texts if ms is None else ms.tolist())
+    return zip(*values)
 
 
 def _accepted(table: str, columns: _Columns, clean: np.ndarray, text_faults: dict,

@@ -3,22 +3,34 @@
 Produces per-forecast score rows, per-project and pooled summary tables,
 the overestimation / error / extremeness tests, prediction-asymmetry
 quadrants, and the p-value-category regression.
+
+`score` adds the outcome, predicted class, correctness, absolute error and
+extremeness to the forecast table as columns (`ScoreTable`); the `ScoreRow`
+records it returns are a view of that table, built on first use. Every
+statistic reads the table's columns, each method's pairs (their first rows,
+see `aggregate.PairTable`) selected by index, so a record list and the view
+of a table read alike.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .aggregate import (
     AggregateForecast,
+    ForecastTable,
     METHOD_MARKET,
     METHOD_MEAN,
+    PairTable,
     check_threshold,
 )
 from .dataset import (CATEGORY_ABOVE, CATEGORY_AT_OR_BELOW, DEFAULT_P_THRESHOLD, Dataset,
-                      Finding, PROJECTS, first_by_id, write_csv)
+                      Finding, PROJECTS, _Records, first_by_id, write_csv)
 from .errors import MissingOutcome, or_null
 from . import stats
 
@@ -39,6 +51,23 @@ class ScoreRow:
     correct: bool
     abs_error: float
     extremeness: float
+
+
+@dataclass(frozen=True, eq=False)
+class ScoreTable(PairTable):
+    """Score rows as columns (see `aggregate.PairTable`), in the rows' order."""
+    finding_ids: list[str]
+    methods: tuple[str, ...]
+    finding: np.ndarray      # int64 index into finding_ids
+    method: np.ndarray       # int64 index into methods
+    forecast: np.ndarray     # float64
+    outcome: np.ndarray      # int64
+    predicted: np.ndarray    # int64: 1 where the forecast is at or above the threshold
+    correct: np.ndarray      # bool
+    abs_error: np.ndarray    # float64
+    extremeness: np.ndarray  # float64
+
+    RECORD = ScoreRow
 
 
 @dataclass
@@ -86,31 +115,34 @@ def _findings_by_id(findings) -> dict[str, Finding]:
     return first_by_id(findings.findings if isinstance(findings, Dataset) else findings)
 
 
+def _outcomes(table: PairTable, by_id: dict[str, Finding]) -> tuple[np.ndarray, np.ndarray]:
+    """The outcome of each finding of the table's finding axis (0 where
+    by_id lacks it), and the mask of those by_id has."""
+    found = [by_id.get(fid) for fid in table.finding_ids]
+    return (np.array([0 if f is None else f.outcome for f in found], dtype=np.int64),
+            np.array([f is not None for f in found], dtype=bool))
+
+
 def score(forecasts: list[AggregateForecast], findings,
-          threshold: float = 0.5) -> list[ScoreRow]:
-    """One score row per (finding, method).
+          threshold: float = 0.5) -> Sequence[ScoreRow]:
+    """One score row per forecast, in the forecasts' order: a read-only view
+    of their `ScoreTable` (its `columns`), built on first use.
 
     A forecast at exactly the threshold binarizes to "replicates".
     """
     check_threshold(threshold)
-    by_id = _findings_by_id(findings)
-    rows = []
-    for fc in forecasts:
-        finding = by_id.get(fc.finding_id)
-        if finding is None:
-            raise MissingOutcome(f"no outcome recorded for {fc.finding_id!r}")
-        predicted = 1 if fc.value >= threshold else 0
-        rows.append(ScoreRow(
-            finding_id=fc.finding_id,
-            method=fc.method,
-            forecast=fc.value,
-            outcome=finding.outcome,
-            predicted=predicted,
-            correct=predicted == finding.outcome,
-            abs_error=abs(finding.outcome - fc.value),
-            extremeness=abs(fc.value - 0.5),
-        ))
-    return rows
+    table = ForecastTable.of(forecasts)
+    outcome, known = _outcomes(table, _findings_by_id(findings))
+    unknown = np.flatnonzero(~known[table.finding])
+    if len(unknown):
+        fid = table.finding_ids[table.finding[unknown[0]]]
+        raise MissingOutcome(f"no outcome recorded for {fid!r}")
+    outcome = outcome[table.finding]
+    predicted = (table.value >= threshold).astype(np.int64)
+    return _Records(ScoreTable(
+        table.finding_ids, table.methods, table.finding, table.method, table.value, outcome,
+        predicted, predicted == outcome, np.abs(outcome - table.value),
+        np.abs(table.value - 0.5)))
 
 
 def rows_by_method(scores) -> dict[str, dict[str, ScoreRow]]:
@@ -122,53 +154,70 @@ def rows_by_method(scores) -> dict[str, dict[str, ScoreRow]]:
     return index
 
 
+def _paired(table: PairTable) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the market's and the survey mean's pairs on the findings
+    both scored, in the order of the market's rows."""
+    market, survey = (table.rows(method) for method in COMPARED)
+    row_of = np.full(len(table.finding_ids), -1)
+    row_of[table.finding[survey]] = survey
+    partner = row_of[table.finding[market]]
+    both = partner >= 0
+    return market[both], partner[both]
+
+
 def paired_scores(scores) -> tuple[list[ScoreRow], list[ScoreRow]]:
     """The market's and the survey mean's score rows (each pair's first) on
     the findings both scored, in the order of the market's score rows (in the
     pipeline, the order of `Dataset.finding_ids`)."""
-    index = rows_by_method(scores)
-    market, survey = (index[method] for method in COMPARED)
-    both = [i for i in market if i in survey]
-    return [market[i] for i in both], [survey[i] for i in both]
+    scores = scores if isinstance(scores, _Records) else list(scores)
+    return tuple([scores[r] for r in rows.tolist()] for rows in _paired(ScoreTable.of(scores)))
 
 
 def summarize(scores: list[ScoreRow], findings,
               group_by: str = "project") -> list[ProjectSummary]:
     """Per-project summaries (`group_by="project"`) or one pooled row of the
-    two compared methods, each group a selection of `rows_by_method`."""
+    two compared methods, each group a mask of the findings: the pairs of
+    its findings, each group's sums taken left to right in row order."""
     by_id = _findings_by_id(findings)
     if group_by == "pooled":
-        groups = [(POOLED, list(by_id.values()))]
+        names, group_of = [POOLED], {fid: 0 for fid in by_id}
     elif group_by == "project":
-        groups = [(p, [f for f in by_id.values() if f.project == p])
-                  for p in PROJECTS]
-        groups = [(p, fs) for p, fs in groups if fs]
+        names = [p for p in PROJECTS if any(f.project == p for f in by_id.values())]
+        group_of = {fid: names.index(f.project) for fid, f in by_id.items() if f.project in names}
     else:
         raise ValueError(f"group_by must be 'project' or 'pooled', got {group_by!r}")
 
-    index = rows_by_method(scores)
-    market, survey = (index[method] for method in COMPARED)
-    summaries = []
-    for name, members in groups:
-        ids = {f.finding_id for f in members}
-        n = len(members)
-        n_rep = sum(f.outcome for f in members)
-        summary = ProjectSummary(
-            project=name, n_findings=n, n_replicated=n_rep,
-            replication_rate=n_rep / n if n else None)
-        for method in COMPARED:
-            rows = [r for i, r in index[method].items() if i in ids]
-            if not rows:
+    n, n_rep = [0] * len(names), [0] * len(names)
+    for fid, k in group_of.items():
+        n[k] += 1
+        n_rep[k] += by_id[fid].outcome
+    summaries = [ProjectSummary(project=name, n_findings=n[k], n_replicated=n_rep[k],
+                                replication_rate=n_rep[k] / n[k] if n[k] else None)
+                 for k, name in enumerate(names)]
+    table = ScoreTable.of(scores)
+    group = np.array([group_of.get(fid, -1) for fid in table.finding_ids], dtype=np.int64)
+    for method in COMPARED:
+        rows = table.rows(method)
+        g = group[table.finding[rows]]
+        rows, g = rows[g >= 0], g[g >= 0]
+        count = np.bincount(g, minlength=len(names)).tolist()
+        n_correct = np.bincount(g[table.correct[rows]], minlength=len(names)).tolist()
+        belief, error = (stats.group_sums(column[rows], g, len(names)).tolist()
+                         for column in (table.forecast, table.abs_error))
+        for k, summary in enumerate(summaries):
+            if not count[k]:
                 continue
-            summary.mean_belief[method] = stats.left_sum(r.forecast for r in rows) / len(rows)
-            summary.n_correct[method] = sum(r.correct for r in rows)
-            summary.mae[method] = stats.left_sum(r.abs_error for r in rows) / len(rows)
+            summary.mean_belief[method] = belief[k] / count[k]
+            summary.n_correct[method] = n_correct[k]
+            summary.mae[method] = error[k] / count[k]
+            member = rows[g == k]
             summary.spearman_outcome[method] = or_null(
-                stats.spearman, [r.outcome for r in rows], [r.forecast for r in rows])
-        both = [i for i in market if i in ids and i in survey]
+                stats.spearman, table.outcome[member].tolist(), table.forecast[member].tolist())
+    market, survey = _paired(table)
+    g = group[table.finding[market]]
+    for k, summary in enumerate(summaries):
         summary.spearman_market_survey = or_null(
-            stats.spearman, [market[i].forecast for i in both], [survey[i].forecast for i in both])
-        summaries.append(summary)
+            stats.spearman, *(table.forecast[rows[g == k]].tolist() for rows in (market, survey)))
     return summaries
 
 
@@ -179,10 +228,13 @@ def asymmetry_tests(scores: list[ScoreRow], methods: tuple[str, ...] = tuple(COM
     replications? Chi-square on the (predicted class x correctness) table,
     keyed by method with the method's quadrants; the test is None where a
     method's own table leaves it undefined."""
-    index = rows_by_method(scores)
+    table = ScoreTable.of(scores)
     out = {}
     for method in methods:
-        cells = Counter((s.predicted, s.outcome) for s in index[method].values())
+        rows = table.rows(method)
+        predicted, outcome = table.predicted[rows], table.outcome[rows]
+        cells = {(p, o): int(np.count_nonzero((predicted == p) & (outcome == o)))
+                 for p in (0, 1) for o in (0, 1)}
         quad = ConfusionQuadrants(
             method=method,
             predicted_fail_replicated=cells[0, 1],
@@ -190,18 +242,21 @@ def asymmetry_tests(scores: list[ScoreRow], methods: tuple[str, ...] = tuple(COM
             predicted_replicate_replicated=cells[1, 1],
             predicted_replicate_not_replicated=cells[1, 0],
         )
-        table = [[cells[0, 0], cells[0, 1]], [cells[1, 1], cells[1, 0]]]
-        out[method] = (quad, or_null(stats.chi_square_1df, table, yates=yates))
+        counts = [[cells[0, 0], cells[0, 1]], [cells[1, 1], cells[1, 0]]]
+        out[method] = (quad, or_null(stats.chi_square_1df, counts, yates=yates))
     return out
 
 
 def accuracy_comparison_test(scores: list[ScoreRow], yates: bool = False) -> stats.TestResult:
     """Chi-square comparing the correct/incorrect counts of the market's
     final price (first row) and the survey mean (second row)."""
-    index = rows_by_method(scores)
-    correct = {method: sum(s.correct for s in index[method].values()) for method in COMPARED}
-    return stats.chi_square_1df([[correct[m], len(index[m]) - correct[m]] for m in COMPARED],
-                                yates=yates)
+    table = ScoreTable.of(scores)
+    counts = []
+    for method in COMPARED:
+        rows = table.rows(method)
+        correct = int(np.count_nonzero(table.correct[rows]))
+        counts.append([correct, len(rows) - correct])
+    return stats.chi_square_1df(counts, yates=yates)
 
 
 def overestimation_tests(forecasts: list[AggregateForecast],
@@ -212,11 +267,15 @@ def overestimation_tests(forecasts: list[AggregateForecast],
 
     Negative t means the forecasts overestimate the replication rate.
     """
-    by_id = _findings_by_id(findings)
-    index = rows_by_method(f for f in forecasts if f.finding_id in by_id)
-    return {method: or_null(stats.paired_t, [by_id[i].outcome for i in index[method]],
-                            [f.value for f in index[method].values()])
-            for method in COMPARED}
+    table = ForecastTable.of(forecasts)
+    outcome, known = _outcomes(table, _findings_by_id(findings))
+    out = {}
+    for method in COMPARED:
+        rows = table.rows(method)
+        rows = rows[known[table.finding[rows]]]
+        out[method] = or_null(stats.paired_t, outcome[table.finding[rows]].tolist(),
+                              table.value[rows].tolist())
+    return out
 
 
 def error_difference_test(scores: list[ScoreRow]) -> stats.TestResult:
@@ -225,30 +284,45 @@ def error_difference_test(scores: list[ScoreRow]) -> stats.TestResult:
 
     Positive t means the market's errors are smaller than the survey's.
     """
-    market, survey = paired_scores(scores)
-    return stats.paired_t([s.abs_error for s in survey], [m.abs_error for m in market])
+    table = ScoreTable.of(scores)
+    market, survey = _paired(table)
+    return stats.paired_t(table.abs_error[survey].tolist(), table.abs_error[market].tolist())
 
 
 def extremeness_test(scores: list[ScoreRow]) -> stats.TestResult:
     """Paired t-test of per-finding extremeness, the market's final price's
     minus the survey mean's."""
-    market, survey = paired_scores(scores)
-    return stats.paired_t([m.extremeness for m in market], [s.extremeness for s in survey])
+    table = ScoreTable.of(scores)
+    market, survey = _paired(table)
+    return stats.paired_t(table.extremeness[market].tolist(), table.extremeness[survey].tolist())
 
 
 def forecast_correlations(scores: list[ScoreRow]) -> dict[str, float | None]:
     """Each compared method's outcome/forecast correlation over the findings
     it scored, and the market/survey correlations on the findings both scored."""
-    index = rows_by_method(scores)
+    table = ScoreTable.of(scores)
     out: dict[str, float | None] = {}
     for method, name in COMPARED.items():
-        rows = index[method].values()
+        rows = table.rows(method)
         out[f"pearson_outcome_{name}"] = or_null(
-            stats.pearson, [r.outcome for r in rows], [r.forecast for r in rows])
-    market, survey = paired_scores(scores)
-    pairs = ([m.forecast for m in market], [s.forecast for s in survey])
+            stats.pearson, table.outcome[rows].tolist(), table.forecast[rows].tolist())
+    pairs = [table.forecast[rows].tolist() for rows in _paired(table)]
     out["pearson_market_survey"] = or_null(stats.pearson, *pairs)
     out["spearman_market_survey"] = or_null(stats.spearman, *pairs)
+    return out
+
+
+def aggregator_summaries(scores: list[ScoreRow], methods) -> dict[str, dict]:
+    """The mean, standard deviation, count and mean absolute error of each
+    method's forecasts (each pair's first), for each method that has any."""
+    table = ScoreTable.of(scores)
+    out = {}
+    for method in methods:
+        rows = table.rows(method)
+        if len(rows):
+            mean, var = stats.mean_var(table.forecast[rows].tolist())
+            out[method] = {"mean": mean, "sd": var ** 0.5, "n": len(rows),
+                           "mae": stats.left_sum(table.abs_error[rows].tolist()) / len(rows)}
     return out
 
 
@@ -321,10 +395,10 @@ def build_table2(findings, p_threshold: float = DEFAULT_P_THRESHOLD) -> dict:
 
 
 def write_scores(scores: list[ScoreRow], path: str | Path) -> None:
+    *keys, correct, abs_error, extremeness = ScoreTable.of(scores).values()
     write_csv(path, ["finding_id", "method", "forecast", "outcome", "predicted",
                      "correct", "abs_error", "extremeness"],
-              ([s.finding_id, s.method, s.forecast, s.outcome, s.predicted,
-                int(s.correct), s.abs_error, s.extremeness] for s in scores))
+              zip(*keys, map(int, correct), abs_error, extremeness))
 
 
 def write_table1_csv(table1: dict, path: str | Path) -> None:

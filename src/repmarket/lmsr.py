@@ -139,7 +139,8 @@ def execute_trade(ms: MarketState, trader_id: str, side: str, quantity: float,
     """Execute a trade and return (new state, trade record).
 
     The input state is never mutated; on error it remains the valid state.
-    The trade record always carries a positive quantity: a sell is recorded
+    A zero quantity, or one that is not finite (NaN or infinite), is refused
+    with ValueError. The trade record always carries a positive quantity: a sell is recorded
     as the price-equivalent buy of the opposite side (the cost function is
     translation-invariant, so the recorded sequence replays to the same
     price path). post_trade_price is the YES price after the trade,
@@ -152,6 +153,8 @@ def execute_trade(ms: MarketState, trader_id: str, side: str, quantity: float,
         raise UnknownTrader(trader_id)
     if quantity == 0:
         raise ValueError("quantity must be nonzero")
+    if not math.isfinite(quantity):
+        raise ValueError(f"quantity must be finite, got {quantity}")
 
     cost = cost_to_trade(ms, side, quantity)
     tokens_after = account.tokens - cost

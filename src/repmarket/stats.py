@@ -35,6 +35,14 @@ def left_sum(values):
     return functools.reduce(operator.add, values, 0)
 
 
+def group_sums(values: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
+    """Each group's sum of the values, group k's sum of the values whose entry
+    in `groups` is k, added left to right as `left_sum` adds them: bincount
+    adds each value to its group's sum in turn, from 0.0. (`np.sum` and
+    `np.add.reduceat` add pairwise.) A group without values sums to 0.0."""
+    return np.bincount(groups, weights=values, minlength=n_groups).astype(float, copy=False)
+
+
 def mean_var(values) -> tuple[float, float]:
     """Mean and n-1 sample variance of one or more values, each summed left
     to right; the variance of a single value is 0.0."""

@@ -261,6 +261,17 @@ def report_writes_discrepancies(tmp: Path) -> None:
     assert_nonempty(tmp / "report" / "discrepancies.csv")
 
 
+def one_table_feeds_report_evaluate_and_aggregate(tmp: Path) -> None:
+    """evaluate's scores.csv and aggregate's aggregates.csv are byte for byte
+    the files report writes: one forecast table feeds all three commands."""
+    paths = synth(tmp / "data")
+    for command in ("report", "evaluate", "aggregate"):
+        repmarket(command, *data_args(paths), "--out", tmp / command)
+    for command, name in (("evaluate", "scores.csv"), ("aggregate", "aggregates.csv")):
+        assert_nonempty(tmp / command / name)
+        assert (tmp / command / name).read_bytes() == (tmp / "report" / name).read_bytes(), name
+
+
 def out_of_range_option_exits_2(tmp: Path) -> None:
     """A LOESS span of 0 exits 2 as an OutOfRange and leaves no --out directory."""
     paths = synth(tmp / "data")
@@ -299,6 +310,7 @@ CHECKS = (
     bad_mapping_and_directory_exit_2,
     field_over_the_limit_exits_2,
     report_writes_discrepancies,
+    one_table_feeds_report_evaluate_and_aggregate,
     out_of_range_option_exits_2,
 )
 

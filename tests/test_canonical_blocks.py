@@ -139,3 +139,53 @@ def test_a_table_without_an_accepted_row_loads_as_empty_columns(block_rows, monk
         assert column.dtype == np.int64 and len(column) == 0
     assert [(e.table, e.row, e.column, e.kind) for e in report.errors] == [
         ("trades", row, "post_trade_price", "invalid_value") for row in range(1, 352)]
+
+
+def _row_by_row(paths, monkeypatch):
+    """The dataset loaded with every timestamp parsed by parse_timestamp."""
+    with monkeypatch.context() as m:
+        m.setattr(dataset, "_canonical_instants", lambda texts: None)
+        return load_dataset(paths["outcomes"], paths["surveys"], paths["trades"])
+
+
+@pytest.mark.parametrize("form", [
+    lambda text: text[:-1] + "+00:00",
+    lambda text: str(parse_timestamp(text)),
+], ids=["offset", "epoch_ms"])
+@pytest.mark.parametrize("faulty", [False, True])
+def test_an_outcomes_block_with_one_time_off_shape_loads_as_row_by_row(
+        form, faulty, seed3, tmp_path, monkeypatch):
+    # one market time off format_timestamp's shape sends its column's block
+    # row by row, while the other column's block is parsed at once; rows that
+    # fault on an empty id, a category or a time keep their first fault
+    with open(seed3["outcomes"], newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    at = {name: header.index(name) for name in header}
+    opened = rows[3][at["market_open"]]
+    rows[3][at["market_open"]] = form(opened)
+    if faulty:
+        rows[4][at["finding_id"]], rows[4][at["market_close"]] = "", "soon"
+        # a stated category that disagrees with the p-value is a text fault too
+        rows[5][at["p_value_category"]], rows[5][at["original_p_value"]] = "above", "0.001"
+        rows[5][at["market_open"]] = "soon"
+        rows[6][at["market_close"]] = "soon"
+    paths = {**seed3, "outcomes": tmp_path / "outcomes.csv"}
+    dataset.write_csv(paths["outcomes"], header, rows)
+    ds = load_dataset(paths["outcomes"], paths["surveys"], paths["trades"])
+    expected = _row_by_row(paths, monkeypatch)
+    assert ds.findings == expected.findings
+    assert ds.load_report.to_dict() == expected.load_report.to_dict()
+    assert [(e.row, e.column) for e in ds.load_report.errors if e.table == "outcomes"] == [
+        (5, "finding_id"), (6, "p_value_category"), (7, "market_open/market_close")
+    ] * faulty
+    assert ds.findings[3].market_open == parse_timestamp(opened)
+
+
+def test_canonical_market_times_are_parsed_by_block(seed3, monkeypatch):
+    calls = []
+    parse = dataset.parse_timestamp
+    monkeypatch.setattr(dataset, "parse_timestamp", lambda text: calls.append(text) or parse(text))
+    ds = load_dataset(seed3["outcomes"], seed3["surveys"], seed3["trades"])
+    assert calls == []
+    assert ds.findings == _row_by_row(seed3, monkeypatch).findings
+    assert calls

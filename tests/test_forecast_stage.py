@@ -1,6 +1,7 @@
 """The forecast stage states each rule once: each overestimation test is null
-on its own pairs alone, the compared forecasts are scored once, and each
-aggregation method is read once however often it is asked for."""
+on its own pairs alone, the compared forecasts are scored once (as columns,
+their rows built only on request), and each aggregation method is read once
+however often it is asked for."""
 
 import dataclasses
 
@@ -40,6 +41,10 @@ def test_the_forecast_stage_builds_one_score_row_per_score(monkeypatch, synth_ds
 
     monkeypatch.setattr(evaluate.ScoreRow, "__init__", counting)
     _, scores, _ = forecast_stage(synth_ds)
+    # the stage reads the score table's columns: a row is built only on request
+    assert built == []
+    assert len(list(scores)) == len(built) == len(scores)
+    list(scores)  # a second read builds none
     assert len(built) == len(scores)
 
 

@@ -15,7 +15,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from repmarket import aggregate, dynamics, lmsr, stats  # noqa: E402
+from repmarket import aggregate, dynamics, evaluate, lmsr, stats  # noqa: E402
 from repmarket.dataset import (Dataset, SurveyResponse, closed_rows, load_dataset,  # noqa: E402
                                surveys_for, trades_for, validate, write_dataset)
 from repmarket.errors import EmptyMarket, ReplayUnavailable, UnknownFinding, or_null  # noqa: E402
@@ -487,6 +487,49 @@ def test_aggregate_all_equals_the_walk_over_every_pair(given_tables, threshold):
     forecasts = aggregate.aggregate_all(ds, threshold=threshold)
     assert _bits(forecasts) == _bits(walk_per_finding(ds, threshold))
     assert _bits(forecasts) == _bits(walk_records(ds, threshold))
+
+
+def walk_scores(forecasts, ds, threshold):
+    """Each forecast's score row, one record at a time."""
+    outcome = {f.finding_id: f.outcome for f in ds.markets()}
+    rows = []
+    for fc in forecasts:
+        predicted = 1 if fc.value >= threshold else 0
+        o = outcome[fc.finding_id]
+        rows.append(evaluate.ScoreRow(fc.finding_id, fc.method, fc.value, o, predicted,
+                                      predicted == o, abs(o - fc.value), abs(fc.value - 0.5)))
+    return rows
+
+
+def _record_bits(records):
+    # each field's value with its type, a float by its bits
+    return [tuple((v.hex() if isinstance(v, float) else v, type(v))
+                  for v in dataclasses.astuple(r)) for r in records]
+
+
+@settings(deadline=None, max_examples=80)
+@given(tables() | valid_tables(), st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+@example(_every_case(), 0.5)
+def test_the_forecast_and_score_tables_equal_the_walk_over_their_records(given_tables,
+                                                                         threshold):
+    ds = make_dataset(*given_tables)
+    walk = walk_per_finding(ds, threshold)
+    table = aggregate.aggregate_all(ds, threshold=threshold).columns
+    assert (table.finding_ids, table.methods) == (ds.finding_ids(), aggregate.ALL_METHODS)
+    # the mask: a cell of the (finding x method) table is defined where the walk
+    # has the pair, and the rows run by finding, then by method, as the walk does
+    defined = np.zeros((len(table.finding_ids), len(table.methods)), dtype=bool)
+    defined[table.finding, table.method] = True
+    group = {fid: k for k, fid in enumerate(ds.finding_ids())}
+    walked = np.zeros_like(defined)
+    for f in walk:
+        walked[group[f.finding_id], table.methods.index(f.method)] = True
+    assert np.array_equal(defined, walked)
+    assert _record_bits(map(aggregate.AggregateForecast, *table.values())) == _record_bits(walk)
+
+    scores = evaluate.score(aggregate.aggregate_all(ds, threshold=threshold), ds, threshold)
+    assert _record_bits(map(evaluate.ScoreRow, *scores.columns.values())) == _record_bits(
+        walk_scores(walk, ds, threshold))
 
 
 @st.composite

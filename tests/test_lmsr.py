@@ -127,6 +127,20 @@ def test_insufficient_tokens_leaves_state_unchanged():
     assert ms.ledgers["a"].tokens == 1.0
 
 
+@pytest.mark.parametrize("endowment", [100.0, math.inf])
+@pytest.mark.parametrize("quantity", [math.nan, math.inf, -math.inf])
+def test_a_quantity_that_is_not_finite_is_refused_and_leaves_the_state_unchanged(
+        endowment, quantity):
+    ms = lmsr.new_market(100.0, endowment=endowment, traders=("a",))
+    ms, _ = lmsr.execute_trade(ms, "a", "YES", 1.0, TS)
+    before = dataclasses.replace(ms, ledgers=dict(ms.ledgers))
+    with pytest.raises(ValueError, match="quantity must be finite"):
+        lmsr.execute_trade(ms, "a", "YES", quantity, TS + 1)
+    assert ms == before
+    with pytest.raises(ValueError, match="^quantity must be nonzero$"):
+        lmsr.execute_trade(ms, "a", "YES", 0.0, TS + 1)
+
+
 def test_no_short_positions():
     ms = lmsr.new_market(100.0, endowment=100.0, traders=("a",))
     with pytest.raises(InsufficientHoldings):
