@@ -30,7 +30,7 @@ import numpy as np
 
 # trades_for stays bound here: code that reads or patches aggregate.trades_for relies on it
 from .dataset import (Dataset, _distinct, _Records, closed_windows, trades_for,  # noqa: F401
-                      write_csv)
+                      write_columns)
 from .errors import AllWeightsZero, EmptyMarket, NoSurveyResponses, OutOfRange
 from .stats import group_sums
 
@@ -274,5 +274,5 @@ def aggregate_all(ds: Dataset, methods=ALL_METHODS,
 
 
 def write_aggregates(forecasts: list[AggregateForecast], path: str | Path) -> None:
-    write_csv(path, ["finding_id", "method", "value", "n_inputs"],
-              zip(*ForecastTable.of(forecasts).values()))
+    write_columns(path, ["finding_id", "method", "value", "n_inputs"],
+                  ForecastTable.of(forecasts).values())

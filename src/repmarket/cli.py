@@ -15,10 +15,12 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import aggregate, dynamics, evaluate, lmsr, reference, synth
 # trades_for stays bound here: code that reads or patches cli.trades_for relies on it
 from .dataset import (DEFAULT_P_THRESHOLD, load_dataset, load_mapping, trade_counts,  # noqa: F401
-                      trades_for, validate, write_csv)
+                      trades_for, validate, write_columns, write_csv)
 from .errors import NoInputPath, OutputNotADirectory, RepmarketError, or_null
 
 DATA_DIR_ENV = "REPMARKET_DATA_DIR"
@@ -178,16 +180,16 @@ def cmd_validate(args) -> int:
 
 def cmd_replay(args) -> int:
     ds = _load(args)
-    fids = ds.finding_ids() if args.finding is None else [args.finding]
     # every market is replayed first so that a failure leaves no partial file
-    rows, replayed = [], 0
-    for fid in fids:
-        prices = or_null(lmsr.replay, ds, fid, mode=args.mode, liquidity_b=args.liquidity_b)
-        if prices is not None:  # an untraded market has no prices and gets no rows
-            replayed += 1
-            rows += ([fid, i, p] for i, p in enumerate(prices, start=1))
+    if args.finding is None:
+        columns = lmsr.replay_markets(ds, mode=args.mode, liquidity_b=args.liquidity_b)
+    else:  # an untraded market has no prices and gets no rows
+        prices = or_null(lmsr.replay, ds, args.finding, mode=args.mode,
+                         liquidity_b=args.liquidity_b) or []
+        columns = ([args.finding] * len(prices), np.arange(1, len(prices) + 1), prices)
     path = _out_dir(args) / "replay.csv"
-    write_csv(path, ["finding_id", "trade_index", "price"], rows)
+    write_columns(path, ["finding_id", "trade_index", "price"], columns)
+    replayed = np.count_nonzero(columns[1] == 1)  # each replayed market has one first trade
     print(f"replayed {replayed} markets ({args.mode}) -> {path}")
     return 0
 

@@ -84,6 +84,10 @@ _SHAPE_LOW = np.frombuffer(_SHAPE.encode("ascii"), np.uint8)
 _SHAPE_SPAN = np.where(_SHAPE_LOW == ord("0"), 9, 0).astype(np.uint8)
 # the data rows a table is read in at a time: only one block's texts are held
 _BLOCK_ROWS = 65_536
+# the rows write_columns formats at a time: their texts, a few objects a
+# field, are held until the block is written, so the block is kept small
+# (at 8,192 rows writing the fixture raised a process's peak RSS by ~1 MB)
+_WRITE_ROWS = 2_048
 
 _CATEGORY_ALIASES = {
     "above": CATEGORY_ABOVE,
@@ -1275,13 +1279,78 @@ def surveys_for(ds: Dataset, finding_id: str) -> list[SurveyResponse]:
     return ds.survey_columns.records(survey_rows(ds, finding_id))
 
 
-def write_csv(path: str | Path, header, rows) -> None:
-    """Write a header row and the data rows. csv writes None as an empty field
-    and floats by repr (convert numpy scalars first: their repr names the type)."""
+# the characters that make csv.writer quote a field (QUOTE_MINIMAL)
+_QUOTED = (",", '"', "\r", "\n")
+
+
+def _field(value) -> str:
+    """One field's text as csv.writer writes it: a str as it is, None as
+    '', anything else by str."""
+    if isinstance(value, str):
+        return value
+    return "" if value is None else str(value)
+
+
+def _texts(column) -> list[str]:
+    """The column's fields as csv.writer writes them. A column of floats
+    alone or of ints alone (a bool is not an int here) is written by repr,
+    `float.__repr__` or `int.__repr__`, which is the type's str and quotes
+    nothing; any other column field by field (`_field`), and quoted as csv
+    quotes when its joined text holds a character that needs it."""
+    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    kinds = set(map(type, values))
+    if kinds == {float} or kinds == {int}:
+        return list(map(repr, values))
+    texts = values if kinds <= {str} else list(map(_field, values))
+    joined = "".join(texts)
+    if any(c in joined for c in _QUOTED):
+        texts = ['"' + t.replace('"', '""') + '"' if any(c in t for c in _QUOTED) else t
+                 for t in texts]
+    return texts
+
+
+def _lines(columns: list) -> str:
+    """The rows of the columns as csv.writer writes them, each line ended by
+    CR LF. csv writes a row of one empty field as "" so that it is not read
+    as a blank line."""
+    texts = [_texts(c) for c in columns]
+    if len(texts) == 1:
+        texts[0] = [t or '""' for t in texts[0]]
+    lines = list(map(",".join, zip(*texts)))
+    lines.append("")
+    return "\r\n".join(lines)
+
+
+def write_columns(path: str | Path, header, columns: list) -> None:
+    """Write a header row and the rows of the columns, one column a field:
+    the bytes csv.writer writes for the rows (excel dialect). A column is a
+    sequence or a numpy array, read through `tolist`. The columns are
+    formatted a block of _WRITE_ROWS rows at a time, each column of the block
+    whole: only one block's text is held."""
+    n_rows = len(columns[0]) if len(columns) else 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(_lines([[name] for name in header]))
+        for start in range(0, n_rows, _WRITE_ROWS):
+            fh.write(_lines([c[start:start + _WRITE_ROWS] for c in columns]))
+
+
+class _Formatted:
+    """A column whose values `write_columns` writes as `fn` gives them: each
+    block is formatted when it is sliced, so no more is held than the block."""
+
+    def __init__(self, fn, column):
+        self.fn, self.column = fn, column
+
+    def __len__(self) -> int:
+        return len(self.column)
+
+    def __getitem__(self, rows: slice) -> list:
+        return list(map(self.fn, self.column[rows]))
+
+
+def write_csv(path: str | Path, header, rows) -> None:
+    """Write a header row and the data rows, through `write_columns`."""
+    write_columns(path, header, list(zip(*rows)) or [()] * len(header))
 
 
 def write_dataset(ds: Dataset, outcomes_path: str | Path, surveys_path: str | Path,
@@ -1291,13 +1360,12 @@ def write_dataset(ds: Dataset, outcomes_path: str | Path, surveys_path: str | Pa
     Floats are rendered with full round-trip precision so that
     load(write(ds)) reproduces ds exactly.
     """
-    write_csv(outcomes_path, OUTCOME_FIELDS,
-              ([f.finding_id, f.project, f.outcome, f.p_value_category,
-                f.original_p_value, format_timestamp(f.market_open),
-                format_timestamp(f.market_close)] for f in ds.findings))
+    *head, opens, closes = ([getattr(f, name) for f in ds.findings] for name in OUTCOME_FIELDS)
+    write_columns(outcomes_path, OUTCOME_FIELDS,
+                  [*head, *(_Formatted(format_timestamp, c) for c in (opens, closes))])
     # the rows are written from the columns in load order, and no record is built
-    write_csv(surveys_path, SURVEY_FIELDS,
-              zip(*ds.survey_columns.in_load_order().values()[:len(SURVEY_FIELDS)]))
+    write_columns(surveys_path, SURVEY_FIELDS,
+                  ds.survey_columns.in_load_order().values()[:len(SURVEY_FIELDS)])
     fids, traders, times, *rest = ds.trade_columns.in_load_order().values()[:len(TRADE_FIELDS)]
-    write_csv(trades_path, TRADE_FIELDS,
-              zip(fids, traders, map(format_timestamp, times), *rest))
+    write_columns(trades_path, TRADE_FIELDS,
+                  [fids, traders, _Formatted(format_timestamp, times), *rest])

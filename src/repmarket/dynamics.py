@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, MS_PER_HOUR, closed_windows, window_ends, write_csv
+from .dataset import Dataset, MS_PER_HOUR, closed_windows, window_ends, write_columns
 from .errors import EmptyMarket, InsufficientPoints, NoReduction, OutOfRange
 from . import stats
 
@@ -228,28 +228,29 @@ def late_trade_forecasts(ds: Dataset, cutoff_hours: float = 168.0,
     trades = ds.trade_columns
     markets = ds.market_columns
     cutoffs = markets["market_open"] + cutoff_hours * MS_PER_HOUR
+    spans = markets["market_close"] - cutoffs
     starts, ends = closed_windows(ds)
     # a window's trades after the cutoff follow the market's trades at or before it
     posts = np.minimum(window_ends(ds, cutoffs), ends)
-    out = {}
-    for fid, cutoff_ms, close, start, first, stop in zip(
-            ds.finding_ids(), cutoffs.tolist(), markets["market_close"].tolist(), starts.tolist(),
-            posts.tolist(), ends.tolist()):
-        if start == stop:
-            continue
-        final_price = float(trades.price[stop - 1])
-        span = close - cutoff_ms
-        alt = final_price
-        if first < stop and span > 0:
-            weights = [(t - cutoff_ms) / span for t in trades.timestamp[first:stop].tolist()]
-            total = stats.left_sum(weights)
-            if total > 0:
-                # anchored at the final price so identical prices stay exact
-                alt = final_price + stats.left_sum(
-                    w * (p - final_price)
-                    for w, p in zip(weights, trades.price[first:stop].tolist())) / total
-        out[fid] = (final_price, alt)
-    return out
+    # the late trades of the markets with a positive span, market by market
+    counts = np.where(spans > 0, ends - posts, 0)
+    market = np.repeat(np.arange(len(counts)), counts)
+    rows = np.arange(len(market)) + np.repeat(posts - np.cumsum(counts) + counts, counts)
+    traded = np.flatnonzero(starts < ends)
+    final = np.zeros(len(counts))
+    final[traded] = trades.price[ends[traded] - 1]
+    # a timestamp column beyond int64 holds Python ints: its weights are objects
+    weights = ((trades.timestamp[rows] - cutoffs[market]) / spans[market]).astype(float)
+    total = stats.group_sums(weights, market, len(counts))
+    # anchored at the final price so identical prices stay exact
+    moved = stats.group_sums(weights * (trades.price[rows] - final[market]), market,
+                             len(counts))
+    alt = final.copy()
+    weighed = total > 0
+    alt[weighed] += moved[weighed] / total[weighed]
+    ids = ds.finding_ids()
+    return {ids[k]: (f, a) for k, f, a in zip(traded.tolist(), final[traded].tolist(),
+                                              alt[traded].tolist())}
 
 
 def late_trade_smoothing(ds: Dataset, cutoff_hours: float = 168.0,
@@ -272,6 +273,5 @@ def write_curves(raw: ErrorCurve, smoothed: ErrorCurve, path: str | Path) -> Non
     """Emit (x, raw mean error, smoothed, contributing markets) rows."""
     if raw.axis != smoothed.axis or len(raw.x) != len(smoothed.x):
         raise ValueError("raw and smoothed curves must share a grid")
-    write_csv(path, ["x", "mean_abs_error", "smoothed", "n_contributing"],
-              zip(raw.x.tolist(), raw.mean_abs_error.tolist(),
-                  smoothed.mean_abs_error.tolist(), raw.n_contributing.tolist()))
+    write_columns(path, ["x", "mean_abs_error", "smoothed", "n_contributing"],
+                  [raw.x, raw.mean_abs_error, smoothed.mean_abs_error, raw.n_contributing])

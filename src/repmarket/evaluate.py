@@ -30,7 +30,7 @@ from .aggregate import (
     check_threshold,
 )
 from .dataset import (CATEGORY_ABOVE, CATEGORY_AT_OR_BELOW, DEFAULT_P_THRESHOLD, Dataset,
-                      Finding, PROJECTS, _Records, first_by_id, write_csv)
+                      Finding, PROJECTS, _Records, first_by_id, write_columns, write_csv)
 from .errors import MissingOutcome, or_null
 from . import stats
 
@@ -396,9 +396,9 @@ def build_table2(findings, p_threshold: float = DEFAULT_P_THRESHOLD) -> dict:
 
 def write_scores(scores: list[ScoreRow], path: str | Path) -> None:
     *keys, correct, abs_error, extremeness = ScoreTable.of(scores).values()
-    write_csv(path, ["finding_id", "method", "forecast", "outcome", "predicted",
-                     "correct", "abs_error", "extremeness"],
-              zip(*keys, map(int, correct), abs_error, extremeness))
+    write_columns(path, ["finding_id", "method", "forecast", "outcome", "predicted",
+                         "correct", "abs_error", "extremeness"],
+                  [*keys, list(map(int, correct)), abs_error, extremeness])
 
 
 def write_table1_csv(table1: dict, path: str | Path) -> None:

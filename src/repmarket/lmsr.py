@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, Trade, market_rows
+from .dataset import Dataset, Trade, TradeColumns, market_rows
 from .errors import (
     EmptyMarket,
     InsufficientHoldings,
@@ -200,6 +200,51 @@ def settle(ms: MarketState, outcome: int) -> tuple[MarketState, dict[str, float]
     return settled, final_tokens
 
 
+def _check_replay(mode: str, liquidity_b: float | None) -> None:
+    """Refuse an unknown mode, and for a simulated replay a liquidity that is
+    missing, not finite or not > 0: whatever the markets' trades."""
+    if mode not in (PRICE_TAKING, SIMULATED):
+        raise ValueError(f"unknown replay mode {mode!r}")
+    if mode == SIMULATED:
+        if liquidity_b is None:
+            raise ReplayUnavailable("simulated replay requires liquidity_b")
+        new_market(liquidity_b)  # refuses a liquidity that is not finite and > 0
+
+
+def _prices(trades: TradeColumns, bounds: list[int], mode: str,
+            liquidity_b: float | None) -> np.ndarray:
+    """The replayed price of each trade of the markets whose rows in `trades`
+    are bounds[k]:bounds[k + 1], one after another (see `replay`)."""
+    rows = slice(bounds[0], bounds[-1])
+    if mode == PRICE_TAKING:
+        return trades.price[rows]
+    yes, quantity = trades.yes[rows], trades.quantity[rows]
+    # every trade is checked before any is priced; the first that is not a
+    # recorded buy is named
+    missing = ~trades.has_quantity[rows]
+    unfit = np.flatnonzero(missing | ~(yes | trades.no[rows])
+                           | ~((0.0 < quantity) & (quantity < np.inf)))
+    if len(unfit):
+        t = trades.records([rows.start + int(unfit[0])])[0]
+        if missing[unfit[0]]:
+            raise ReplayUnavailable(f"simulated replay needs recorded quantities; market "
+                                    f"{t.finding_id!r} has a trade without one")
+        raise ReplayUnavailable(f"simulated replay needs buys; market {t.finding_id!r} "
+                                f"has a trade of {t.quantity} {t.side!r}")
+    # every trade is a buy, so ~yes marks the NO buys; each market's running
+    # sums start from 0, one cumsum a market
+    q_yes, q_no = np.where(yes, quantity, 0.0), np.where(~yes, quantity, 0.0)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        market = slice(start - rows.start, stop - rows.start)
+        np.cumsum(q_yes[market], out=q_yes[market])
+        np.cumsum(q_no[market], out=q_no[market])
+    # price_yes_from_quantities on the columns, exp taken by math.exp
+    d = (q_yes - q_no) / liquidity_b
+    e = np.fromiter(map(math.exp, (-np.abs(d)).tolist()), float, len(d))
+    p = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.minimum(np.maximum(p, _PRICE_FLOOR), _PRICE_CEIL)
+
+
 def replay(ds: Dataset, finding_id: str, mode: str = PRICE_TAKING,
            liquidity_b: float | None = None) -> list[float]:
     """Price time series of one market: one price after each of its trades as
@@ -213,32 +258,28 @@ def replay(ds: Dataset, finding_id: str, mode: str = PRICE_TAKING,
     can refuse a buy, so none is kept. It needs recorded, finite quantities
     and buys.
     """
-    if mode not in (PRICE_TAKING, SIMULATED):
-        raise ValueError(f"unknown replay mode {mode!r}")
-    if mode == SIMULATED:  # the liquidity is refused whatever the market's trades
-        if liquidity_b is None:
-            raise ReplayUnavailable("simulated replay requires liquidity_b")
-        new_market(liquidity_b)  # refuses a liquidity that is not finite and > 0
+    _check_replay(mode, liquidity_b)
     rows = market_rows(ds, finding_id)
     if rows.start == rows.stop:
         raise EmptyMarket(finding_id)
+    return _prices(ds.trade_columns, [rows.start, rows.stop], mode, liquidity_b).tolist()
+
+
+def replay_markets(ds: Dataset, mode: str = PRICE_TAKING, liquidity_b: float | None = None,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`replay` of every market in the order of `ds.finding_ids()`, as three
+    columns with one entry a trade: the finding id, the trade's index in its
+    market from 1, and the price. An untraded market has no rows. The
+    liquidity is checked when there is a market, before any is read, and the
+    first market with a trade a simulated replay refuses raises as `replay`
+    raises for it."""
     trades = ds.trade_columns
-    if mode == PRICE_TAKING:
-        return trades.price[rows].tolist()
-    yes, quantity = trades.yes[rows], trades.quantity[rows]
-    # every trade is checked before any is priced; the first that is not a
-    # recorded buy is named
-    missing = ~trades.has_quantity[rows]
-    unfit = np.flatnonzero(missing | ~(yes | trades.no[rows])
-                           | ~((0.0 < quantity) & (quantity < np.inf)))
-    if len(unfit):
-        if missing[unfit[0]]:
-            raise ReplayUnavailable(f"simulated replay needs recorded quantities; market "
-                                    f"{finding_id!r} has a trade without one")
-        t = trades.records([rows.start + int(unfit[0])])[0]
-        raise ReplayUnavailable(f"simulated replay needs buys; market {finding_id!r} "
-                                f"has a trade of {t.quantity} {t.side!r}")
-    # every trade is a buy, so ~yes marks the NO buys
-    q_yes = np.cumsum(np.where(yes, quantity, 0.0)).tolist()
-    q_no = np.cumsum(np.where(~yes, quantity, 0.0)).tolist()
-    return [price_yes_from_quantities(qy, qn, liquidity_b) for qy, qn in zip(q_yes, q_no)]
+    bounds = trades.bounds
+    if len(bounds) == 1:  # no market: nothing to check or read
+        return trades.finding_id[:0], np.zeros(0, dtype=np.int64), np.zeros(0)
+    _check_replay(mode, liquidity_b)
+    starts = np.array(bounds[:-1], dtype=np.int64)
+    rows = np.arange(bounds[0], bounds[-1])
+    index = rows - np.repeat(starts, np.diff(bounds)) + 1
+    return (trades.finding_id[bounds[0]:bounds[-1]], index,
+            _prices(trades, bounds, mode, liquidity_b))

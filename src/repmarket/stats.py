@@ -199,13 +199,18 @@ def _centred_sums(x: list[float], y: list[float], n: int) -> tuple[float, ...]:
     return mx, my, sxx, syy, sxy
 
 
-def pearson(x, y) -> float:
-    """Pearson product-moment correlation."""
-    *_, sxx, syy, sxy = _centred_sums(*_paired(x, y, 3, "pairs"))
+def _correlation(sxx: float, syy: float, sxy: float) -> float:
+    """The correlation of pairs with the given sums of squares and of cross
+    products about their means."""
     if sxx == 0.0 or syy == 0.0:
         raise DegenerateInput("constant input vector")
     r = sxy / math.sqrt(sxx * syy)
     return min(max(r, -1.0), 1.0)
+
+
+def pearson(x, y) -> float:
+    """Pearson product-moment correlation."""
+    return _correlation(*_centred_sums(*_paired(x, y, 3, "pairs"))[2:])
 
 
 def average_ranks(values) -> list[float]:
@@ -225,8 +230,18 @@ def average_ranks(values) -> list[float]:
 
 
 def spearman(x, y) -> float:
-    """Spearman rank correlation (average ranks for ties)."""
-    return pearson(average_ranks(list(x)), average_ranks(list(y)))
+    """Spearman rank correlation (average ranks for ties): Pearson's of the
+    ranks, summed by numpy. Average ranks and their mean (n + 1) / 2 are
+    whole or half-integers, so each centred rank, square and cross product is
+    exact, and so is each sum below 2**51, in any order: the sums equal
+    `_centred_sums`' left-to-right ones bit for bit. From n**3 = 3 * 2**53
+    on, a sum of squares may reach 2**51, and the ranks are summed left to
+    right."""
+    x, y, n = _paired(average_ranks(list(x)), average_ranks(list(y)), 3, "pairs")
+    if n ** 3 >= 3 * 2 ** 53:
+        return _correlation(*_centred_sums(x, y, n)[2:])
+    dx, dy = (v - np.sum(v) / n for v in (np.array(x), np.array(y)))
+    return _correlation(*(float(np.sum(a * b)) for a, b in ((dx, dx), (dy, dy), (dx, dy))))
 
 
 # ----------------------------------------------------------------------

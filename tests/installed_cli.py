@@ -14,6 +14,7 @@ collect it: its name does not start with `test_`.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import re
@@ -101,6 +102,27 @@ def synth_bytes_repeat_and_round_trip(tmp: Path) -> None:
     for table in TABLES:
         assert a[table].read_bytes() == b[table].read_bytes(), table
         assert a[table].read_bytes() == again[table].read_bytes(), table
+
+
+def replay_writes_the_per_market_rows(tmp: Path) -> None:
+    """replay.csv holds, in both modes, the bytes csv.writer writes for the
+    rows of `lmsr.replay` of each market in turn."""
+    from repmarket import lmsr
+    from repmarket.dataset import load_dataset
+
+    paths = synth(tmp / "data")
+    ds = load_dataset(*(paths[t] for t in TABLES))
+    for mode, options in ((lmsr.PRICE_TAKING, {}), (lmsr.SIMULATED, {"liquidity_b": 100.0})):
+        out = tmp / mode
+        repmarket("replay", *data_args(paths), "--mode", mode,
+                  *(["--liquidity-b", 100.0] if options else []), "--out", out)
+        expected = io.StringIO(newline="")
+        w = csv.writer(expected)
+        w.writerow(["finding_id", "trade_index", "price"])
+        for fid in ds.finding_ids():
+            w.writerows([fid, i, price] for i, price in
+                        enumerate(lmsr.replay(ds, fid, mode=mode, **options), start=1))
+        assert (out / "replay.csv").read_bytes() == expected.getvalue().encode("utf-8"), mode
 
 
 def malformed_fixture_fails_validation(tmp: Path) -> None:
@@ -299,6 +321,7 @@ def field_over_the_limit_exits_2(tmp: Path) -> None:
 CHECKS = (
     every_command_runs,
     synth_bytes_repeat_and_round_trip,
+    replay_writes_the_per_market_rows,
     malformed_fixture_fails_validation,
     overestimation_null_on_its_own_pairs,
     asymmetry_null_on_its_own_table,

@@ -4,18 +4,20 @@ equals the left-to-right mean over the records, bit for bit. A seeded law,
 without Hypothesis: a dataset with one finding, a finding without responses,
 groups of -0.0 beliefs, groups whose respondents all weigh 0, and groups of
 over eight values of many magnitudes, where a pairwise sum (`np.sum`,
-`np.add.reduceat`) rounds differently."""
+`np.add.reduceat`) rounds differently. The late-trade forecasts' weight and
+weighted-move sums are left to right too, for every market and cutoff."""
 
 import random
 
 import numpy as np
 import pytest
 
-from repmarket import aggregate, evaluate, stats
+from repmarket import aggregate, dynamics, evaluate, stats
 from repmarket.aggregate import METHOD_MEAN, METHOD_VAR_WEIGHTED, METHOD_VOTING
-from repmarket.dataset import PROJECTS
+from repmarket.dataset import PROJECTS, trades_for
 
-from helpers import make_dataset, make_finding, priced_market, survey
+from helpers import (BASE_MS, DAY_MS, HOUR_MS, make_dataset, make_finding, make_trade,
+                     priced_market, survey)
 
 SEEDS = range(40)
 
@@ -118,3 +120,53 @@ def test_group_sums_add_each_group_left_to_right():
         assert [_hex(s) for s in sums] == [
             _hex(stats.left_sum(values[groups == g].tolist())) for g in range(n_groups + 1)]
     assert _hex(stats.group_sums(np.array([-0.0, -0.0]), np.array([0, 0]), 1)[0]) == _hex(0.0)
+
+
+def _late_dataset(seed):
+    """Markets of up to 60 trades from a day before open to a day after close,
+    prices of many magnitudes, repeated prices, and markets without trades."""
+    rng = random.Random(seed)
+    findings, trades = [], []
+    for k in range(rng.randint(1, 8)):
+        fid = f"F{k}"
+        days = rng.choice([1, 3, 14])
+        findings.append(make_finding(fid, close_ms=BASE_MS + days * DAY_MS))
+        prices = [rng.random() * 10.0 ** rng.randint(-6, 0) for _ in range(3)]
+        for _ in range(rng.choice([0, 1, 5, 60])):
+            trades.append(make_trade(fid, ts=BASE_MS + rng.randint(-24, 24 * (days + 1)) * HOUR_MS
+                                     + rng.randint(0, HOUR_MS), price=rng.choice(prices),
+                                     seq=len(trades)))
+    rng.shuffle(trades)
+    return make_dataset(findings, trades=trades)
+
+
+def _late_walk(ds, cutoff_hours):
+    """(final price, late forecast) of each traded market, market by market,
+    each sum left to right over the records."""
+    out = {}
+    for f in ds.markets():
+        closed = [t for t in trades_for(ds, f.finding_id) if t.timestamp <= f.market_close]
+        if not closed:
+            continue
+        final = closed[-1].post_trade_price
+        cutoff = f.market_open + cutoff_hours * HOUR_MS
+        span = f.market_close - cutoff
+        late = [t for t in closed if t.timestamp > cutoff]
+        alt = final
+        if late and span > 0:
+            weights = [(t.timestamp - cutoff) / span for t in late]
+            total = stats.left_sum(weights)
+            if total > 0:
+                alt = final + stats.left_sum(
+                    w * (t.post_trade_price - final) for w, t in zip(weights, late)) / total
+        out[f.finding_id] = (final, alt)
+    return out
+
+
+@pytest.mark.parametrize("cutoff_hours", [0.0, 5.5, 30.0, 168.0, 400.0])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_the_late_forecasts_group_sums_are_left_to_right(seed, cutoff_hours):
+    ds = _late_dataset(seed)
+    got = dynamics.late_trade_forecasts(ds, cutoff_hours)
+    assert {fid: tuple(map(_hex, pair)) for fid, pair in got.items()} == {
+        fid: tuple(map(_hex, pair)) for fid, pair in _late_walk(ds, cutoff_hours).items()}

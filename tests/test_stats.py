@@ -299,3 +299,35 @@ def test_left_sum_adds_left_to_right():
     assert stats.left_sum([1e16, 1.0, -1e16]) == 0.0
     assert stats.left_sum(iter([1, 2, 3])) == 6
     assert stats.left_sum([]) == 0
+
+
+def _hex_or_error(fn, *args):
+    try:
+        return fn(*args).hex()
+    except (DegenerateInput, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_spearman_equals_pearson_of_the_ranks_bit_for_bit(seed):
+    """spearman's numpy sums of the ranks equal pearson's left-to-right ones:
+    on data with many ties, few ties and none, constant data and too few pairs."""
+    rng = random.Random(seed)
+    n = rng.choice([1, 2, 3, 4, 17, 100, 1000, rng.randint(3, 3000)])
+    for levels in (1, 2, 3, 7, 1000, None):
+        draw = (lambda: rng.random()) if levels is None else (lambda: rng.randrange(levels) * 0.3)
+        x, y = [draw() for _ in range(n)], [draw() for _ in range(n)]
+        assert _hex_or_error(stats.spearman, x, y) == _hex_or_error(
+            stats.pearson, stats.average_ranks(x), stats.average_ranks(y))
+
+
+def test_spearman_sums_stay_exact_up_to_their_bound():
+    """At the most pairs spearman sums by numpy (n**3 < 3 * 2**53), untied
+    ranks give the largest sums of squares, still below 2**51: the numpy sums
+    equal the left-to-right ones there too."""
+    n = 300_079
+    assert n ** 3 < 3 * 2 ** 53 <= (n + 1) ** 3
+    rng = random.Random(5)
+    x, y = [rng.random() for _ in range(n)], [rng.random() for _ in range(n)]
+    assert stats.spearman(x, y).hex() == stats.pearson(
+        stats.average_ranks(x), stats.average_ranks(y)).hex()
