@@ -10,13 +10,14 @@ group's count: a left-to-right sum of n ones is exactly n and a sum of 0/1
 votes is the exact count, so no value changes.
 
 Each rule reads every finding's group at once: a market's closed window in
-the trades table (see ``Dataset.closed_ends``) and a finding's responses in
-the surveys table, one entry a finding in the order of
-``Dataset.finding_ids``. `aggregate_all` runs each method's rule once and
-keeps the rules' value, count and defined columns as one `ForecastTable`,
-one row a defined (finding, method) pair; the `AggregateForecast` records it
-returns are a view of that table, built on first use. Each per-finding
-function reads its finding's entry of the same rule.
+the trades table (the rows the mask ``Dataset.closed`` marks, ending at
+``Dataset.closed_ends``) and a finding's responses in the surveys table, one
+entry a finding in the order of ``Dataset.finding_ids``. `aggregate_all`
+runs each method's rule once and keeps the rules' value, count and defined
+columns as one `ForecastTable`, one row a defined (finding, method) pair;
+the `AggregateForecast` records it returns are a view of that table, built
+on first use. Each per-finding function reads its finding's entry of the
+same rule.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from pathlib import Path
 import numpy as np
 
 # trades_for stays bound here: code that reads or patches aggregate.trades_for relies on it
-from .dataset import (Dataset, _distinct, _Records, closed_windows, trades_for,  # noqa: F401
-                      write_columns)
+from .dataset import Dataset, _distinct, _Records, trades_for, write_columns  # noqa: F401
 from .errors import AllWeightsZero, EmptyMarket, NoSurveyResponses, OutOfRange
 from .stats import group_sums
 
@@ -123,22 +123,16 @@ class ForecastTable(PairTable):
     RECORD = AggregateForecast
 
 
-def _left_sums(values: np.ndarray, bounds: list[int]) -> np.ndarray:
-    """The sum of each group values[bounds[i]:bounds[i + 1]], added left to
-    right as `stats.left_sum` adds."""
-    n = np.diff(bounds)
-    return group_sums(values[bounds[0]:bounds[-1]], np.repeat(np.arange(len(n)), n), len(n))
-
-
 # The rules. Each reads every group (see Dataset.group) and gives the value,
 # the number of inputs and the mask of the groups it is defined for, one entry
 # a group. In ``ds.survey_columns`` the rows of unknown findings come before
 # the first group.
 
 def _final_prices(ds: Dataset) -> tuple:
-    """The last post-trade price of each market's closed window."""
-    start, end = closed_windows(ds)
-    n = end - start
+    """The last post-trade price of each market's closed window: the one
+    place it is taken."""
+    end = ds.closed_ends
+    n = end - np.array(ds.trade_columns.bounds[:-1], dtype=np.int64)
     traded = n > 0
     price = np.full(len(n), np.nan)
     price[traded] = ds.trade_columns.price[end[traded] - 1]
@@ -162,17 +156,18 @@ def _median(ds: Dataset) -> tuple:
 def _weighted(ds: Dataset, values: np.ndarray, weights: dict[str, float] | None = None) -> tuple:
     """Each group's mean of `values` (one a survey row), weighted by `weights`
     (forecaster id to weight, absent ids weigh 0) or else each weighing 1."""
-    bounds = ds.survey_columns.bounds
-    n = np.diff(bounds)
+    surveys = ds.survey_columns
+    n = np.diff(surveys.bounds)
+    rows = slice(surveys.bounds[0], None)
     total = n
     if weights is not None:
-        forecasters, forecaster = _distinct(ds.survey_columns.forecaster)
+        forecasters, forecaster = _distinct(surveys.forecaster)
         w = np.array([weights.get(f, 0.0) for f in forecasters], dtype=float)[forecaster]
         values = w * values
-        total = _left_sums(w, bounds)
+        total = group_sums(w[rows], surveys.finding[rows], len(n))
     defined = ~(total <= 0)  # a group without responses weighs 0 too
-    return np.divide(_left_sums(values, bounds), total, out=np.full(len(n), np.nan),
-                     where=defined), n, defined
+    return np.divide(group_sums(values[rows], surveys.finding[rows], len(n)), total,
+                     out=np.full(len(n), np.nan), where=defined), n, defined
 
 
 def _one(method: str, result: tuple, ds: Dataset, finding_id: str) -> AggregateForecast:

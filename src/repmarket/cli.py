@@ -99,17 +99,18 @@ def forecast_stage(ds, threshold: float = 0.5, yates: bool = False) -> tuple:
 def dynamics_stage(ds, loess_cfg: dynamics.LoessConfig, fractions,
                    cutoff_hours: float) -> tuple[dict, dict]:
     """({axis label: (raw, smoothed) curve}, dynamics): the dynamics hold the
-    milestone of each fraction on each axis and late-trade smoothing."""
+    milestone of each fraction on each axis and late-trade smoothing. An
+    undefined curve is (None, None), and its milestones are null."""
     curves = {}
     dyn: dict[str, object] = {}
     for axis, label in ((dynamics.AXIS_TRADES, "trades"),
                         (dynamics.AXIS_HOURS, "hours")):
-        raw = dynamics.mean_error_curve(ds, axis)
+        raw = or_null(dynamics.mean_error_curve, ds, axis)
         # a grid too small to smooth is kept raw
-        smoothed = or_null(dynamics.loess_fit, raw, loess_cfg) or raw
+        smoothed = raw and (or_null(dynamics.loess_fit, raw, loess_cfg) or raw)
         curves[label] = (raw, smoothed)
         for fraction in fractions:
-            milestone = or_null(dynamics.reduction_milestone, smoothed, fraction)
+            milestone = smoothed and or_null(dynamics.reduction_milestone, smoothed, fraction)
             dyn[f"milestone_{label}_{int(fraction * 100)}"] = (
                 milestone and milestone.x_at_fraction)
     dyn["late_smoothing"] = _test_dict(
@@ -133,13 +134,14 @@ def run_pipeline(ds, threshold: float = 0.5, yates: bool = False,
 
     counts = trade_counts(ds)
     curves, convergence = dynamics_stage(ds, loess_cfg, (0.9,), cutoff_hours=168.0)
+    hours = curves["hours"][1]
     dyn = {
         "trades_per_market_min": min(counts) if counts else None,
         "trades_per_market_max": max(counts) if counts else None,
         "trades_per_market_mean": sum(counts) / len(counts) if counts else None,
         **convergence,
-        "first_hour_reduction_fraction": or_null(dynamics.reduction_share,
-                                                 curves["hours"][1], 1.0),
+        "first_hour_reduction_fraction": hours and or_null(dynamics.reduction_share,
+                                                           hours, 1.0),
     }
 
     report = {
@@ -224,7 +226,8 @@ def cmd_dynamics(args) -> int:
     for label, curve in curves.items():
         dynamics.write_curves(*curve, out / f"curve_{label}.csv")
     _write_json(dyn, out / "dynamics.json")
-    print(f"curves -> {out / 'curve_trades.csv'}, {out / 'curve_hours.csv'}")
+    print("curves -> " + ", ".join(str(out / f"curve_{label}.csv")
+                                   for label, (raw, _) in curves.items() if raw))
     print(f"milestones -> {out / 'dynamics.json'}")
     return 0
 

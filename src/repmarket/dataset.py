@@ -527,8 +527,9 @@ class Dataset:
     `surveys` and `trades` are read-only record views that build their
     records from the columns on first use, as `surveys_for`, `trades_for` and
     the columns' `records` do. An id names the first finding with it; rows
-    of unknown findings join no group. A changed dataset is rebuilt with
-    `dataclasses.replace`: its fields cannot be set."""
+    of unknown findings join no group. `closed` is the one closed-window
+    row mask of the trades, built on first use. A changed dataset is rebuilt
+    with `dataclasses.replace`: its fields cannot be set."""
     findings: list[Finding]
     surveys: list[SurveyResponse]
     trades: list[Trade]
@@ -594,10 +595,21 @@ class Dataset:
                                     ("outcome", None))}
 
     @cached_property
+    def closed(self) -> np.ndarray:
+        """The closed-window mask of `trade_columns`: whether each row is a
+        trade of a market at or before its close. A market's rows are sorted
+        by time, so its closed rows are one run from its first row; no row
+        of an unknown finding is closed. The final price, the error series
+        and curves, late-trade smoothing and `validate` read it."""
+        return at_or_before(self, self.market_columns["market_close"])
+
+    @cached_property
     def closed_ends(self) -> np.ndarray:
-        """The end row of each market's closed window in `trade_columns`, its
-        trades at or before its close, in the order of `finding_ids`."""
-        return window_ends(self, self.market_columns["market_close"])
+        """The end row of each market's closed window in `trade_columns`, in
+        the order of `finding_ids`."""
+        trades = self.trade_columns
+        return np.array(trades.bounds[:-1], dtype=np.int64) + np.bincount(
+            trades.finding[self.closed], minlength=len(trades.bounds) - 1)
 
 
 @contextmanager
@@ -1183,8 +1195,7 @@ def validate(ds: Dataset) -> ValidationReport:
     trades = ds.trade_columns
     # a trade before its market opens, or past its market's closed window
     outside = (trades.finding >= 0) & (
-        (trades.timestamp < _by_trade(ds, ds.market_columns["market_open"]))
-        | (np.arange(len(trades)) >= _by_trade(ds, ds.closed_ends)))
+        (trades.timestamp < _by_trade(ds, ds.market_columns["market_open"])) | ~ds.closed)
     _audit(report, "trades", trades, _trade_rule(trades) + [(
         "timestamp", "outside_window", outside, lambda t: (
             f"trade at {_instant(t.timestamp)} outside "
@@ -1224,14 +1235,12 @@ def _by_trade(ds: Dataset, per_market: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], per_market))[ds.trade_columns.finding + 1]
 
 
-def window_ends(ds: Dataset, instants: np.ndarray) -> np.ndarray:
-    """The end row in ``ds.trade_columns`` of each market's trades at or before
-    its instant (one a market, in the order of ``ds.finding_ids()``). A
-    market's rows are sorted by time, so these trades are a prefix of them."""
+def at_or_before(ds: Dataset, instants: np.ndarray) -> np.ndarray:
+    """Whether each row of ``ds.trade_columns`` is a trade of a market at or
+    before the market's instant (one a market, in the order of
+    ``ds.finding_ids()``); no row of an unknown finding is."""
     trades = ds.trade_columns
-    starts = np.array(trades.bounds[:-1], dtype=np.int64)
-    before = (trades.finding >= 0) & (trades.timestamp <= _by_trade(ds, instants))
-    return starts + np.bincount(trades.finding[before], minlength=len(starts))
+    return (trades.finding >= 0) & (trades.timestamp <= _by_trade(ds, instants))
 
 
 def _finding_rows(ds: Dataset, finding_id: str, columns: _Columns) -> slice:
@@ -1253,15 +1262,9 @@ def survey_rows(ds: Dataset, finding_id: str) -> slice:
 def closed_rows(ds: Dataset, finding: Finding) -> slice:
     """The rows of the closed window of the finding's market (that of the
     first finding with its id): the window its final price and its error
-    curve are taken from (see ``Dataset.closed_ends``)."""
+    curve are taken from (see ``Dataset.closed``)."""
     k = ds.group(finding.finding_id)
     return slice(ds.trade_columns.bounds[k], int(ds.closed_ends[k]))
-
-
-def closed_windows(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """The start and end rows in ``ds.trade_columns`` of each market's closed
-    window, in the order of ``ds.finding_ids()``."""
-    return np.array(ds.trade_columns.bounds[:-1], dtype=np.int64), ds.closed_ends
 
 
 def trade_counts(ds: Dataset) -> list[int]:

@@ -15,8 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, MS_PER_HOUR, closed_windows, window_ends, write_columns
-from .errors import EmptyMarket, InsufficientPoints, NoReduction, OutOfRange
+from .aggregate import _final_prices
+from .dataset import Dataset, MS_PER_HOUR, _by_trade, at_or_before, write_columns
+from .errors import EmptyMarket, GridTooLarge, InsufficientPoints, NoReduction, OutOfRange
 from . import stats
 
 AXIS_TRADES = "trade_index"
@@ -25,6 +26,11 @@ AXIS_HOURS = "hours_since_open"
 # error of a market before any trade: distance of the 0.5 starting price
 # from a binary outcome
 PRE_MARKET_ERROR = 0.5
+
+# the most grid points a curve is computed on: its (grid x markets) matrices
+# grow with the grid, and LOESS with its square, while the hours grid spans
+# the longest market window at one point an hour
+MAX_GRID_POINTS = 10_000
 
 
 @dataclass
@@ -71,11 +77,9 @@ def _closed_errors(ds: Dataset, axis: str) -> tuple[np.ndarray, np.ndarray, np.n
     """(x, |outcome - price|, market) of each trade in the markets' closed
     windows, in trade order; `market` is the index into ``ds.finding_ids()``."""
     trades, markets = ds.trade_columns, ds.market_columns
-    start, end = closed_windows(ds)
-    n = end - start
-    market = np.repeat(np.arange(len(n)), n)
-    rank = np.arange(len(market)) - (np.cumsum(n) - n)[market]  # 0 at a market's first trade
-    rows = start[market] + rank
+    rows = np.flatnonzero(ds.closed)
+    market = trades.finding[rows]
+    rank = rows - np.array(trades.bounds, dtype=np.int64)[market]  # 0 at a market's first trade
     if axis == AXIS_TRADES:
         x = rank + 1.0
     else:
@@ -104,7 +108,8 @@ def mean_error_curve(ds: Dataset, axis: str = AXIS_TRADES,
     At grid point x a market contributes the error of its latest trade at or
     before x, or the pre-market error 0.5 if it has not traded yet; markets
     exhausted before x carry their final error. n_contributing counts the
-    markets whose value comes from an actual trade.
+    markets whose value comes from an actual trade. A grid of more than
+    MAX_GRID_POINTS points leaves the curve undefined (GridTooLarge).
     """
     _check_axis(axis)
     n_markets = len(ds.finding_ids())
@@ -113,13 +118,15 @@ def mean_error_curve(ds: Dataset, axis: str = AXIS_TRADES,
         if axis == AXIS_TRADES:
             # x is the trade number: the longest closed window's is the largest
             top = x.max() if len(x) else 0.0
-            grid = np.arange(0.0, top + 1.0)
         else:
             # hour grid spans the union of market durations
             markets = ds.market_columns
             durations = (markets["market_close"] - markets["market_open"]) / MS_PER_HOUR
-            top = durations.max() if len(durations) else 0.0
-            grid = np.arange(0.0, math.ceil(top) + 1.0)
+            top = math.ceil(durations.max()) if len(durations) else 0.0
+        grid = range(int(top) + 1)  # 0, 1, ..., top: bounded before it is built
+    if len(grid) > MAX_GRID_POINTS:
+        raise GridTooLarge(f"the {axis} grid has {len(grid)} points, "
+                           f"more than {MAX_GRID_POINTS}")
     grid = np.asarray(sorted(grid), dtype=float)
 
     # one column per market; each grid row is summed in market order. A trade
@@ -229,26 +236,21 @@ def late_trade_forecasts(ds: Dataset, cutoff_hours: float = 168.0,
     markets = ds.market_columns
     cutoffs = markets["market_open"] + cutoff_hours * MS_PER_HOUR
     spans = markets["market_close"] - cutoffs
-    starts, ends = closed_windows(ds)
-    # a window's trades after the cutoff follow the market's trades at or before it
-    posts = np.minimum(window_ends(ds, cutoffs), ends)
-    # the late trades of the markets with a positive span, market by market
-    counts = np.where(spans > 0, ends - posts, 0)
-    market = np.repeat(np.arange(len(counts)), counts)
-    rows = np.arange(len(market)) + np.repeat(posts - np.cumsum(counts) + counts, counts)
-    traded = np.flatnonzero(starts < ends)
-    final = np.zeros(len(counts))
-    final[traded] = trades.price[ends[traded] - 1]
+    # the closed-window trades after the cutoff of the markets with a positive
+    # span; an untraded market has none, so its NaN final price is not read
+    rows = np.flatnonzero(ds.closed & ~at_or_before(ds, cutoffs) & (_by_trade(ds, spans) > 0))
+    market = trades.finding[rows]
+    final, _, traded = _final_prices(ds)
     # a timestamp column beyond int64 holds Python ints: its weights are objects
     weights = ((trades.timestamp[rows] - cutoffs[market]) / spans[market]).astype(float)
-    total = stats.group_sums(weights, market, len(counts))
+    total = stats.group_sums(weights, market, len(final))
     # anchored at the final price so identical prices stay exact
-    moved = stats.group_sums(weights * (trades.price[rows] - final[market]), market,
-                             len(counts))
+    moved = stats.group_sums(weights * (trades.price[rows] - final[market]), market, len(final))
     alt = final.copy()
     weighed = total > 0
     alt[weighed] += moved[weighed] / total[weighed]
     ids = ds.finding_ids()
+    traded = np.flatnonzero(traded)
     return {ids[k]: (f, a) for k, f, a in zip(traded.tolist(), final[traded].tolist(),
                                               alt[traded].tolist())}
 
@@ -269,8 +271,14 @@ def late_trade_smoothing(ds: Dataset, cutoff_hours: float = 168.0,
                           [abs(outcome[fid] - alt) for fid, (_, alt) in forecasts.items()])
 
 
-def write_curves(raw: ErrorCurve, smoothed: ErrorCurve, path: str | Path) -> None:
-    """Emit (x, raw mean error, smoothed, contributing markets) rows."""
+def write_curves(raw: ErrorCurve | None, smoothed: ErrorCurve | None,
+                 path: str | Path) -> None:
+    """Emit (x, raw mean error, smoothed, contributing markets) rows. When the
+    curve is undefined (None), remove any file at `path`, so that no earlier
+    run's curve stands for this run's."""
+    if raw is None:
+        Path(path).unlink(missing_ok=True)
+        return
     if raw.axis != smoothed.axis or len(raw.x) != len(smoothed.x):
         raise ValueError("raw and smoothed curves must share a grid")
     write_columns(path, ["x", "mean_abs_error", "smoothed", "n_contributing"],

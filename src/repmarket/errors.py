@@ -122,3 +122,7 @@ class InsufficientPoints(Undefined):
 
 class NoReduction(Undefined):
     """Error curve is flat or rising; no reduction milestone exists."""
+
+
+class GridTooLarge(Undefined):
+    """Error curve's grid has more points than a curve is computed on."""

@@ -402,9 +402,8 @@ def write_scores(scores: list[ScoreRow], path: str | Path) -> None:
 
 
 def write_table1_csv(table1: dict, path: str | Path) -> None:
-    rows = table1["rows"]
-    if rows:
-        write_csv(path, list(rows[0]), ([row[c] for c in rows[0]] for row in rows))
+    rows = table1["rows"]  # never empty: build_table1 always ends with the Pooled row
+    write_csv(path, list(rows[0]), ([row[c] for c in rows[0]] for row in rows))
 
 
 def write_table2_csv(table2: dict | None, path: str | Path) -> None:

@@ -278,8 +278,7 @@ def replay_markets(ds: Dataset, mode: str = PRICE_TAKING, liquidity_b: float | N
     if len(bounds) == 1:  # no market: nothing to check or read
         return trades.finding_id[:0], np.zeros(0, dtype=np.int64), np.zeros(0)
     _check_replay(mode, liquidity_b)
-    starts = np.array(bounds[:-1], dtype=np.int64)
     rows = np.arange(bounds[0], bounds[-1])
-    index = rows - np.repeat(starts, np.diff(bounds)) + 1
+    index = rows - np.array(bounds, dtype=np.int64)[trades.finding[rows]] + 1
     return (trades.finding_id[bounds[0]:bounds[-1]], index,
             _prices(trades, bounds, mode, liquidity_b))

@@ -318,6 +318,30 @@ def field_over_the_limit_exits_2(tmp: Path) -> None:
         assert f"{table} table file" in stderr and "line 3: field larger than field limit" in stderr
 
 
+def window_from_1970_nulls_the_hours_curve(tmp: Path) -> None:
+    """A market open from 1970 (about 438,000 hours) leaves the hours curve
+    undefined: report and dynamics exit 0 with null hours milestones and
+    remove the curve_hours.csv an earlier run left in the same --out."""
+    paths = synth(tmp / "since_1970")
+    with open(paths["outcomes"], newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    for row in rows:
+        if row[header.index("finding_id")] == "F001":
+            row[header.index("market_open")] = "1970-01-01T00:00:00.002Z"
+    with open(paths["outcomes"], "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header] + rows)
+    for command in ("report", "dynamics"):
+        out = tmp / f"since_1970_{command}"
+        out.mkdir()
+        (out / "curve_hours.csv").write_text("stale\n", encoding="utf-8")
+        repmarket(command, *data_args(paths), "--out", out)
+        assert not (out / "curve_hours.csv").exists(), "an earlier curve_hours.csv is left"
+        dyn = read_json(out / f"{command}.json")
+        hours = {k: v for k, v in dyn.get("dynamics", dyn).items()
+                 if k.startswith("milestone_hours_")}
+        assert hours and set(hours.values()) == {None}, hours
+
+
 CHECKS = (
     every_command_runs,
     synth_bytes_repeat_and_round_trip,
@@ -335,6 +359,7 @@ CHECKS = (
     report_writes_discrepancies,
     one_table_feeds_report_evaluate_and_aggregate,
     out_of_range_option_exits_2,
+    window_from_1970_nulls_the_hours_curve,
 )
 
 

@@ -142,10 +142,17 @@ def test_records_are_the_records_the_dataset_was_built_from(given_tables, data):
 @settings(deadline=None, max_examples=80)
 @given(datasets())
 def test_lookups_equal_the_scan_definition(ds):
+    trades = ds.trade_columns
+    assert not ds.closed[trades.finding < 0].any()
     for fid in IDS + (UNKNOWN,):
         if fid in ds.finding_ids():
             assert _keyed(trades_for(ds, fid)) == _keyed(scan_trades(ds, fid))
             assert surveys_for(ds, fid) == scan_surveys(ds, fid)
+            f = ds.finding(fid)
+            closed = _keyed(t for t in scan_trades(ds, fid) if t.timestamp <= f.market_close)
+            masked = np.flatnonzero(ds.closed & (trades.finding == ds.group(fid)))
+            assert (_keyed(trades.records(masked)) == _keyed(trades.records(closed_rows(ds, f)))
+                    == closed)
         else:
             with pytest.raises(UnknownFinding):
                 trades_for(ds, fid)

@@ -7,16 +7,16 @@ import json
 
 import pytest
 
-from repmarket import errors, evaluate, stats
+from repmarket import dynamics, errors, evaluate, stats
 from repmarket.aggregate import METHOD_MEAN
 from repmarket.cli import main, run_pipeline
 from repmarket.synth import synthetic_dataset, write_fixture
 
-from helpers import load_strict_json
+from helpers import DAY_MS, load_strict_json
 
 UNDEFINED = (errors.EmptyMarket, errors.NoSurveyResponses, errors.AllWeightsZero,
              errors.DegenerateInput, errors.DegenerateTable,
-             errors.InsufficientPoints, errors.NoReduction)
+             errors.InsufficientPoints, errors.NoReduction, errors.GridTooLarge)
 DEFINED = (errors.DomainError, errors.UnknownFinding, errors.ReplayUnavailable,
            errors.MissingOutcome)
 
@@ -145,3 +145,31 @@ def test_every_json_file_of_a_fixture_with_nulls_is_strict_json(tmp_path, name):
         assert main([*argv, *_data_args(tmp_path / "data"), "--out", str(out)]) == 0
         for path in out.glob("*.json"):
             load_strict_json(path)
+
+
+def test_report_on_years_long_windows_nulls_the_hours_curve(tmp_path):
+    # a two-year window's hours grid has 17,521 points, and one from 1970 to
+    # 2020 about 438,000: the curve is undefined before a matrix or LOESS is
+    # built, so report and dynamics finish in seconds
+    ds = _seed3()
+    first, second, *rest = ds.findings
+    two_years = dataclasses.replace(second, market_close=second.market_open + 730 * DAY_MS)
+    with pytest.raises(errors.GridTooLarge, match="17521 points"):
+        dynamics.mean_error_curve(dataclasses.replace(ds, findings=[first, two_years, *rest]),
+                                  dynamics.AXIS_HOURS)
+    since_1970 = dataclasses.replace(first, market_open=2)  # its close stays in 2020
+    write_fixture(dataclasses.replace(ds, findings=[since_1970, two_years, *rest]),
+                  tmp_path / "data")
+    for command, nulls in (
+            ("report", {"milestone_hours_90", "first_hour_reduction_fraction"}),
+            ("dynamics", {"milestone_hours_65", "milestone_hours_90"})):
+        out = tmp_path / command
+        out.mkdir()
+        (out / "curve_hours.csv").write_text("stale\n")
+        assert main([command, *_data_args(tmp_path / "data"), "--out", str(out)]) == 0
+        assert not (out / "curve_hours.csv").exists(), "an earlier curve_hours.csv is left"
+        assert (out / "curve_trades.csv").exists()
+        dyn = load_strict_json(out / f"{command}.json")
+        dyn = dyn["dynamics"] if command == "report" else dyn
+        assert {k: dyn[k] for k in nulls} == dict.fromkeys(nulls)
+        assert dyn["milestone_trades_90"] is not None
