@@ -343,8 +343,7 @@ class TradeColumns(_Columns):
         field in load order, grouped for the findings in trade order."""
         fids, traders, times, sides, quantities, prices, seqs, rows = values
         return _trade_columns(list(first_by_id(findings)), fids, traders,
-                              _instants(times, findings), sides, quantities,
-                              np.not_equal(np.array(quantities, dtype=object), None), prices,
+                              _instants(times, findings), sides, quantities, prices,
                               _int_column(seqs), _int_column(rows)).grouped()
 
     def _keeps_instants(self, findings: list[Finding]) -> bool:
@@ -440,12 +439,17 @@ def _survey_columns(finding_ids: list[str], fids, forecasters, beliefs,
 
 
 def _trade_columns(finding_ids: list[str], fids, traders, timestamp: np.ndarray, sides,
-                   quantities, has_quantity: np.ndarray, prices, seq: np.ndarray,
-                   source_row: np.ndarray) -> TradeColumns:
+                   quantities, prices, seq: np.ndarray, source_row: np.ndarray) -> TradeColumns:
     """Columns of the rows' values, numbered 0...n-1 in load order as given.
-    A quantity is NaN where has_quantity says none is recorded."""
+    A quantity is recorded unless it is None, which reads as NaN; in a
+    float64 column, which numpy's reader gives and which holds no empty
+    number (see _numpy_block), every quantity is recorded."""
     fid_column, finding = _coded(fids, finding_ids)
     sides = np.asarray(sides, dtype=object)
+    if isinstance(quantities, np.ndarray) and quantities.dtype == np.float64:
+        has_quantity = np.ones(len(quantities), dtype=bool)
+    else:
+        has_quantity = np.not_equal(np.array(quantities, dtype=object), None)
     return TradeColumns(
         finding_ids, fid_column, finding, np.asarray(traders, dtype=object), timestamp, sides,
         sides == "YES", sides == "NO", np.asarray(quantities, dtype=float), has_quantity,
@@ -668,22 +672,14 @@ class _Rejected(Exception):
     """A row whose text makes no record; args are (column, kind, message)."""
 
 
-def _parse(convert, text: str, column: str, name: str | None = None):
-    """convert(text), or a rejection of the row that says "cannot parse <name>
-    <text>" or, without a name, what the converter said."""
-    try:
-        return convert(text)
-    except ValueError as exc:
-        raise _Rejected(column, "invalid_value",
-                        f"cannot parse {name} {text!r}" if name else str(exc)) from None
-
-
 def _parse_column(convert, texts: list[str] | np.ndarray, column: str, name: str | None,
                   faults: dict) -> list | np.ndarray:
     """convert(text) of every text. A text that does not parse reads as None
-    and gives its row the fault `_parse` words, unless an earlier column gave
-    it one (faults maps row number to the first fault). A float64 column, the
-    numbers numpy's reader parsed (see _numpy_block), is given back as it is."""
+    and gives its row the fault (column, "invalid_value", "cannot parse <name>
+    <text>" or, without a name, what the converter said), unless an earlier
+    column gave it one (faults maps row number to the first fault). A float64
+    column, the numbers numpy's reader parsed (see _numpy_block), is given
+    back as it is."""
     if isinstance(texts, np.ndarray) and texts.dtype == np.float64:
         return texts
     try:
@@ -693,10 +689,11 @@ def _parse_column(convert, texts: list[str] | np.ndarray, column: str, name: str
     values = []
     for row, text in enumerate(texts, start=1):
         try:
-            values.append(_parse(convert, text, column, name))
-        except _Rejected as rejected:
+            values.append(convert(text))
+        except ValueError as exc:
             values.append(None)
-            faults.setdefault(row, rejected.args)
+            faults.setdefault(row, (column, "invalid_value",
+                                    f"cannot parse {name} {text!r}" if name else str(exc)))
     return values
 
 
@@ -746,11 +743,14 @@ def _category(stated: str, p_value: float | None, p_threshold: float, warn) -> s
     return category
 
 
-def _finding_from(values: list, row: int, p_threshold: float, warn) -> Finding:
-    """The finding an outcomes row states. A project, outcome or category that
-    is not one of the known values is kept as read (the project upper-cased)
-    for the finding rule to reject. A market time is its text, parsed here,
-    or the ms since the epoch its block gave it (see `_load_findings`)."""
+def _finding_from(values: list, row: int, time_fault: tuple | None, p_threshold: float,
+                  warn) -> Finding:
+    """The finding an outcomes row states, its market times as ms since the
+    epoch (see `_load_findings`). A project, outcome or category that is not
+    one of the known values is kept as read (the project upper-cased) for the
+    finding rule to reject. A row is rejected on its first text fault: an
+    empty id, then its category, then time_fault, the fault of a market time
+    that did not parse."""
     fid, project, outcome, stated, p_text, market_open, market_close = values
     if not fid:
         raise _Rejected("finding_id", "invalid_value", "empty finding_id")
@@ -761,12 +761,11 @@ def _finding_from(values: list, row: int, p_threshold: float, warn) -> Finding:
         except ValueError:
             warn(("original_p_value", "unparsed_value",
                   f"cannot parse {p_text!r} as a number; stored as missing"))
+    category = _category(stated, p_value, p_threshold, warn)
+    if time_fault:
+        raise _Rejected(*time_fault)
     return Finding(fid, project.upper(), int(outcome) if outcome in ("0", "1") else outcome,
-                   _category(stated, p_value, p_threshold, warn), p_value,
-                   *(ms if isinstance(ms, int) else
-                     _parse(parse_timestamp, ms, "market_open/market_close")
-                     for ms in (market_open, market_close)),
-                   source_row=row)
+                   category, p_value, market_open, market_close, source_row=row)
 
 
 # The record rules. A finding is checked as one record given the records before
@@ -1023,39 +1022,35 @@ def _load_findings(blocks: Iterator[list], p_threshold: float,
                    report: ValidationReport) -> list[Finding]:
     """The accepted rows of an outcomes table read in blocks, as records. A
     rejected row gets one error, its first text fault, else its first rule
-    fault, and no warnings. A block's market times of format_timestamp's
-    shape are parsed by numpy at once, as the trades' are (_canonical_instants);
-    any other block's go row by row."""
+    fault, and no warnings. Each block's market_open and market_close columns
+    are parsed by `_parse_instants`, as the trades' timestamps are; a row's
+    fault is market_open's when neither time parses."""
     findings: list[Finding] = []
     ids: set[str] = set()
     notes: list[tuple[str, str, str]] = []  # the warnings of the row being read
     row = 0
-    for row, values in enumerate(chain.from_iterable(map(_market_instants, blocks)), start=1):
-        notes.clear()
-        try:
-            finding = _finding_from(values, row, p_threshold, notes.append)
-            faults = _finding_faults(finding, ids, p_threshold)
-        except _Rejected as rejected:
-            faults = (rejected.args,)
-        if faults:
-            report.errors.append(Violation("outcomes", row, *faults[0]))
-            continue
-        report.warnings += [Violation("outcomes", row, *note) for note in notes]
-        findings.append(finding)
-        ids.add(finding.finding_id)
+    for *texts, opens, closes in blocks:
+        time_faults = {}
+        times = [_parse_instants(column, time_faults, "market_open/market_close").tolist()
+                 for column in (opens, closes)]
+        for i, values in enumerate(zip(*texts, *times), start=1):
+            row += 1
+            notes.clear()
+            try:
+                finding = _finding_from(values, row, time_faults.get(i), p_threshold,
+                                        notes.append)
+                faults = _finding_faults(finding, ids, p_threshold)
+            except _Rejected as rejected:
+                faults = (rejected.args,)
+            if faults:
+                report.errors.append(Violation("outcomes", row, *faults[0]))
+                continue
+            report.warnings += [Violation("outcomes", row, *note) for note in notes]
+            findings.append(finding)
+            ids.add(finding.finding_id)
     report.counts["outcomes"] = {"lines": row, "accepted": len(findings),
                                  "rejected": row - len(findings)}
     return findings
-
-
-def _market_instants(block: list) -> Iterator[tuple]:
-    """The rows of a block of an outcomes table, each market time column as
-    ms since the epoch where every text in it is canonical, else as read."""
-    *values, opens, closes = block
-    for texts in (opens, closes):
-        ms = _canonical_instants(texts)
-        values.append(texts if ms is None else ms.tolist())
-    return zip(*values)
 
 
 def _accepted(table: str, columns: _Columns, clean: np.ndarray, text_faults: dict,
@@ -1121,15 +1116,17 @@ def _survey_block(texts: list, finding_ids: list[str], first: int) -> tuple[Surv
                            np.arange(first + 1, first + len(fids) + 1)), faults
 
 
-def _parse_instants(texts, faults: dict) -> np.ndarray:
+def _parse_instants(texts, faults: dict, column: str = "timestamp") -> np.ndarray:
     """parse_timestamp of every text as an int64 column, 0 where a text does
-    not parse and its row gets the fault `_parse_column` words. Texts of
-    format_timestamp's shape are parsed by numpy at once (_canonical_instants);
-    any other block goes row by row."""
+    not parse and its row gets the fault `_parse_column` words under the
+    column's name. The loader parses every time column it reads here, the
+    trades' and the outcomes' alike. Texts of format_timestamp's shape are
+    parsed by numpy at once (_canonical_instants); any other block goes row
+    by row."""
     ms = _canonical_instants(texts)
     if ms is not None:
         return ms
-    values = _parse_column(parse_timestamp, texts, "timestamp", None, faults)
+    values = _parse_column(parse_timestamp, texts, column, None, faults)
     return np.array([0 if v is None else v for v in values] if faults else values,
                     dtype=np.int64)
 
@@ -1143,23 +1140,10 @@ def _parse_trades(columns: list) -> tuple[list, dict]:
     columns.clear()  # each text column goes once it is parsed
     faults = _empty_ids(fids, traders, "trader_id")
     timestamps = _parse_instants(timestamps, faults)
-    quantities, has_quantity = _parse_quantities(quantities, faults)
+    quantities = _parse_column(_optional_float, quantities, "quantity", "quantity", faults)
     prices = _parse_column(float, prices, "post_trade_price", "price", faults)
     sides = _shared(sides, lambda side: side.upper() or "YES")  # once a distinct text
-    return [fids, _shared(traders), timestamps, sides, quantities, has_quantity, prices], faults
-
-
-def _parse_quantities(texts: list[str] | np.ndarray, faults: dict) -> tuple:
-    """The quantities as `_parse_column` parses them, an empty text as None,
-    and the mask of the recorded ones, those not None. numpy's reader
-    parses no empty number (see _numpy_block): each quantity it parsed is
-    recorded."""
-    if isinstance(texts, np.ndarray):
-        return texts, np.ones(len(texts), dtype=bool)
-    # float alone where no quantity is empty: the same values, without a Python call a row
-    values = _parse_column(float if all(texts) else _optional_float, texts,
-                           "quantity", "quantity", faults)
-    return values, np.not_equal(np.array(values, dtype=object), None)
+    return [fids, _shared(traders), timestamps, sides, quantities, prices], faults
 
 
 def _trade_block(texts: list, finding_ids: list[str], first: int) -> tuple[TradeColumns, dict]:
@@ -1366,9 +1350,14 @@ def write_dataset(ds: Dataset, outcomes_path: str | Path, surveys_path: str | Pa
     *head, opens, closes = ([getattr(f, name) for f in ds.findings] for name in OUTCOME_FIELDS)
     write_columns(outcomes_path, OUTCOME_FIELDS,
                   [*head, *(_Formatted(format_timestamp, c) for c in (opens, closes))])
-    # the rows are written from the columns in load order, and no record is built
+    # the written columns alone are taken in load order, and no record is built
+    s = ds.survey_columns
+    order = np.argsort(s.load_index)
     write_columns(surveys_path, SURVEY_FIELDS,
-                  ds.survey_columns.in_load_order().values()[:len(SURVEY_FIELDS)])
-    fids, traders, times, *rest = ds.trade_columns.in_load_order().values()[:len(TRADE_FIELDS)]
+                  [s.finding_id[order], s.forecaster[order], s.belief[order]])
+    t = ds.trade_columns
+    order = np.argsort(t.load_index)
     write_columns(trades_path, TRADE_FIELDS,
-                  [fids, traders, _Formatted(format_timestamp, times), *rest])
+                  [t.finding_id[order], t.trader[order],
+                   _Formatted(format_timestamp, t.timestamp[order]), t.side[order],
+                   np.where(t.has_quantity, t.quantity, None)[order], t.price[order]])

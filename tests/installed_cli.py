@@ -173,26 +173,29 @@ def asymmetry_null_on_its_own_table(tmp: Path) -> None:
 
 
 def timestamp_forms_report_alike(tmp: Path) -> None:
-    """Trade timestamps with a +00:00 offset or as epoch milliseconds report as
-    canonical ones (both parse paths)."""
+    """Market times and trade timestamps with a +00:00 offset or as epoch
+    milliseconds report as canonical ones (both parse paths)."""
     canonical = synth(tmp / "canonical")
     forms = {"offset": lambda text: text[:-1] + "+00:00",
              "epoch_ms": lambda text: str(round(
                  datetime.fromisoformat(text[:-1] + "+00:00").timestamp() * 1000))}
-    with open(canonical["trades"], newline="", encoding="utf-8") as fh:
-        header, *rows = csv.reader(fh)
-    at = header.index("timestamp")
+    times = {"outcomes": ("market_open", "market_close"), "trades": ("timestamp",)}
     data = {"canonical": canonical}
     for name, form in forms.items():
         paths = data[name] = {t: tmp / name / f"{t}.csv" for t in TABLES}
         (tmp / name).mkdir()
-        for table in ("outcomes", "surveys"):
-            paths[table].write_bytes(canonical[table].read_bytes())
-        with open(paths["trades"], "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(
-                [header] + [row[:at] + [form(row[at])] + row[at + 1:] for row in rows])
+        paths["surveys"].write_bytes(canonical["surveys"].read_bytes())
+        for table, columns in times.items():
+            with open(canonical[table], newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            for row in rows:
+                for at in map(header.index, columns):
+                    row[at] = form(row[at])
+            with open(paths[table], "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([header] + rows)
     for name, paths in data.items():
         repmarket("report", *data_args(paths), "--out", tmp / f"{name}_report")
+    assert "+00:00," in data["offset"]["outcomes"].read_text(encoding="utf-8")
     assert "+00:00," in data["offset"]["trades"].read_text(encoding="utf-8")
     epoch_ms = data["epoch_ms"]["trades"].read_text(encoding="utf-8")
     assert re.search(r"^[^,]*,[^,]*,[0-9]+,", epoch_ms, re.MULTILINE)

@@ -169,6 +169,8 @@ def test_an_outcomes_block_with_one_time_off_shape_loads_as_row_by_row(
         rows[5][at["p_value_category"]], rows[5][at["original_p_value"]] = "above", "0.001"
         rows[5][at["market_open"]] = "soon"
         rows[6][at["market_close"]] = "soon"
+        # of two market times that do not parse, market_open's is the fault
+        rows[7][at["market_open"]], rows[7][at["market_close"]] = "soon", "later"
     paths = {**seed3, "outcomes": tmp_path / "outcomes.csv"}
     dataset.write_csv(paths["outcomes"], header, rows)
     ds = load_dataset(paths["outcomes"], paths["surveys"], paths["trades"])
@@ -176,8 +178,11 @@ def test_an_outcomes_block_with_one_time_off_shape_loads_as_row_by_row(
     assert ds.findings == expected.findings
     assert ds.load_report.to_dict() == expected.load_report.to_dict()
     assert [(e.row, e.column) for e in ds.load_report.errors if e.table == "outcomes"] == [
-        (5, "finding_id"), (6, "p_value_category"), (7, "market_open/market_close")
+        (5, "finding_id"), (6, "p_value_category"), (7, "market_open/market_close"),
+        (8, "market_open/market_close")
     ] * faulty
+    assert [e.message for e in ds.load_report.errors if e.table == "outcomes" and e.row == 8] == [
+        _one_by_one(["soon"])[1][1][2]] * faulty
     assert ds.findings[3].market_open == parse_timestamp(opened)
 
 
